@@ -10,7 +10,7 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from .circuits import ANC, FX, FZ, SX, SZ
-from .sim import dep_failure_fraction, sample_memory_batch
+from .sim import sample_memory_batch, single_fault_batch
 from .steane import CodeDefinition
 
 
@@ -271,10 +271,12 @@ def ft_monitor(epoch_decoders, code: CodeDefinition, noise_sweep, basis: str,
     rows = []
     if signatures is None:
         signatures = derive_hook_signatures(code, basis)
+    faults = single_fault_batch(
+        code, basis, cycles=2 if fixed_rounds is None else fixed_rounds)
     for epoch, decoder in epoch_decoders:
-        dep = dep_failure_fraction(
-            decoder, code, basis,
-            cycles=2 if fixed_rounds is None else fixed_rounds)
+        # the DEP failure fraction, as in sim.dep_failure_fraction
+        dep = int((decoder.predict_flips_batch(faults)
+                   ^ faults.m_L).sum()) / len(faults)
         p_ls = {}
         for p_ph in noise_sweep:
             if fixed_rounds is not None:

@@ -28,7 +28,7 @@ from .nn import (TrainConfig, build_model, config_hash, load_checkpoint,
                  train)
 from .nn.model import spec_by_id
 from .seqlut import SeqLutDecoder
-from .sim import NoiseModel, run_with_fault, sample_memory_batch
+from .sim import NoiseModel, dep_failure_fraction, sample_memory_batch
 from .steane import steane_code
 from .xai import deepshap_batch
 
@@ -78,6 +78,9 @@ def load_config(path, overrides) -> dict:
         fail(1, f"unknown decoder {cfg['decoder']!r}")
     if not isinstance(cfg["rounds"], int) or cfg["rounds"] < 1:
         fail(1, "rounds must be a positive integer")
+    if not isinstance(cfg["seed"], int) or cfg["seed"] < 0:
+        # dataset stream keys are derived from it by SeedSequence
+        fail(1, "seed must be a non-negative integer")
     try:
         cfg["pph_sweep"] = [float(p) for p in cfg["pph_sweep"]]
     except (TypeError, ValueError):
@@ -98,6 +101,25 @@ def dataset_rounds(cfg) -> list[int]:
     if cfg["decoder"] in ("dnn2", "lut"):
         return [cfg["rounds"]]
     return list(range(1, cfg["rounds"] + 1))
+
+
+def dataset_plan(cfg):
+    """(split, basis, T, shots, seed key) of every dataset ``gen-data``
+    writes. Keys are derived from (seed, split, basis, T), so no two
+    datasets share random streams."""
+    bases = decoder_bases(cfg["decoder"]) if cfg["decoder"] != "lut" \
+        else ["Z"]
+    rounds = dataset_rounds(cfg)
+    for si, split in enumerate(("train", "val", "test")):
+        # equal share per (basis, T) family; initial states alternate
+        # inside sample_memory_batch
+        per = max(1, cfg["shots"][split] // (len(rounds) * len(bases)))
+        for basis in bases:
+            for t in rounds:
+                entropy = [cfg["seed"], si, "ZX".index(basis), t]
+                key = np.random.SeedSequence(entropy).generate_state(
+                    1, np.uint64)[0]
+                yield split, basis, t, per, int(key)
 
 
 def dataset_path(cfg, split: str, basis: str, t: int) -> str:
@@ -196,25 +218,14 @@ def cmd_gen_data(**kw):
     code = steane_code()
     os.makedirs(os.path.join(cfg["out"], "data"), exist_ok=True)
     noise = NoiseModel(cfg["p_ph"])
-    bases = decoder_bases(cfg["decoder"]) if cfg["decoder"] != "lut" \
-        else ["Z"]
-    for si, split in enumerate(("train", "val", "test")):
-        shots = cfg["shots"][split]
-        rounds = dataset_rounds(cfg)
-        for basis in bases:
-            # equal share per (basis, T) family; initial states alternate
-            # inside sample_memory_batch
-            per = max(1, shots // (len(rounds) * len(bases)))
-            for t in rounds:
-                seed = cfg["seed"] + 100 * si + 10 * t \
-                    + (0 if basis == "Z" else 5)
-                batch = sample_memory_batch(code, noise, T=t, basis=basis,
-                                            shots=per, seed=seed)
-                ds = dsmod.from_batch(batch, cfg["p_ph"], cfg["hash"])
-                path = dataset_path(cfg, split, basis, t)
-                dsmod.write_dataset(path, ds)
-                dsmod.export_text(path + ".txt", ds)
-                click.echo(f"wrote {path} ({per} samples)")
+    for split, basis, t, per, seed in dataset_plan(cfg):
+        batch = sample_memory_batch(code, noise, T=t, basis=basis,
+                                    shots=per, seed=seed)
+        ds = dsmod.from_batch(batch, cfg["p_ph"], cfg["hash"])
+        path = dataset_path(cfg, split, basis, t)
+        dsmod.write_dataset(path, ds)
+        dsmod.export_text(path + ".txt", ds)
+        click.echo(f"wrote {path} ({per} samples)")
 
 
 def _training_arrays(cfg):
@@ -254,10 +265,14 @@ def cmd_train(**kw):
     tc = TrainConfig(epochs=cfg["train"]["epochs"],
                      batch_size=cfg["train"]["batch_size"],
                      lr=cfg["train"]["lr"], seed=cfg["seed"])
-    history = train(model, x, y, tc, config_hash=cfg["hash"],
-                    checkpoint_dir=ckdir)
-    for rec in history:
+
+    def echo(rec) -> bool:
+        # called as each epoch ends (after its checkpoint); never stops
         click.echo(f"epoch {rec['epoch']:4d} loss {rec['loss']:.6f}")
+        return False
+
+    history = train(model, x, y, tc, config_hash=cfg["hash"],
+                    checkpoint_dir=ckdir, stop_fn=echo)
     _write_json(os.path.join(cfg["out"], f"train_{cfg['decoder']}.json"),
                 {"config_hash": cfg["hash"], "history": history})
 
@@ -347,18 +362,18 @@ def cmd_dep(**kw):
     cfg = build_cfg(**kw)
     code = steane_code()
     os.makedirs(cfg["out"], exist_ok=True)
-    faults = enumerate_single_faults(code, cycles=cfg["rounds"])
+    n_faults = len(enumerate_single_faults(code, cycles=cfg["rounds"]))
     report = {"config_hash": cfg["hash"], "decoder": cfg["decoder"],
-              "cycles": cfg["rounds"], "n_faults": len(faults)}
+              "cycles": cfg["rounds"], "n_faults": n_faults}
     worst = 0.0
     for basis in decoder_bases(cfg["decoder"]):
         decoder = load_decoder(cfg, basis)
-        failed = sum(run_with_fault(code, f, basis, decoder,
-                                    T=cfg["rounds"]) for f in faults)
-        frac = failed / len(faults)
+        frac = dep_failure_fraction(decoder, code, basis,
+                                    cycles=cfg["rounds"])
         report[f"failure_fraction_{basis}"] = frac
         worst = max(worst, frac)
-        click.echo(f"basis {basis}: {failed}/{len(faults)} faults failed")
+        click.echo(f"basis {basis}: {round(frac * n_faults)}/{n_faults} "
+                   "faults failed")
     _write_json(os.path.join(cfg["out"], f"dep_{cfg['decoder']}.json"),
                 report)
     if worst > 0:

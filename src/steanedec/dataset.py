@@ -124,11 +124,21 @@ def read_dataset(path) -> DatasetFile:
 def export_text(path, ds: DatasetFile):
     """One sample per line: per-round channel bits in the fixed order,
     rounds separated by '|', then m_in m_out m_L."""
-    with open(path, "w") as fh:
+    n, T, _ = ds.volumes.shape
+    width = (N_CHANNELS + 1) * T
+    body = np.empty((n, width + 6), dtype=np.uint8)
+    # a round is 12 digits and a separator; the last round's separator is
+    # the space before the labels. Splitting the row axis gives a view.
+    rounds = body[:, :width].reshape(n, T, N_CHANNELS + 1)
+    np.add(ds.volumes, ord("0"), out=rounds[:, :, :N_CHANNELS],
+           casting="unsafe")
+    rounds[:, :, N_CHANNELS] = ord("|")
+    body[:, width - 1:width + 4:2] = ord(" ")
+    body[:, width:width + 5:2] = np.stack([ds.m_in, ds.m_out, ds.m_L],
+                                          axis=1) + ord("0")
+    body[:, -1] = ord("\n")
+    with open(path, "wb") as fh:
         fh.write(f"# {ds.code_id} p_ph={ds.p_ph} T={ds.T} "
                  f"basis={ds.basis} seed={ds.seed} shots={len(ds)} "
-                 f"config={ds.config_hash}\n")
-        for i in range(len(ds)):
-            rounds = "|".join("".join(str(b) for b in row)
-                              for row in ds.volumes[i])
-            fh.write(f"{rounds} {ds.m_in[i]} {ds.m_out[i]} {ds.m_L[i]}\n")
+                 f"config={ds.config_hash}\n".encode())
+        fh.write(body.tobytes())

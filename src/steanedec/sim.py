@@ -4,8 +4,13 @@ Two engines share the same circuit description:
 
 * a scalar engine (`run_memory_experiment`) used for deterministic
   single-fault runs and as a readable reference, and
-* a vectorized engine (`sample_memory_batch`) that propagates all shots
-  of a Monte-Carlo batch simultaneously on bit-packed integer arrays.
+* a vectorized engine that propagates many Pauli frames simultaneously
+  on bit-packed integer arrays. It serves Monte-Carlo batches
+  (`sample_memory_batch`) and single-fault ("DEP") certification:
+  `single_fault_batch` builds the circuit once and runs every
+  enumerated single fault as one shot of one noiseless batch, so
+  `dep_failure_fraction` is a single batched decode of all fault
+  volumes. Shot by shot the batch equals `run_with_fault`'s scalar runs.
 
 Noise model (depolarizing circuit-level): after every two-qubit gate one
 of the 15 nontrivial two-qubit Paulis with probability p_ph/15 each;
@@ -235,27 +240,6 @@ def run_with_fault(code: CodeDefinition, fault: FaultInjection, basis: str,
     return decoder.predict_flip(sample) ^ sample.m_L
 
 
-def dep_failure_fraction(decoder, code: CodeDefinition, basis: str,
-                         cycles: int = 2) -> float:
-    """Fraction of enumerated single faults the decoder fails to recover."""
-    faults = enumerate_single_faults(code, cycles=cycles)
-    failed = sum(run_with_fault(code, f, basis, decoder, T=cycles)
-                 for f in faults)
-    return failed / len(faults)
-
-
-class IdentityDecoder:
-    """Predicts "no logical flip" for every volume (the undecoded baseline)."""
-
-    def predict_flip(self, sample: MemorySample) -> int:
-        return 0
-
-
-class AlwaysFlipDecoder:
-    def predict_flip(self, sample: MemorySample) -> int:
-        return 1
-
-
 # --- vectorized engine ------------------------------------------------------
 
 _PAR = np.zeros(128, dtype=np.uint8)
@@ -300,26 +284,23 @@ class MemoryBatch:
                             prep_row=prep)
 
 
-def sample_memory_batch(code: CodeDefinition, noise: NoiseModel, T: int,
-                        basis: str, shots: int, seed: int) -> MemoryBatch:
-    """Sample `shots` memory experiments at once.
+def _run_frames(code: CodeDefinition, program: list[Gate], basis: str,
+                n: int, inject):
+    """Propagate ``n`` Pauli frames through ``program`` (the preparation
+    cycle and T QEC cycles) at once.
 
-    m_in alternates 0/1 so each input state obtains an equal share of
-    samples; the label depends only on the accumulated errors.
+    After each gate ``inject(gate, x, z)`` applies the faults of that
+    location to the frame arrays in place; for measurements it returns
+    the outcome flips (an array or 0) instead. Returns (volumes,
+    prep_rows, final half syndromes, logical flips).
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    n = shots
-    p = noise.p_ph
-    spam = noise.spam_flip
+    T = program[-1].cycle
     x = np.zeros(n, dtype=np.int64)
     z = np.zeros(n, dtype=np.int64)
     volumes = np.zeros((n, T, N_CHANNELS), dtype=np.uint8)
     prep_rows = np.zeros((n, N_CHANNELS), dtype=np.uint8)
     outc = np.zeros((n, N_CHANNELS), dtype=np.uint8)
     prev_syn = np.zeros((n, 6), dtype=np.uint8)
-
-    program = build_qec_cycle(code, cycles=T, include_prep=True)
     for gate in program:
         kind = gate.kind
         if kind == "cnot":
@@ -334,42 +315,23 @@ def sample_memory_batch(code: CodeDefinition, noise: NoiseModel, T: int,
             keep = ~np.int64(1 << gate.qubits[0])
             x &= keep
             z &= keep
-        # noise / measurement
-        if kind in ("cnot", "cz"):
-            if p > 0.0:
-                u = _loc_rng(seed, gate.loc).random(n)
-                faulted = u < p
-                k = np.minimum((u / noise.two_q).astype(np.int64), 14)
-                k[~faulted] = 0
-                q1, q2 = gate.qubits
-                xt = (_PX1[k] << q1) | (_PX2[k] << q2)
-                zt = (_PZ1[k] << q1) | (_PZ2[k] << q2)
-                x ^= np.where(faulted, xt, 0)
-                z ^= np.where(faulted, zt, 0)
-        elif kind in ("prep_plus", "prep_zero"):
-            if p > 0.0:
-                v = _loc_rng(seed, gate.loc).random(n) < spam
-                q = gate.qubits[0]
-                if kind == "prep_plus":
-                    z ^= v.astype(np.int64) << q
-                else:
-                    x ^= v.astype(np.int64) << q
-        else:  # measurement
-            q = gate.qubits[0]
-            out = (z >> q & 1) if kind == "meas_x" else (x >> q & 1)
-            out = out.astype(np.uint8)
-            if p > 0.0:
-                out ^= (_loc_rng(seed, gate.loc).random(n) < spam).astype(np.uint8)
-            outc[:, gate.channel] = out
-            if gate.channel == N_CHANNELS - 1:
-                if gate.cycle == 0:
-                    prep_rows[:] = outc
-                    prev_syn[:] = outc[:, :6]
-                else:
-                    volumes[:, gate.cycle - 1, :6] = outc[:, :6] ^ prev_syn
-                    volumes[:, gate.cycle - 1, 6:] = outc[:, 6:]
-                    prev_syn[:] = outc[:, :6]
-                outc[:] = 0
+        if not kind.startswith("meas"):
+            inject(gate, x, z)
+            continue
+        q = gate.qubits[0]
+        out = (z >> q & 1) if kind == "meas_x" else (x >> q & 1)
+        out = out.astype(np.uint8)
+        out ^= inject(gate, x, z)
+        outc[:, gate.channel] = out
+        if gate.channel == N_CHANNELS - 1:
+            if gate.cycle == 0:
+                prep_rows[:] = outc
+                prev_syn[:] = outc[:, :6]
+            else:
+                volumes[:, gate.cycle - 1, :6] = outc[:, :6] ^ prev_syn
+                volumes[:, gate.cycle - 1, 6:] = outc[:, 6:]
+                prev_syn[:] = outc[:, :6]
+            outc[:] = 0
 
     err = (x & 0x7F) if basis == "Z" else (z & 0x7F)
     syn = np.zeros(n, dtype=np.int64)
@@ -378,8 +340,136 @@ def sample_memory_batch(code: CodeDefinition, noise: NoiseModel, T: int,
     pec = np.array([code.pure_error_mask(s) for s in range(8)], dtype=np.int64)
     residual = err ^ pec[syn]
     flip = _PAR[residual & code.logical_mask]
+    return volumes, prep_rows, syn, flip
+
+
+def sample_memory_batch(code: CodeDefinition, noise: NoiseModel, T: int,
+                        basis: str, shots: int, seed: int) -> MemoryBatch:
+    """Sample `shots` memory experiments at once.
+
+    m_in alternates 0/1 so each input state obtains an equal share of
+    samples; the label depends only on the accumulated errors.
+    """
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    n = shots
+    p = noise.p_ph
+    spam = noise.spam_flip
+
+    def sample_noise(gate: Gate, x: np.ndarray, z: np.ndarray):
+        if p == 0.0:
+            return 0
+        rng = _loc_rng(seed, gate.loc)
+        kind = gate.kind
+        if kind in ("cnot", "cz"):
+            u = rng.random(n)
+            faulted = u < p
+            k = np.minimum((u / noise.two_q).astype(np.int64), 14)
+            k[~faulted] = 0
+            q1, q2 = gate.qubits
+            xt = (_PX1[k] << q1) | (_PX2[k] << q2)
+            zt = (_PZ1[k] << q1) | (_PZ2[k] << q2)
+            x ^= np.where(faulted, xt, 0)
+            z ^= np.where(faulted, zt, 0)
+        elif kind in ("prep_plus", "prep_zero"):
+            v = (rng.random(n) < spam).astype(np.int64) << gate.qubits[0]
+            if kind == "prep_plus":
+                z ^= v
+            else:
+                x ^= v
+        else:  # measurement flip
+            return (rng.random(n) < spam).astype(np.uint8)
+        return 0
+
+    program = build_qec_cycle(code, cycles=T, include_prep=True)
+    volumes, prep_rows, syn, flip = _run_frames(code, program, basis, n,
+                                                sample_noise)
     m_in = (np.arange(n) & 1).astype(np.uint8)
     return MemoryBatch(volumes=volumes, basis=basis, m_in=m_in,
                        m_out=m_in ^ flip,
                        final_syndrome=syn.astype(np.uint8), seed=seed,
                        prep_rows=prep_rows)
+
+
+def _fault_batch(code: CodeDefinition, faults: list[FaultInjection],
+                 basis: str, T: int,
+                 fault_in_prep: bool = False) -> MemoryBatch:
+    """Noiseless runs with one injected fault each, as one batch (shot i
+    carries ``faults[i]``); shot by shot equal to `run_memory_experiment`
+    with ``m_in=0`` and the same ``fault`` and ``fault_in_prep``."""
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    program = build_qec_cycle(code, cycles=T, include_prep=True)
+    # fault locations count from the first QEC cycle (or, with
+    # fault_in_prep, from the preparation cycle); program locations
+    # count from the preparation cycle
+    offset = 0 if fault_in_prep else len(program) // (T + 1)
+    hits: dict[int, list] = {}
+    for i, f in enumerate(faults):
+        gate = program[f.loc + offset]
+        xt = zt = 0
+        if not f.flip_outcome:
+            for q, pauli in zip(gate.qubits, f.paulis):
+                xt ^= PAULI_1Q[pauli][0] << q
+                zt ^= PAULI_1Q[pauli][1] << q
+        hits.setdefault(gate.loc, []).append((i, xt, zt, int(f.flip_outcome)))
+    n = len(faults)
+    table = {loc: tuple(np.array(col) for col in zip(*rows))
+             for loc, rows in hits.items()}
+
+    def inject(gate: Gate, x: np.ndarray, z: np.ndarray):
+        if gate.loc not in table:
+            return 0
+        shots, xt, zt, flips = table[gate.loc]
+        if gate.kind.startswith("meas"):
+            out = np.zeros(n, dtype=np.uint8)
+            out[shots] = flips
+            return out
+        x[shots] ^= xt
+        z[shots] ^= zt
+        return 0
+
+    volumes, prep_rows, syn, flip = _run_frames(code, program, basis, n,
+                                                inject)
+    m_in = np.zeros(n, dtype=np.uint8)
+    return MemoryBatch(volumes=volumes, basis=basis, m_in=m_in, m_out=flip,
+                       final_syndrome=syn.astype(np.uint8),
+                       prep_rows=prep_rows)
+
+
+def single_fault_batch(code: CodeDefinition, basis: str,
+                       cycles: int = 2) -> MemoryBatch:
+    """Every enumerated single fault of ``cycles`` QEC cycles as one
+    noiseless batch, in `enumerate_single_faults` order."""
+    return _fault_batch(code, enumerate_single_faults(code, cycles=cycles),
+                        basis, cycles)
+
+
+# --- single-fault certification ---------------------------------------------
+
+
+def dep_failure_fraction(decoder, code: CodeDefinition, basis: str,
+                         cycles: int = 2) -> float:
+    """Fraction of enumerated single faults the decoder fails to recover,
+    decoded as one batch of all single-fault volumes."""
+    batch = single_fault_batch(code, basis, cycles)
+    failed = int((decoder.predict_flips_batch(batch) ^ batch.m_L).sum())
+    return failed / len(batch)
+
+
+class IdentityDecoder:
+    """Predicts "no logical flip" for every volume (the undecoded baseline)."""
+
+    def predict_flip(self, sample: MemorySample) -> int:
+        return 0
+
+    def predict_flips_batch(self, batch: MemoryBatch) -> np.ndarray:
+        return np.zeros(len(batch), dtype=np.uint8)
+
+
+class AlwaysFlipDecoder:
+    def predict_flip(self, sample: MemorySample) -> int:
+        return 1
+
+    def predict_flips_batch(self, batch: MemoryBatch) -> np.ndarray:
+        return np.ones(len(batch), dtype=np.uint8)

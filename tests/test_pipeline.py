@@ -1,5 +1,6 @@
 """Dataset file format, the network decoder wrapper, and the CLI."""
 
+import importlib
 import json
 import os
 
@@ -8,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from steanedec import dataset as dsmod
-from steanedec.cli import main
+from steanedec.cli import dataset_plan, load_config, main
 from steanedec.decoders import DNN2_CHANNELS, NnDecoder, dnn2_inputs, \
     rnn_inputs
 from steanedec.nn import build_model, dnn2_spec, drnn_spec, srnn_spec
@@ -64,6 +65,39 @@ class TestDatasetFormat:
         assert len(rounds) == 2 and len(rounds[0]) == 12
         assert rounds[0] == "".join(str(b) for b in ds.volumes[0][0])
         assert int(first[1]) ^ int(first[2]) == int(first[3])
+
+
+    @pytest.mark.parametrize("T", [1, 8])
+    def test_text_export_bytes_match_line_writer(self, tmp_path, T):
+        batch = sample_memory_batch(steane_code(), NoiseModel(0.02), T=T,
+                                    basis="X", shots=500, seed=T)
+        ds = dsmod.from_batch(batch, 0.02, "cfghash")
+        dsmod.export_text(tmp_path / "fast.txt", ds)
+        line_writer_export(tmp_path / "ref.txt", ds)
+        assert (tmp_path / "fast.txt").read_bytes() == \
+            (tmp_path / "ref.txt").read_bytes()
+
+
+def line_writer_export(path, ds):
+    """Reference text export, written one line per sample."""
+    with open(path, "w") as fh:
+        fh.write(f"# {ds.code_id} p_ph={ds.p_ph} T={ds.T} "
+                 f"basis={ds.basis} seed={ds.seed} shots={len(ds)} "
+                 f"config={ds.config_hash}\n")
+        for i in range(len(ds)):
+            rounds = "|".join("".join(str(b) for b in row)
+                              for row in ds.volumes[i])
+            fh.write(f"{rounds} {ds.m_in[i]} {ds.m_out[i]} {ds.m_L[i]}\n")
+
+
+class TestDatasetSeeds:
+    def test_keys_distinct_across_splits_bases_and_rounds(self, tmp_path):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text("seed: 0\ndecoder: drnn\nrounds: 20\n")
+        plan = list(dataset_plan(load_config(str(cfg_path), {})))
+        # 3 splits x 2 bases x rounds 1..20
+        assert len(plan) == 120
+        assert len({seed for *_, seed in plan}) == len(plan)
 
 
 class TestDecoderWrapper:
@@ -148,6 +182,25 @@ class TestCli:
         assert r.exit_code == 0, r.output
         assert "dnn2" in r.output
 
+    def test_train_echoes_each_epoch_as_it_ends(self, cfg_path,
+                                                 monkeypatch):
+        r = self.run("gen-data", "--config", cfg_path)
+        assert r.exit_code == 0, r.output
+        # steanedec.nn re-exports train(), which shadows the module name
+        train_mod = importlib.import_module("steanedec.nn.train")
+        real_save = train_mod.save_checkpoint
+
+        def save_then_crash(path, ckpt):
+            if ckpt.epoch == 1:
+                raise RuntimeError("crash in epoch 1")
+            real_save(path, ckpt)
+
+        monkeypatch.setattr(train_mod, "save_checkpoint", save_then_crash)
+        r = self.run("train", "--config", cfg_path)
+        assert isinstance(r.exception, RuntimeError)
+        assert "epoch    0 loss " in r.output
+        assert "epoch    1" not in r.output
+
     def test_dep_lut_passes(self, cfg_path):
         r = self.run("dep", "--config", cfg_path, "--decoder", "lut")
         assert r.exit_code == 0, r.output
@@ -167,6 +220,10 @@ class TestCli:
         bad.write_text("decoder: nosuch\n")
         r = self.run("eval", "--config", str(bad))
         assert r.exit_code == 1
+
+    def test_negative_seed_exit_1(self, cfg_path):
+        r = self.run("gen-data", "--config", cfg_path, "--seed", "-1")
+        assert r.exit_code == 1, r.output
 
     def test_missing_artifact_exit_2(self, cfg_path):
         r = self.run("train", "--config", cfg_path)

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from steanedec.circuits import (ANC, FX, SZ, FaultInjection, build_qec_cycle,
                                 enumerate_single_faults, error_set)
 from steanedec.seqlut import SeqLutDecoder, hook_correction_table
-from steanedec.sim import (NoiseModel, dep_failure_fraction,
-                           run_memory_experiment, run_with_fault,
-                           sample_memory_batch)
+from steanedec.sim import (MemoryBatch, NoiseModel, _fault_batch,
+                           dep_failure_fraction, run_memory_experiment,
+                           run_with_fault, sample_memory_batch,
+                           single_fault_batch)
 from steanedec.steane import PauliString, mask_of, parity, steane_code
 
 # the nine flag-conditioned correction rows: per flagged plaquette,
@@ -159,3 +162,69 @@ class TestDepCertification:
                 s = run_memory_experiment(code, None, T=2, basis=basis,
                                           fault=fault, fault_in_prep=True)
                 assert decoder.predict_flip(s) == s.m_L, (gate, fault)
+
+
+def scalar_flips(decoder, batch):
+    """Per-shot `decode_basis`: the reference for the compiled tables."""
+    preps = batch.prep_rows
+    return np.array([decoder.decode_basis(
+        batch.volumes[i], batch.basis, int(batch.final_syndrome[i]),
+        None if preps is None else preps[i]) for i in range(len(batch))],
+        dtype=np.uint8)
+
+
+class TestCompiledDecoder:
+    def test_table_shapes(self, decoder):
+        assert decoder._trans.shape == (640, 64)
+        assert decoder._final.shape == (640, 8)
+        assert decoder._trans.min() >= 0 and decoder._trans.max() < 640
+
+    def test_tables_shared_between_decoders(self, code, decoder):
+        other = SeqLutDecoder(steane_code())
+        assert other._trans is decoder._trans
+        assert other._final is decoder._final
+
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    def test_every_single_fault_volume(self, code, decoder, basis):
+        prep_faults = [f for g in build_qec_cycle(code, cycles=1)
+                       for f in error_set(g)]
+        for T in range(1, 9):
+            for batch in (single_fault_batch(code, basis, T),
+                          _fault_batch(code, prep_faults, basis, T,
+                                       fault_in_prep=True)):
+                assert np.array_equal(decoder.predict_flips_batch(batch),
+                                      scalar_flips(decoder, batch)), T
+
+    @pytest.mark.parametrize("p_ph", [1e-3, 5e-3, 0.03])
+    def test_sampled_batches(self, code, decoder, p_ph):
+        for T, basis in ((1, "Z"), (3, "X"), (8, "Z"), (8, "X")):
+            batch = sample_memory_batch(code, NoiseModel(p_ph), T=T,
+                                        basis=basis, shots=1500, seed=T)
+            assert np.array_equal(decoder.predict_flips_batch(batch),
+                                  scalar_flips(decoder, batch)), (T, basis)
+
+    def test_batch_without_prep_rows(self, code, decoder):
+        batch = sample_memory_batch(code, NoiseModel(0.03), T=4, basis="Z",
+                                    shots=1500, seed=3)
+        batch.prep_rows = None
+        flips = decoder.predict_flips_batch(batch)
+        assert np.array_equal(flips, scalar_flips(decoder, batch))
+        assert flips.dtype == np.uint8
+
+    @given(data=st.data(), T=st.integers(1, 10), shots=st.integers(1, 8),
+           basis=st.sampled_from("ZX"), with_prep=st.booleans())
+    def test_arbitrary_volumes(self, decoder, data, T, shots, basis,
+                               with_prep):
+        def draw(shape, mask):
+            n = int(np.prod(shape))
+            raw = data.draw(st.binary(min_size=n, max_size=n))
+            return (np.frombuffer(raw, dtype=np.uint8) & mask).reshape(shape)
+
+        zeros = np.zeros(shots, dtype=np.uint8)
+        batch = MemoryBatch(volumes=draw((shots, T, 12), 1), basis=basis,
+                            m_in=zeros, m_out=zeros,
+                            final_syndrome=draw((shots,), 7),
+                            prep_rows=draw((shots, 12), 1) if with_prep
+                            else None)
+        assert np.array_equal(decoder.predict_flips_batch(batch),
+                              scalar_flips(decoder, batch))

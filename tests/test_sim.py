@@ -3,11 +3,12 @@ import pytest
 
 from naive_sim import naive_run
 from steanedec.circuits import (SZ, FaultInjection, build_qec_cycle,
-                                enumerate_single_faults)
+                                enumerate_single_faults, error_set)
+from steanedec.seqlut import SeqLutDecoder
 from steanedec.sim import (AlwaysFlipDecoder, IdentityDecoder, MemorySample,
-                           NoiseModel, dep_failure_fraction,
+                           NoiseModel, _fault_batch, dep_failure_fraction,
                            run_memory_experiment, run_with_fault,
-                           sample_memory_batch)
+                           sample_memory_batch, single_fault_batch)
 from steanedec.steane import steane_code
 
 
@@ -131,3 +132,44 @@ class TestDep:
         a = dep_failure_fraction(IdentityDecoder(), code, "Z")
         b = dep_failure_fraction(AlwaysFlipDecoder(), code, "Z")
         assert a + b == pytest.approx(1.0)
+
+
+def assert_batch_matches_scalar(batch, samples):
+    for i, s in enumerate(samples):
+        assert np.array_equal(batch.volumes[i], s.volume), i
+        assert np.array_equal(batch.prep_rows[i], s.prep_row), i
+        assert batch.final_syndrome[i] == s.final_syndrome, i
+        assert (batch.m_in[i], batch.m_out[i]) == (s.m_in, s.m_out), i
+
+
+class TestSingleFaultBatch:
+    @pytest.mark.parametrize("T", [1, 3])
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    def test_matches_scalar_injector(self, code, T, basis):
+        faults = enumerate_single_faults(code, cycles=T)
+        batch = single_fault_batch(code, basis, T)
+        assert len(batch) == len(faults) and batch.basis == basis
+        assert_batch_matches_scalar(batch, [
+            run_memory_experiment(code, None, T=T, basis=basis, m_in=0,
+                                  fault=f) for f in faults])
+
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    def test_preparation_faults_match_scalar_injector(self, code, basis):
+        faults = [f for g in build_qec_cycle(code, cycles=1)
+                  for f in error_set(g)]
+        batch = _fault_batch(code, faults, basis, 2, fault_in_prep=True)
+        assert_batch_matches_scalar(batch, [
+            run_memory_experiment(code, None, T=2, basis=basis, m_in=0,
+                                  fault=f, fault_in_prep=True)
+            for f in faults])
+
+    @pytest.mark.parametrize("make", [SeqLutDecoder, IdentityDecoder,
+                                      AlwaysFlipDecoder])
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    def test_batched_dep_equals_per_fault_runs(self, code, make, basis):
+        decoder = make(code) if make is SeqLutDecoder else make()
+        faults = enumerate_single_faults(code, cycles=2)
+        failed = sum(run_with_fault(code, f, basis, decoder, T=2)
+                     for f in faults)
+        assert dep_failure_fraction(decoder, code, basis, cycles=2) == \
+            failed / len(faults)
