@@ -10,7 +10,8 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from .circuits import ANC, FX, FZ, SX, SZ
-from .sim import sample_memory_batch, single_fault_batch
+from .sim import (MemoryBatch, NoiseModel, sample_memory_batch,
+                  single_fault_batch)
 from .steane import CodeDefinition
 
 
@@ -117,15 +118,27 @@ def logical_error_rate(decoder, code: CodeDefinition, noise, basis: str,
                        T: int, shots_per_point: int, seed: int) -> ErrorRateResult:
     """Failure probability after t = 1..T rounds, with the per-round rate
     from the infidelity fit. The decoder exposes predict_flips_batch."""
-    rounds = np.arange(1, T + 1)
-    infid = np.zeros(T)
-    sig = np.zeros(T)
-    for i, t in enumerate(rounds):
-        batch = sample_memory_batch(code, noise, T=int(t), basis=basis,
-                                    shots=shots_per_point, seed=seed + 1000 * t)
+    return _score_rounds(decoder, _sample_rounds(code, noise, basis, T,
+                                                 shots_per_point, seed))
+
+
+def _sample_rounds(code: CodeDefinition, noise, basis: str, T: int,
+                   shots_per_point: int, seed: int) -> list[MemoryBatch]:
+    """The batches `logical_error_rate` scores, one per t = 1..T."""
+    return [sample_memory_batch(code, noise, T=int(t), basis=basis,
+                                shots=shots_per_point, seed=seed + 1000 * t)
+            for t in np.arange(1, T + 1)]
+
+
+def _score_rounds(decoder, batches: list[MemoryBatch]) -> ErrorRateResult:
+    """Decode the batches of `_sample_rounds` and fit the per-round rate."""
+    rounds = np.arange(1, len(batches) + 1)
+    infid = np.zeros(len(batches))
+    sig = np.zeros(len(batches))
+    for i, batch in enumerate(batches):
         pred = decoder.predict_flips_batch(batch)
         k = int((pred ^ batch.m_L).sum())
-        w = wilson_interval(k, shots_per_point)
+        w = wilson_interval(k, len(batch))
         infid[i] = w.p_hat
         sig[i] = max(w.sigma, 1e-12)
     fit = fit_infidelity(rounds, infid, sigma=None)
@@ -266,29 +279,32 @@ def ft_monitor(epoch_decoders, code: CodeDefinition, noise_sweep, basis: str,
     fixed round count (``fixed_rounds``) are scored by their failure
     rate at that count instead of the per-round infidelity fit.
     """
-    from .sim import NoiseModel, sample_memory_batch
-
     rows = []
     if signatures is None:
         signatures = derive_hook_signatures(code, basis)
     faults = single_fault_batch(
         code, basis, cycles=2 if fixed_rounds is None else fixed_rounds)
+    # every epoch scores the same volumes, so sample them once
+    points = {}
+    for p_ph in noise_sweep:
+        if fixed_rounds is not None:
+            points[p_ph] = sample_memory_batch(
+                code, NoiseModel(p_ph), T=fixed_rounds, basis=basis,
+                shots=shots_per_point, seed=seed)
+        else:
+            points[p_ph] = _sample_rounds(code, NoiseModel(p_ph), basis, T,
+                                          shots_per_point, seed)
     for epoch, decoder in epoch_decoders:
         # the DEP failure fraction, as in sim.dep_failure_fraction
         dep = int((decoder.predict_flips_batch(faults)
                    ^ faults.m_L).sum()) / len(faults)
         p_ls = {}
-        for p_ph in noise_sweep:
+        for p_ph, sampled in points.items():
             if fixed_rounds is not None:
-                batch = sample_memory_batch(code, NoiseModel(p_ph),
-                                            T=fixed_rounds, basis=basis,
-                                            shots=shots_per_point, seed=seed)
-                pred = decoder.predict_flips_batch(batch)
-                p_ls[p_ph] = float((pred ^ batch.m_L).mean())
-                continue
-            res = logical_error_rate(decoder, code, NoiseModel(p_ph), basis,
-                                     T, shots_per_point, seed)
-            p_ls[p_ph] = res.p_l
+                pred = decoder.predict_flips_batch(sampled)
+                p_ls[p_ph] = float((pred ^ sampled.m_L).mean())
+            else:
+                p_ls[p_ph] = _score_rounds(decoder, sampled).p_l
         if len(p_ls) >= 2 and all(v > 0 for v in p_ls.values()):
             b = fit_scaling(list(p_ls), list(p_ls.values())).params[1]
         else:

@@ -7,12 +7,11 @@ import numpy as np
 
 
 def sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Overflow-free logistic function: 1 / (1 + e^-z) for z >= 0 and
+    e^z / (1 + e^z) below, both from e = exp(-|z|) without branching.
+    (min(z, -z) rather than -abs(z) keeps the sign of a NaN input.)"""
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def glorot_uniform(rng, fan_in, fan_out, shape=None):

@@ -1,24 +1,35 @@
 """Pauli-frame simulation of flagged Steane-code memory experiments.
 
-Two engines share the same circuit description:
+Three pieces share the same circuit description (`build_qec_cycle`):
 
 * a scalar engine (`run_memory_experiment`) used for deterministic
-  single-fault runs and as a readable reference, and
-* a vectorized engine that propagates many Pauli frames simultaneously
-  on bit-packed integer arrays. It serves Monte-Carlo batches
-  (`sample_memory_batch`) and single-fault ("DEP") certification:
-  `single_fault_batch` builds the circuit once and runs every
-  enumerated single fault as one shot of one noiseless batch, so
-  `dep_failure_fraction` is a single batched decode of all fault
-  volumes. Shot by shot the batch equals `run_with_fault`'s scalar runs.
+  single-fault runs and as a readable reference;
+* a vectorized frame engine (`_run_frames`) that propagates many Pauli
+  frames at once through the gate list. It only ever runs noiseless
+  batches with one injected fault per shot: single-fault ("DEP")
+  certification (`single_fault_batch`, decoded as one batch by
+  `dep_failure_fraction`; shot by shot equal to `run_with_fault`'s
+  scalar runs) and the fault-table builder;
+* a fault table per (code, T, basis), built on first use. Propagation
+  is linear over GF(2), so the record of a noisy shot (preparation
+  outcomes, syndrome-increment/flag volume, final half syndrome and
+  logical parity) is the XOR of the records of its single faults. The
+  table holds one bit-packed row per location and fault, and
+  `sample_memory_batch` reduces Monte-Carlo sampling to draw, select
+  and XOR: each location draws one uniform per shot, the shots below
+  the fault probability pick their row, and the rows are XORed into
+  the shots' packed records, which are unpacked once at the end.
 
 Noise model (depolarizing circuit-level): after every two-qubit gate one
 of the 15 nontrivial two-qubit Paulis with probability p_ph/15 each;
 initialization and measurement outcomes invert with probability 2/3 p_ph.
+Idling data qubits are not subjected to noise (`NoiseModel.one_q` is
+not used by any engine yet).
 
 Randomness is drawn from counter-based Philox streams keyed by
-(seed, location id), so sampling is reproducible and independent of the
-order in which locations are processed.
+(seed, location id), so sampling is reproducible, independent of the
+order in which locations are processed, and stable under growing the
+shot count.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ import numpy as np
 
 from .circuits import (ANC, DATA, FLAG, N_CHANNELS, FaultInjection, Gate,
                        PAULI_1Q, TWO_QUBIT_PAULIS, build_qec_cycle,
-                       enumerate_single_faults)
+                       enumerate_single_faults, error_set)
 from .steane import CodeDefinition, PauliString, parity
 
 
@@ -343,51 +354,171 @@ def _run_frames(code: CodeDefinition, program: list[Gate], basis: str,
     return volumes, prep_rows, syn, flip
 
 
+# --- fault table ------------------------------------------------------------
+
+_WORD = np.dtype("<u8")  # packed-row word; bit b of word w is row bit 64w + b
+# shots unpacked at a time: keeps the bit buffer (at most 1024 x 160 B at
+# T = 12) below glibc's 128 KiB mmap threshold, so the buffers come from
+# and go back to the heap instead of raising the threshold and leaving
+# freed heap resident
+_UNPACK_SHOTS = 1024
+
+# the generators X.I, Z.I, I.X, I.Z of a two-qubit location, and which of
+# them compose each Pauli of TWO_QUBIT_PAULIS
+_GENERATORS = (("X", "I"), ("Z", "I"), ("I", "X"), ("I", "Z"))
+_PAULI_GENERATORS = np.stack([_PX1, _PZ1, _PX2, _PZ2], axis=1).astype(bool)
+
+# fault tables, keyed by the code's definition, T and basis
+_TABLES: dict[tuple, "_FaultTable"] = {}
+
+
+@dataclass(frozen=True)
+class _FaultTable:
+    """Effects of every single fault of one memory experiment.
+
+    Frame propagation, syndrome increments and the final half syndrome
+    are linear over GF(2), so the record of a shot is the XOR of the rows
+    of its faults. A row of ``rows`` has ``12 (T + 1) + 4`` bits, packed
+    into little-endian 64-bit words: the 12 preparation-round
+    outcomes, the 12 T volume bits, the 3 final half-syndrome bits, and
+    ``parity(err & logical_mask)`` of the final data error. That parity
+    is stored instead of the logical flip because the weight-1
+    correction is not linear; ``flip_of_tail`` recovers the flip from
+    the last 4 bits (syndrome | parity << 3).
+
+    ``locations`` lists (loc, first row, two-qubit gate?) in program
+    order. A two-qubit gate owns 15 rows in `TWO_QUBIT_PAULIS` order, a
+    preparation or measurement one row (its flip).
+    """
+
+    rows: np.ndarray
+    locations: tuple[tuple[int, int, bool], ...]
+    flip_of_tail: np.ndarray
+
+
+def _fault_table(code: CodeDefinition, T: int, basis: str) -> _FaultTable:
+    """The fault table of (code, T, basis), built on first use."""
+    key = (code.support_masks, code.logical_mask, code.gate_order, T, basis)
+    if key not in _TABLES:
+        _TABLES[key] = _build_fault_table(code, T, basis)
+    return _TABLES[key]
+
+
+def _build_fault_table(code: CodeDefinition, T: int,
+                       basis: str) -> _FaultTable:
+    # one noiseless shot per generator fault, preparation cycle included
+    program = build_qec_cycle(code, cycles=T, include_prep=True)
+    faults = []
+    for gate in program:
+        if gate.kind in ("cnot", "cz"):
+            faults += [FaultInjection(gate.loc, g) for g in _GENERATORS]
+        else:
+            faults += error_set(gate)
+    batch = _fault_batch(code, faults, basis, T, fault_in_prep=True)
+    # parity of the weight-1 correction of each syndrome with the logical
+    pec = np.array([code.pure_error_mask(s) for s in range(8)])
+    corr_par = _PAR[pec & code.logical_mask]
+    syn = batch.final_syndrome
+    bits = np.concatenate([
+        batch.prep_rows,
+        batch.volumes.reshape(len(faults), N_CHANNELS * T),
+        (syn[:, None] >> np.arange(3, dtype=np.uint8)) & 1,
+        (batch.m_out ^ corr_par[syn])[:, None],
+    ], axis=1)
+    words = -(-bits.shape[1] // 64)
+    packed = np.zeros((len(faults), 8 * words), dtype=np.uint8)
+    packed[:, :-(-bits.shape[1] // 8)] = np.packbits(bits, axis=1,
+                                                     bitorder="little")
+    gens = packed.view(_WORD)  # one row per fault, in program order
+    two_qubit = np.array([g.kind in ("cnot", "cz") for g in program])
+    n_gen = np.where(two_qubit, 4, 1)
+    first_gen = np.cumsum(n_gen) - n_gen
+    # XOR each two-qubit location's generator rows into its 15 Paulis
+    g2 = gens[first_gen[two_qubit, None] + np.arange(4)]
+    paulis = np.bitwise_xor.reduce(
+        np.where(_PAULI_GENERATORS[:, :, None], g2[:, None], 0), axis=2)
+    width = np.where(two_qubit, 15, 1)
+    first = np.cumsum(width) - width
+    rows = np.empty((width.sum(), words), dtype=_WORD)
+    rows[first[~two_qubit]] = gens[first_gen[~two_qubit]]
+    rows[first[two_qubit, None] + np.arange(15)] = paulis
+    rows.setflags(write=False)
+    locations = tuple(zip((g.loc for g in program), first.tolist(),
+                          two_qubit.tolist()))
+    tail = np.arange(16)
+    flip_of_tail = ((tail >> 3) ^ corr_par[tail & 7]).astype(np.uint8)
+    flip_of_tail.setflags(write=False)
+    return _FaultTable(rows, locations, flip_of_tail)
+
+
+def _loc_streams(seed: int):
+    """Return ``draw(loc, u)``, which fills ``u`` with
+    ``_loc_rng(seed, loc).random(len(u))`` and returns it.
+
+    Constructing a Philox generator (which first seeds a SeedSequence
+    from OS entropy) costs about as much as drawing two thousand
+    doubles from it, so one generator is re-keyed per location instead.
+    It starts as ``_loc_rng(seed, 0)`` and only the location word of its
+    key is replaced, so every seed converts to a key exactly as there.
+    """
+    gen = _loc_rng(seed, 0)
+    bitgen = gen.bit_generator
+    state = bitgen.state  # fresh: zero counter, empty buffer
+
+    def draw(loc: int, u: np.ndarray) -> np.ndarray:
+        state["state"]["key"][1] = loc
+        bitgen.state = state
+        return gen.random(out=u)
+    return draw
+
+
 def sample_memory_batch(code: CodeDefinition, noise: NoiseModel, T: int,
                         basis: str, shots: int, seed: int) -> MemoryBatch:
     """Sample `shots` memory experiments at once.
+
+    Each location draws one uniform per shot from its own stream; the
+    shots below the fault probability select a row of the fault table
+    (the Pauli from the same uniform at two-qubit gates), and the rows
+    are XORed into the shots' packed records.
 
     m_in alternates 0/1 so each input state obtains an equal share of
     samples; the label depends only on the accumulated errors.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
+    table = _fault_table(code, T, basis)
     n = shots
     p = noise.p_ph
     spam = noise.spam_flip
-
-    def sample_noise(gate: Gate, x: np.ndarray, z: np.ndarray):
-        if p == 0.0:
-            return 0
-        rng = _loc_rng(seed, gate.loc)
-        kind = gate.kind
-        if kind in ("cnot", "cz"):
-            u = rng.random(n)
-            faulted = u < p
-            k = np.minimum((u / noise.two_q).astype(np.int64), 14)
-            k[~faulted] = 0
-            q1, q2 = gate.qubits
-            xt = (_PX1[k] << q1) | (_PX2[k] << q2)
-            zt = (_PZ1[k] << q1) | (_PZ2[k] << q2)
-            x ^= np.where(faulted, xt, 0)
-            z ^= np.where(faulted, zt, 0)
-        elif kind in ("prep_plus", "prep_zero"):
-            v = (rng.random(n) < spam).astype(np.int64) << gate.qubits[0]
-            if kind == "prep_plus":
-                z ^= v
-            else:
-                x ^= v
-        else:  # measurement flip
-            return (rng.random(n) < spam).astype(np.uint8)
-        return 0
-
-    program = build_qec_cycle(code, cycles=T, include_prep=True)
-    volumes, prep_rows, syn, flip = _run_frames(code, program, basis, n,
-                                                sample_noise)
+    acc = np.zeros((n, table.rows.shape[1]), dtype=_WORD)
+    if p > 0.0:
+        draw = _loc_streams(seed)
+        u = np.empty(n)  # one buffer for every location's draws
+        for loc, first, two_qubit in table.locations:
+            draw(loc, u)
+            if not two_qubit:  # preparation or measurement flip
+                acc[np.flatnonzero(u < spam)] ^= table.rows[first]
+                continue
+            idx = np.flatnonzero(u < p)
+            acc[idx] ^= table.rows[first + np.minimum(
+                (u[idx] / noise.two_q).astype(np.int64), 14)]
+    volumes = np.empty((n, T, N_CHANNELS), dtype=np.uint8)
+    prep_rows = np.empty((n, N_CHANNELS), dtype=np.uint8)
+    tail = np.empty(n, dtype=np.uint8)
+    nbits = N_CHANNELS * (T + 1)
+    for s in range(0, n, _UNPACK_SHOTS):
+        chunk = acc[s:s + _UNPACK_SHOTS]
+        bits = np.unpackbits(chunk.view(np.uint8), axis=1, count=nbits,
+                             bitorder="little")
+        prep_rows[s:s + _UNPACK_SHOTS] = bits[:, :N_CHANNELS]
+        volumes[s:s + _UNPACK_SHOTS] = bits[:, N_CHANNELS:].reshape(
+            -1, T, N_CHANNELS)
+        # the 4 tail bits never straddle a word: nbits is a multiple of 4
+        tail[s:s + _UNPACK_SHOTS] = chunk[:, nbits // 64] >> (nbits % 64) & 15
     m_in = (np.arange(n) & 1).astype(np.uint8)
     return MemoryBatch(volumes=volumes, basis=basis, m_in=m_in,
-                       m_out=m_in ^ flip,
-                       final_syndrome=syn.astype(np.uint8), seed=seed,
+                       m_out=m_in ^ table.flip_of_tail[tail],
+                       final_syndrome=tail & 7, seed=seed,
                        prep_rows=prep_rows)
 
 

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+from steanedec import analysis
 from steanedec.analysis import (CorrelationReport, HookSignatureSet,
                                 attribution_correlations,
                                 derive_hook_signatures, fit_infidelity,
-                                fit_scaling, hook_excess, infidelity_model,
-                                logical_error_rate, wilson_interval)
+                                fit_scaling, ft_monitor, hook_excess,
+                                infidelity_model, logical_error_rate,
+                                wilson_interval)
 from steanedec.circuits import FX, FZ, SX, SZ
 from steanedec.seqlut import SeqLutDecoder
-from steanedec.sim import NoiseModel
+from steanedec.sim import (AlwaysFlipDecoder, IdentityDecoder, NoiseModel,
+                           dep_failure_fraction, sample_memory_batch)
 from steanedec.steane import steane_code
 
 
@@ -174,3 +177,54 @@ class TestLogicalErrorRate:
         res = logical_error_rate(dec, code, NoiseModel(0.01), "Z", T=4,
                                  shots_per_point=4000, seed=1)
         assert 0.0 < res.p_l < 0.1
+
+
+def per_epoch_monitor_rows(decoders, code, sweep, basis, T, shots, seed,
+                           fixed_rounds):
+    """(epoch, DEP, p_L per point, b) with every epoch sampling its own
+    volumes, as the monitor did before it sampled them once."""
+    rows = []
+    for epoch, decoder in decoders:
+        dep = dep_failure_fraction(
+            decoder, code, basis,
+            cycles=2 if fixed_rounds is None else fixed_rounds)
+        p_ls = {}
+        for p in sweep:
+            if fixed_rounds is None:
+                p_ls[p] = logical_error_rate(decoder, code, NoiseModel(p),
+                                             basis, T, shots, seed).p_l
+                continue
+            batch = sample_memory_batch(code, NoiseModel(p), T=fixed_rounds,
+                                        basis=basis, shots=shots, seed=seed)
+            p_ls[p] = float((decoder.predict_flips_batch(batch)
+                             ^ batch.m_L).mean())
+        b = fit_scaling(list(p_ls), list(p_ls.values())).params[1] \
+            if all(v > 0 for v in p_ls.values()) else float("nan")
+        rows.append((epoch, dep, p_ls, b))
+    return rows
+
+
+class TestFtMonitor:
+    @pytest.mark.parametrize("fixed_rounds", [None, 2])
+    def test_rows_equal_per_epoch_sampling(self, code, fixed_rounds,
+                                           monkeypatch):
+        sweep, T, shots, seed = (0.01, 0.03), 3, 600, 5
+        decoders = [(0, IdentityDecoder()), (1, SeqLutDecoder(code)),
+                    (2, AlwaysFlipDecoder()), (3, SeqLutDecoder(code))]
+        expect = per_epoch_monitor_rows(decoders, code, sweep, "Z", T, shots,
+                                        seed, fixed_rounds)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["T"])
+            return sample_memory_batch(*args, **kwargs)
+        monkeypatch.setattr(analysis, "sample_memory_batch", counted)
+        rows = ft_monitor(iter(decoders), code, sweep, "Z", T, shots, seed,
+                          fixed_rounds=fixed_rounds)
+        # sampled once for all epochs: one batch per point (and round)
+        assert len(calls) == len(sweep) * (T if fixed_rounds is None else 1)
+        got = [(r.epoch, r.dep_failure, r.p_l, r.scaling_b) for r in rows]
+        assert len(got) == len(expect)
+        for g, e in zip(got, expect):
+            assert g[:3] == e[:3]
+            assert g[3] == e[3] or (np.isnan(g[3]) and np.isnan(e[3]))

@@ -86,6 +86,28 @@ class TestLstmStep:
         assert np.allclose(h[0], expect)
 
 
+def masked_sigmoid(z):
+    """The boolean-mask form `sigmoid` replaced, kept as its reference."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    def test_bit_equal_to_masked_form(self):
+        edges = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf,
+                          np.nan, -np.nan, 1e-300, -1e-300, 36.7, -745.2])
+        rng = np.random.default_rng(4)
+        for z in (edges, rng.normal(0, 5, (64, 36)),
+                  rng.normal(0, 40, (500, 36)), np.zeros((0, 36))):
+            got, ref = sigmoid(z), masked_sigmoid(z)
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
 class TestMasking:
     def test_padding_matches_truncation(self):
         # fully padded trailing rounds must not change the final state

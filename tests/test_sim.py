@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from naive_sim import naive_run
-from steanedec.circuits import (SZ, FaultInjection, build_qec_cycle,
+from steanedec.circuits import (SZ, FaultInjection, Gate, build_qec_cycle,
                                 enumerate_single_faults, error_set)
 from steanedec.seqlut import SeqLutDecoder
-from steanedec.sim import (AlwaysFlipDecoder, IdentityDecoder, MemorySample,
-                           NoiseModel, _fault_batch, dep_failure_fraction,
-                           run_memory_experiment, run_with_fault,
-                           sample_memory_batch, single_fault_batch)
+from steanedec.sim import (_PX1, _PX2, _PZ1, _PZ2, AlwaysFlipDecoder,
+                           IdentityDecoder, MemoryBatch, MemorySample,
+                           NoiseModel, _fault_batch, _fault_table,
+                           _loc_rng, _loc_streams, _run_frames,
+                           dep_failure_fraction, run_memory_experiment,
+                           run_with_fault, sample_memory_batch,
+                           single_fault_batch)
 from steanedec.steane import steane_code
 
 
@@ -116,6 +119,85 @@ class TestVectorizedEngine:
         s = batch.sample(3)
         assert isinstance(s, MemorySample)
         assert s.m_L == batch.m_L[3]
+
+
+def dense_sample_memory_batch(code, noise: NoiseModel, T: int, basis: str,
+                              shots: int, seed: int) -> MemoryBatch:
+    """The per-gate sampler that the fault table replaced: every shot's
+    frame goes through every gate, and each location's faults are
+    applied to the frames right after it."""
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    n = shots
+    p = noise.p_ph
+    spam = noise.spam_flip
+
+    def sample_noise(gate: Gate, x: np.ndarray, z: np.ndarray):
+        if p == 0.0:
+            return 0
+        rng = _loc_rng(seed, gate.loc)
+        kind = gate.kind
+        if kind in ("cnot", "cz"):
+            u = rng.random(n)
+            faulted = u < p
+            k = np.minimum((u / noise.two_q).astype(np.int64), 14)
+            k[~faulted] = 0
+            q1, q2 = gate.qubits
+            xt = (_PX1[k] << q1) | (_PX2[k] << q2)
+            zt = (_PZ1[k] << q1) | (_PZ2[k] << q2)
+            x ^= np.where(faulted, xt, 0)
+            z ^= np.where(faulted, zt, 0)
+        elif kind in ("prep_plus", "prep_zero"):
+            v = (rng.random(n) < spam).astype(np.int64) << gate.qubits[0]
+            if kind == "prep_plus":
+                z ^= v
+            else:
+                x ^= v
+        else:  # measurement flip
+            return (rng.random(n) < spam).astype(np.uint8)
+        return 0
+
+    program = build_qec_cycle(code, cycles=T, include_prep=True)
+    volumes, prep_rows, syn, flip = _run_frames(code, program, basis, n,
+                                                sample_noise)
+    m_in = (np.arange(n) & 1).astype(np.uint8)
+    return MemoryBatch(volumes=volumes, basis=basis, m_in=m_in,
+                       m_out=m_in ^ flip,
+                       final_syndrome=syn.astype(np.uint8), seed=seed,
+                       prep_rows=prep_rows)
+
+
+class TestFaultTableSampler:
+    @pytest.mark.parametrize("shots", [0, 1, 3000])
+    @pytest.mark.parametrize("p_ph", [0.0, 1e-3, 5e-3, 0.03, 0.2])
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    @pytest.mark.parametrize("T", [1, 2, 3, 4, 8, 12])
+    def test_equals_dense_sampler(self, code, T, basis, p_ph, shots):
+        # p_ph = 0.2 stacks many faults per shot (GF(2) linearity);
+        # T = 4 rows fill one word exactly, T = 12 rows span three
+        seed = 1000 * T + shots + int(1e4 * p_ph)
+        got = sample_memory_batch(code, NoiseModel(p_ph), T, basis, shots,
+                                  seed)
+        ref = dense_sample_memory_batch(code, NoiseModel(p_ph), T, basis,
+                                        shots, seed)
+        for name in ("volumes", "prep_rows", "m_in", "m_out",
+                     "final_syndrome"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert np.array_equal(a, b), name
+        assert (got.basis, got.seed) == (basis, seed)
+
+    def test_row_width(self, code):
+        assert _fault_table(code, 1, "Z").rows.shape[1] == 1
+        assert _fault_table(code, 8, "Z").rows.shape[1] == 2
+        assert _fault_table(code, 12, "X").rows.shape[1] == 3
+
+    @pytest.mark.parametrize("seed", [0, 7, -1, 2**63 + 3])
+    def test_rekeyed_stream_equals_fresh_generator(self, seed):
+        draw = _loc_streams(seed)
+        for loc in (0, 1, 539, 5, 0):
+            assert np.array_equal(draw(loc, np.empty(37)),
+                                  _loc_rng(seed, loc).random(37))
 
 
 class TestDep:
