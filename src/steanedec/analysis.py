@@ -205,23 +205,24 @@ def derive_hook_signatures(code: CodeDefinition, basis: str) -> HookSignatureSet
     weight-two hook class into each plaquette readout and recording which
     flag and which later syndrome increment it raises."""
     from .circuits import FaultInjection, build_qec_cycle
-    from .sim import run_memory_experiment
+    from .sim import _fault_batch
 
     ptype = "X" if basis == "Z" else "Z"
     flag_family = FX if ptype == "X" else FZ
     syn_family = SZ if ptype == "X" else SX
     gates = build_qec_cycle(code, cycles=3)
-    hook = []
+    ent = [g for g in gates if g.cycle == 1 and g.kind in ("cnot", "cz")
+           and (g.qubits[0] == ANC or g.qubits[1] == ANC)]
+    faults = []
     for k in range(code.n_stabilizers):
-        ent = [g for g in gates if g.cycle == 1 and g.kind in ("cnot", "cz")
-               and (g.qubits[0] == ANC or g.qubits[1] == ANC)]
         group = ent[6 * k: 6 * k + 6] if ptype == "X" \
             else ent[18 + 6 * k: 18 + 6 * k + 6]
         g = group[2]  # the gate whose trailing ancilla X leaves a weight-2 tail
         paulis = ("X", "I") if g.qubits[0] == ANC else ("I", "X")
-        sample = run_memory_experiment(code, None, T=3, basis=basis,
-                                       fault=FaultInjection(g.loc, paulis))
-        vol = sample.volume
+        faults.append(FaultInjection(g.loc, paulis))
+    # one run of the hook class per plaquette, as one noiseless batch
+    hook = []
+    for vol in _fault_batch(code, faults, basis, T=3).volumes:
         flag_hits = [(t, c) for t in range(3) for c in flag_family if vol[t, c]]
         syn_hits = [(t, c) for t in range(3) for c in syn_family if vol[t, c]]
         assert len(flag_hits) == 1 and len(syn_hits) >= 1

@@ -59,9 +59,7 @@ def from_batch(batch, p_ph: float, config_hash: str = "") -> DatasetFile:
 
 def write_dataset(path, ds: DatasetFile):
     n, T, _ = ds.volumes.shape
-    rows = ds.volumes.astype(np.uint16)
-    packed = (rows << np.arange(N_CHANNELS, dtype=np.uint16)).sum(
-        axis=2).astype("<u2")
+    packed = np.packbits(ds.volumes, axis=2, bitorder="little")
     flags = (ds.m_in | (ds.m_out << 1) | (ds.m_L << 2)).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -78,7 +76,7 @@ def write_dataset(path, ds: DatasetFile):
         fh.write(struct.pack("<I", len(hb)))
         fh.write(hb)
         body = np.empty((n, 2 * T + 1), dtype=np.uint8)
-        body[:, :2 * T] = packed.view(np.uint8).reshape(n, 2 * T)
+        body[:, :2 * T] = packed.reshape(n, 2 * T)
         body[:, 2 * T] = flags
         fh.write(body.tobytes())
 
@@ -108,9 +106,8 @@ def read_dataset(path) -> DatasetFile:
         chash = _read_exact(fh, hlen).decode()
         body = np.frombuffer(_read_exact(fh, n * (2 * T + 1)),
                              dtype=np.uint8).reshape(n, 2 * T + 1)
-    packed = body[:, :2 * T].copy().view("<u2").reshape(n, T)
-    volumes = ((packed[:, :, None] >> np.arange(N_CHANNELS)) & 1).astype(
-        np.uint8)
+    volumes = np.unpackbits(body[:, :2 * T].reshape(n, T, 2), axis=2,
+                            count=N_CHANNELS, bitorder="little")
     flags = body[:, 2 * T]
     ds = DatasetFile(code_id=code_id, p_ph=p_ph, T=T, basis=basis, seed=seed,
                      volumes=volumes, m_in=(flags & 1).astype(np.uint8),

@@ -55,8 +55,5 @@ class NnDecoder:
         q = self.model.forward(self.inputs(volumes))[:, self.head]
         return (q > 0.5).astype(np.uint8)
 
-    def predict_flip(self, sample) -> int:
-        return int(self.predict_flips(sample.volume[None])[0])
-
     def predict_flips_batch(self, batch) -> np.ndarray:
         return self.predict_flips(batch.volumes)

@@ -14,9 +14,9 @@ round by round, carrying a signal state:
 
 The perfect final data readout enters as one extra virtual round, so
 hooks flagged in the last cycle still receive their follow-up syndrome.
-The hook table itself is not hard-coded: it is generated by propagating
-an ancilla X fault through the flagged readout circuit after each gate
-that follows the first flag coupling.
+The hook table itself is not hard-coded: it is read off one noiseless
+batch of the frame engine (`sim._run_frames`) in which each shot puts an
+X fault on the ancilla after one entangling gate of an X-type readout.
 
 Compiled form. The round update (`SeqLutDecoder._step`) reads the
 correction estimate only through two XOR-linear functions of it: its
@@ -31,16 +31,17 @@ and the virtual final round plus the last weight-1 correction give a
 (640, 8) readout table indexed by the final half syndrome.
 `predict_flips_batch` advances all shots together with one table gather
 per round; the scalar `decode_basis` walks the same `_step` on the full
-estimate and serves as the reference. The tables are built when a
-decoder is constructed, once per code per process.
+estimate and serves as the reference. The hook table and the compiled
+tables are built when a decoder is constructed, once per code per
+process.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .circuits import ANC, FLAG, FX, FZ, SX, SZ, Gate, plaquette_gates
-from .sim import MemoryBatch, MemorySample, PauliFrame, propagate
+from .circuits import ANC, FLAG, FX, FZ, SX, SZ, Gate, build_qec_cycle
+from .sim import MemoryBatch, _run_frames
 from .steane import CodeDefinition, parity
 
 # signal values; SIG_FLAG + k means plaquette k raised the first flag
@@ -49,8 +50,9 @@ NONE, SIG_ERROR, SIG_FLAG = 0, 1, 2
 # round input bits: syndrome increments (bits 0-2), then flags (bits 3-5)
 _INPUT_BITS = (1 << np.arange(6)).astype(np.uint8)
 
-# compiled (transition, readout) tables, keyed by the code's definition
-_COMPILED: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+# (hook table, transition table, readout table), keyed by the code's
+# definition
+_COMPILED: dict[tuple, tuple[dict, np.ndarray, np.ndarray]] = {}
 
 
 def hook_correction_table(code: CodeDefinition) -> dict[tuple[int, int], int]:
@@ -60,22 +62,30 @@ def hook_correction_table(code: CodeDefinition) -> dict[tuple[int, int], int]:
     gate of the flagged readout and keeping the cases that both raise the
     flag and leave a data-error tail. The tails are the same data-qubit
     sets for X- and Z-type readouts, so one table serves both bases.
+
+    All injections run as one noiseless batch of one QEC cycle: shot
+    6k + g carries the fault after entangling gate g of X-type plaquette
+    k (those are read out first), and the tails are read at that
+    plaquette's flag measurement, before later readouts act on them.
     """
+    program = build_qec_cycle(code, cycles=1)
+    n = 6 * code.n_stabilizers
+    ent = [g.loc for g in program if g.kind in ("cnot", "cz")]
+    shot_of = {loc: i for i, loc in enumerate(ent[:n])}
     table: dict[tuple[int, int], int] = {}
-    for k in range(code.n_stabilizers):
-        schedule = plaquette_gates(code, k, "X")
-        for inject_after in range(len(schedule)):
-            frame = PauliFrame()
-            for g, (kind, target) in enumerate(schedule):
-                qubits = (ANC, target)
-                propagate(frame, Gate(kind, qubits, loc=g))
-                if g == inject_after:
-                    frame.apply(ANC, "X")
-            tail = frame.data_x()
-            flagged = frame.x >> FLAG & 1
-            if flagged and tail:
-                syn = code._half_syndrome_int(tail)
-                table[(k, syn)] = tail
+
+    def inject(gate: Gate, x: np.ndarray, z: np.ndarray):
+        if gate.loc in shot_of:
+            x[shot_of[gate.loc]] ^= 1 << ANC
+        elif gate.channel in FX:  # flag measurement of X-type plaquette k
+            k = FX.index(gate.channel)
+            for xs in x[6 * k: 6 * k + 6].tolist():
+                tail = xs & 0x7F
+                if xs >> FLAG & 1 and tail:
+                    table[(k, code._half_syndrome_int(tail))] = tail
+        return 0
+
+    _run_frames(code, program, "Z", n, inject)  # the final readout is unused
     return table
 
 
@@ -84,12 +94,12 @@ class SeqLutDecoder:
 
     def __init__(self, code: CodeDefinition):
         self.code = code
-        self.table = hook_correction_table(code)
         self._pec = [code.pure_error_mask(s) for s in range(8)]
         key = (code.support_masks, code.logical_mask, code.gate_order)
         if key not in _COMPILED:
-            _COMPILED[key] = self._compile()
-        self._trans, self._final = _COMPILED[key]
+            self.table = hook_correction_table(code)
+            _COMPILED[key] = (self.table, *self._compile())
+        self.table, self._trans, self._final = _COMPILED[key]
 
     def _channels(self, basis: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(syndrome channels, flag channels) feeding the given readout basis.
@@ -227,10 +237,6 @@ class SeqLutDecoder:
         x_flip = self.decode_basis(volume, "Z", final_syndrome_z, prep_row)
         z_flip = self.decode_basis(volume, "X", final_syndrome_x, prep_row)
         return x_flip, z_flip
-
-    def predict_flip(self, sample: MemorySample) -> int:
-        return self.decode_basis(sample.volume, sample.basis,
-                                 sample.final_syndrome, sample.prep_row)
 
     def predict_flips_batch(self, batch: MemoryBatch) -> np.ndarray:
         """Logical-flip predictions for every shot, by the compiled tables

@@ -1,15 +1,14 @@
 """Pauli-frame simulation of flagged Steane-code memory experiments.
 
-Three pieces share the same circuit description (`build_qec_cycle`):
+One frame engine, `_run_frames`, is the only code that applies the
+gates of a circuit (`build_qec_cycle`) to Pauli frames; it propagates
+many frames at once. Everything else is built on it:
 
-* a scalar engine (`run_memory_experiment`) used for deterministic
-  single-fault runs and as a readable reference;
-* a vectorized frame engine (`_run_frames`) that propagates many Pauli
-  frames at once through the gate list. It only ever runs noiseless
-  batches with one injected fault per shot: single-fault ("DEP")
-  certification (`single_fault_batch`, decoded as one batch by
-  `dep_failure_fraction`; shot by shot equal to `run_with_fault`'s
-  scalar runs) and the fault-table builder;
+* noiseless runs with one injected fault per shot (`_fault_batch`):
+  single-fault ("DEP") certification (`single_fault_batch`, decoded as
+  one batch by `dep_failure_fraction`), the one-shot views
+  `run_memory_experiment` and `run_with_fault`, and the fault-table
+  builder;
 * a fault table per (code, T, basis), built on first use. Propagation
   is linear over GF(2), so the record of a noisy shot (preparation
   outcomes, syndrome-increment/flag volume, final half syndrome and
@@ -34,14 +33,14 @@ shot count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuits import (ANC, DATA, FLAG, N_CHANNELS, FaultInjection, Gate,
-                       PAULI_1Q, TWO_QUBIT_PAULIS, build_qec_cycle,
+from .circuits import (N_CHANNELS, FaultInjection, Gate, PAULI_1Q,
+                       TWO_QUBIT_PAULIS, build_qec_cycle,
                        enumerate_single_faults, error_set)
-from .steane import CodeDefinition, PauliString, parity
+from .steane import CodeDefinition
 
 
 @dataclass(frozen=True)
@@ -96,161 +95,6 @@ class MemorySample:
         return self.volume.shape[0]
 
 
-# --- scalar engine ----------------------------------------------------------
-
-
-class PauliFrame:
-    """X/Z error record over the 9-qubit register, as two bit masks."""
-
-    __slots__ = ("x", "z")
-
-    def __init__(self):
-        self.x = 0
-        self.z = 0
-
-    def apply(self, qubit: int, pauli: str):
-        px, pz = PAULI_1Q[pauli]
-        self.x ^= px << qubit
-        self.z ^= pz << qubit
-
-    def clear(self, qubit: int):
-        keep = ~(1 << qubit)
-        self.x &= keep
-        self.z &= keep
-
-    def data_x(self) -> int:
-        return self.x & 0x7F
-
-    def data_z(self) -> int:
-        return self.z & 0x7F
-
-
-def _propagate_scalar(frame: PauliFrame, gate: Gate) -> int | None:
-    """Apply one gate to the frame; measurement gates return the outcome
-    flip bit (noiseless deterministic outcome is 0)."""
-    kind = gate.kind
-    if kind == "cnot":
-        c, t = gate.qubits
-        frame.x ^= (frame.x >> c & 1) << t
-        frame.z ^= (frame.z >> t & 1) << c
-        return None
-    if kind == "cz":
-        a, b = gate.qubits
-        frame.z ^= (frame.x >> b & 1) << a
-        frame.z ^= (frame.x >> a & 1) << b
-        return None
-    if kind in ("prep_plus", "prep_zero"):
-        frame.clear(gate.qubits[0])
-        return None
-    if kind == "meas_x":
-        return frame.z >> gate.qubits[0] & 1
-    if kind == "meas_z":
-        return frame.x >> gate.qubits[0] & 1
-    raise ValueError(kind)
-
-
-def propagate(frame: PauliFrame, gate: Gate) -> int | None:
-    """Public scalar propagation rule (see `_propagate_scalar`)."""
-    return _propagate_scalar(frame, gate)
-
-
-def _scalar_noise(frame: PauliFrame, gate: Gate, noise: NoiseModel | None,
-                  rng) -> int:
-    """Sample and apply the fault of one location; returns a measurement
-    outcome flip bit for SPAM locations."""
-    if noise is None or noise.p_ph == 0.0 or rng is None:
-        return 0
-    kind = gate.kind
-    if kind in ("cnot", "cz"):
-        u = rng.random()
-        if u < noise.p_ph:
-            pa, pb = TWO_QUBIT_PAULIS[min(int(u / noise.two_q), 14)]
-            frame.apply(gate.qubits[0], pa)
-            frame.apply(gate.qubits[1], pb)
-        return 0
-    if kind in ("prep_plus", "prep_zero"):
-        if rng.random() < noise.spam_flip:
-            frame.apply(gate.qubits[0], "Z" if kind == "prep_plus" else "X")
-        return 0
-    # measurement flip
-    return int(rng.random() < noise.spam_flip)
-
-
-def _finalize(code: CodeDefinition, frame: PauliFrame, basis: str,
-              m_in: int) -> tuple[int, int]:
-    """Perfect final data readout: derive the half syndrome, apply the
-    weight-1 correction and read the residual logical parity."""
-    err = frame.data_x() if basis == "Z" else frame.data_z()
-    syn = code._half_syndrome_int(err)
-    residual = err ^ code.pure_error_mask(syn)
-    flip = parity(residual & code.logical_mask)
-    return m_in ^ flip, syn
-
-
-def run_memory_experiment(code: CodeDefinition, noise: NoiseModel | None,
-                          T: int, basis: str, m_in: int = 0,
-                          rng=None, fault: FaultInjection | None = None,
-                          fault_in_prep: bool = False) -> MemorySample:
-    """Scalar memory experiment: one noisy prep cycle defining s(0),
-    T cycles recording syndrome increments and flags, perfect readout.
-
-    A single `fault` may be injected into the T QEC cycles (location ids
-    refer to `build_qec_cycle(code, cycles=T)`, i.e. exclude the prep
-    round) for deterministic error placing. With ``fault_in_prep`` the
-    location id addresses the preparation cycle instead.
-    """
-    if T < 1:
-        raise ValueError("T must be >= 1")
-
-    def fault_here(gate: Gate) -> bool:
-        if fault is None or gate.loc != fault.loc:
-            return False
-        return gate.cycle == 0 if fault_in_prep else gate.cycle > 0
-    frame = PauliFrame()
-    volume = np.zeros((T, N_CHANNELS), dtype=np.uint8)
-    prep_row = np.zeros(N_CHANNELS, dtype=np.uint8)
-    prev_syn = np.zeros(6, dtype=np.uint8)
-    outc = np.zeros(N_CHANNELS, dtype=np.uint8)
-    prep = build_qec_cycle(code, cycles=0, include_prep=True)
-    body = build_qec_cycle(code, cycles=T)
-    for gate in prep + body:
-        flip = _propagate_scalar(frame, gate)
-        if gate.kind.startswith("meas"):
-            flip ^= _scalar_noise(frame, gate, noise, rng)
-            if fault is not None and fault.flip_outcome and fault_here(gate):
-                flip ^= 1
-            outc[gate.channel] = flip
-            if gate.channel == N_CHANNELS - 1:  # last measurement of a cycle
-                if gate.cycle == 0:
-                    prep_row = outc.copy()
-                    prev_syn = outc[:6].copy()
-                else:
-                    volume[gate.cycle - 1, :6] = outc[:6] ^ prev_syn
-                    volume[gate.cycle - 1, 6:] = outc[6:]
-                    prev_syn = outc[:6].copy()
-                outc[:] = 0
-        else:
-            _scalar_noise(frame, gate, noise, rng)
-            if fault is not None and not fault.flip_outcome and fault_here(gate):
-                for q, p in zip(gate.qubits, fault.paulis):
-                    frame.apply(q, p)
-    m_out, syn = _finalize(code, frame, basis, m_in)
-    return MemorySample(volume=volume, basis=basis, m_in=m_in, m_out=m_out,
-                        final_syndrome=syn, prep_row=prep_row)
-
-
-# --- deterministic error placer --------------------------------------------
-
-
-def run_with_fault(code: CodeDefinition, fault: FaultInjection, basis: str,
-                   decoder, T: int = 2) -> int:
-    """Noiseless run with one injected fault; 1 iff the decoder's logical
-    prediction disagrees with the true residual parity."""
-    sample = run_memory_experiment(code, noise=None, T=T, basis=basis,
-                                   m_in=0, fault=fault)
-    return decoder.predict_flip(sample) ^ sample.m_L
-
-
 # --- vectorized engine ------------------------------------------------------
 
 _PAR = np.zeros(128, dtype=np.uint8)
@@ -265,7 +109,10 @@ _PZ2 = np.array([PAULI_1Q[b][1] for a, b in TWO_QUBIT_PAULIS], dtype=np.int64)
 
 
 def _loc_rng(seed: int, loc: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=(seed, loc)))
+    # an explicit uint64 key: numpy converts a tuple key through float64,
+    # which drops the low bits of seeds at or above 2**63
+    key = np.array([int(seed) % 2**64, loc], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass
@@ -526,8 +373,11 @@ def _fault_batch(code: CodeDefinition, faults: list[FaultInjection],
                  basis: str, T: int,
                  fault_in_prep: bool = False) -> MemoryBatch:
     """Noiseless runs with one injected fault each, as one batch (shot i
-    carries ``faults[i]``); shot by shot equal to `run_memory_experiment`
-    with ``m_in=0`` and the same ``fault`` and ``fault_in_prep``."""
+    carries ``faults[i]``, and ``m_in`` is 0).
+
+    Location ids of the faults refer to ``build_qec_cycle(code,
+    cycles=T)``, i.e. exclude the preparation round; with
+    ``fault_in_prep`` they address the preparation cycle instead."""
     if T < 1:
         raise ValueError("T must be >= 1")
     program = build_qec_cycle(code, cycles=T, include_prep=True)
@@ -576,6 +426,35 @@ def single_fault_batch(code: CodeDefinition, basis: str,
                         basis, cycles)
 
 
+def run_memory_experiment(code: CodeDefinition, noise: NoiseModel | None,
+                          T: int, basis: str, m_in: int = 0,
+                          fault: FaultInjection | None = None,
+                          fault_in_prep: bool = False) -> MemorySample:
+    """One noiseless memory experiment (a prep cycle defining s(0), T
+    cycles recording syndrome increments and flags, perfect readout),
+    with at most one injected ``fault``: shot 0 of `_fault_batch`.
+
+    Noisy experiments are sampled by `sample_memory_batch`; ``noise``
+    must be None.
+    """
+    if noise is not None:
+        raise ValueError("run_memory_experiment is noiseless; sample noisy "
+                         "runs with sample_memory_batch")
+    # the identity fault: a run with nothing injected
+    batch = _fault_batch(code, [fault or FaultInjection(0)], basis, T,
+                         fault_in_prep)
+    sample = batch.sample(0)
+    return replace(sample, m_in=m_in, m_out=m_in ^ sample.m_out)
+
+
+def run_with_fault(code: CodeDefinition, fault: FaultInjection, basis: str,
+                   decoder, T: int = 2) -> int:
+    """Noiseless run with one injected fault; 1 iff the decoder's logical
+    prediction disagrees with the true residual parity."""
+    batch = _fault_batch(code, [fault], basis, T)
+    return int(decoder.predict_flips_batch(batch)[0] ^ batch.m_L[0])
+
+
 # --- single-fault certification ---------------------------------------------
 
 
@@ -591,16 +470,10 @@ def dep_failure_fraction(decoder, code: CodeDefinition, basis: str,
 class IdentityDecoder:
     """Predicts "no logical flip" for every volume (the undecoded baseline)."""
 
-    def predict_flip(self, sample: MemorySample) -> int:
-        return 0
-
     def predict_flips_batch(self, batch: MemoryBatch) -> np.ndarray:
         return np.zeros(len(batch), dtype=np.uint8)
 
 
 class AlwaysFlipDecoder:
-    def predict_flip(self, sample: MemorySample) -> int:
-        return 1
-
     def predict_flips_batch(self, batch: MemoryBatch) -> np.ndarray:
         return np.ones(len(batch), dtype=np.uint8)

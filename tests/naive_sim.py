@@ -31,7 +31,11 @@ class NaiveQubit:
 
 
 def naive_run(code: CodeDefinition, noise, T, basis, m_in=0, rng=None,
-              fault: FaultInjection | None = None) -> MemorySample:
+              fault: FaultInjection | None = None,
+              fault_in_prep: bool = False) -> MemorySample:
+    """One memory experiment. ``fault.loc`` counts the locations of the T
+    QEC cycles, or with ``fault_in_prep`` those of the preparation cycle
+    (the two are numbered separately)."""
     qubits = [NaiveQubit() for _ in range(9)]
     volume = np.zeros((T, N_CHANNELS), dtype=np.uint8)
     outcomes = {}
@@ -83,7 +87,8 @@ def naive_run(code: CodeDefinition, noise, T, basis, m_in=0, rng=None,
         elif gate.kind == "meas_z":
             out = int(qubits[gate.qubits[0]].x) ^ maybe_noise(gate)
             outcomes[(gate.cycle, gate.channel)] = out
-        if fault is not None and gate.cycle > 0 and gate.loc == fault.loc:
+        if fault is not None and gate.loc == fault.loc \
+                and (gate.cycle == 0) == fault_in_prep:
             if fault.flip_outcome:
                 outcomes[(gate.cycle, gate.channel)] ^= 1
             else:

@@ -14,13 +14,14 @@ from steanedec.analysis import (attribution_correlations,
                                 derive_hook_signatures, fit_infidelity,
                                 fit_scaling, infidelity_model,
                                 logical_error_rate, wilson_interval)
-from steanedec.circuits import ANC, enumerate_single_faults
+from steanedec.circuits import ANC
 from steanedec.decoders import DNN2_CHANNELS, dnn2_inputs
 from steanedec.nn import (NetworkSpec, TrainConfig, bce_loss, bce_loss_grad,
                           build_model, dnn2_spec, srnn_spec, train)
 from steanedec.seqlut import SeqLutDecoder, hook_correction_table
 from steanedec.sim import (IdentityDecoder, NoiseModel, dep_failure_fraction,
-                           run_memory_experiment, sample_memory_batch)
+                           run_memory_experiment, run_with_fault,
+                           sample_memory_batch, single_fault_batch)
 from steanedec.steane import steane_code
 from steanedec.xai import (Game, deepshap_batch, exact_shapley,
                            exact_shapley_batch, feature_exclusion_game,
@@ -62,16 +63,9 @@ def trained_dnn(code):
     single-fault benchmark, the training inputs, and the fault set. One
     retry with a fresh seed is allowed before giving up.
     """
-    faults = enumerate_single_faults(code, cycles=2)
-    vols = []
-    labels = []
-    for f in faults:
-        s = run_memory_experiment(code, noise=None, T=2, basis="Z",
-                                  m_in=0, fault=f)
-        vols.append(s.volume)
-        labels.append(s.m_L)
-    dep_x = dnn2_inputs(np.array(vols), "Z")
-    dep_y = np.array(labels)
+    faults = single_fault_batch(code, "Z", 2)
+    dep_x = dnn2_inputs(faults.volumes, "Z")
+    dep_y = faults.m_L
 
     batch = sample_memory_batch(code, NoiseModel(5e-3), T=2, basis="Z",
                                 shots=100_000, seed=123)
@@ -186,7 +180,8 @@ def test_criterion_3_hook_table_rows(code):
                 truth = s.m_out ^ parity(code.pure_error_mask(syn)
                                          & code.logical_mask)
                 ok = ok and parity(tail & code.logical_mask) == truth
-            ok = ok and decoder.predict_flip(s) ^ s.m_L == 0
+            ok = ok and run_with_fault(code, FaultInjection(g.loc, paulis),
+                                       basis, decoder) == 0
     ok = ok and derived_keys == set(table)
     report(3, "all nine flagged-circuit correction rows reproduced by "
            "fault injection and propagation", ok)

@@ -157,11 +157,11 @@ class TestDepCertification:
         # the prep round is addressed through its own round-0 record:
         # its hooks must be recovered too, or first-order failures leak
         # into the logical error rate
-        for gate in build_qec_cycle(code, cycles=1):
-            for fault in error_set(gate):
-                s = run_memory_experiment(code, None, T=2, basis=basis,
-                                          fault=fault, fault_in_prep=True)
-                assert decoder.predict_flip(s) == s.m_L, (gate, fault)
+        faults = enumerate_single_faults(code, cycles=1)
+        batch = _fault_batch(code, faults, basis, 2, fault_in_prep=True)
+        failed = np.flatnonzero(decoder.predict_flips_batch(batch)
+                                ^ batch.m_L)
+        assert not failed.size, [faults[i] for i in failed]
 
 
 def scalar_flips(decoder, batch):

@@ -1,9 +1,12 @@
+import functools
+import warnings
+
 import numpy as np
 import pytest
 
 from naive_sim import naive_run
 from steanedec.circuits import (SZ, FaultInjection, Gate, build_qec_cycle,
-                                enumerate_single_faults, error_set)
+                                enumerate_single_faults)
 from steanedec.seqlut import SeqLutDecoder
 from steanedec.sim import (_PX1, _PX2, _PZ1, _PZ2, AlwaysFlipDecoder,
                            IdentityDecoder, MemoryBatch, MemorySample,
@@ -39,6 +42,11 @@ class TestNoiselessRuns:
             assert not s.volume.any()
             assert s.m_L == 0
             assert s.final_syndrome == 0
+
+    def test_rejects_noise(self, code):
+        with pytest.raises(ValueError):
+            run_memory_experiment(code, noise=NoiseModel(1e-3), T=2,
+                                  basis="Z")
 
     def test_label_consistency(self, code):
         s = run_memory_experiment(code, noise=None, T=2, basis="Z", m_in=1)
@@ -200,6 +208,26 @@ class TestFaultTableSampler:
                                   _loc_rng(seed, loc).random(37))
 
 
+class TestLocationKeys:
+    @pytest.mark.parametrize("seed,word", [(0, 0), (7, 7), (np.int64(7), 7),
+                                           (-1, 2**64 - 1),
+                                           (2**63 - 1, 2**63 - 1),
+                                           (2**63 + 3, 2**63 + 3)])
+    def test_key_words(self, seed, word):
+        key = _loc_rng(seed, 17).bit_generator.state["state"]["key"]
+        assert key.tolist() == [word, 17]
+
+    def test_seeds_above_2_63_draw_distinct_streams(self):
+        assert not np.array_equal(_loc_rng(2**63 + 3, 5).random(8),
+                                  _loc_rng(2**63 + 4, 5).random(8))
+
+    def test_largest_seed_converts_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            key = _loc_rng(2**64 - 1, 5).bit_generator.state["state"]["key"]
+        assert key.tolist() == [2**64 - 1, 5]
+
+
 class TestDep:
     def test_identity_fault_harmless(self, code):
         gates = build_qec_cycle(code, cycles=2)
@@ -216,6 +244,18 @@ class TestDep:
         assert a + b == pytest.approx(1.0)
 
 
+@functools.lru_cache(maxsize=None)
+def naive_fault_runs(basis: str, T: int, prep: bool) -> tuple:
+    """`naive_run` of every single fault of the T QEC cycles (or, with
+    ``prep``, of the preparation cycle), in `enumerate_single_faults`
+    order; shared by the tests below."""
+    code = steane_code()
+    faults = enumerate_single_faults(code, cycles=1) if prep \
+        else enumerate_single_faults(code, cycles=T)
+    return tuple(naive_run(code, None, T=T, basis=basis, fault=f,
+                           fault_in_prep=prep) for f in faults)
+
+
 def assert_batch_matches_scalar(batch, samples):
     for i, s in enumerate(samples):
         assert np.array_equal(batch.volumes[i], s.volume), i
@@ -224,34 +264,40 @@ def assert_batch_matches_scalar(batch, samples):
         assert (batch.m_in[i], batch.m_out[i]) == (s.m_in, s.m_out), i
 
 
+def scalar_flip(decoder, s: MemorySample) -> int:
+    """Per-sample reference prediction: the scalar LUT decoder, or the
+    constant prediction of a baseline decoder."""
+    if isinstance(decoder, SeqLutDecoder):
+        return decoder.decode_basis(s.volume, s.basis, s.final_syndrome,
+                                    s.prep_row)
+    return int(isinstance(decoder, AlwaysFlipDecoder))
+
+
 class TestSingleFaultBatch:
-    @pytest.mark.parametrize("T", [1, 3])
+    """The frame engine's single-fault runs against the naive oracle."""
+
+    @pytest.mark.parametrize("T", [1, 2, 3])
     @pytest.mark.parametrize("basis", ["Z", "X"])
     def test_matches_scalar_injector(self, code, T, basis):
-        faults = enumerate_single_faults(code, cycles=T)
         batch = single_fault_batch(code, basis, T)
-        assert len(batch) == len(faults) and batch.basis == basis
-        assert_batch_matches_scalar(batch, [
-            run_memory_experiment(code, None, T=T, basis=basis, m_in=0,
-                                  fault=f) for f in faults])
+        assert len(batch) == len(enumerate_single_faults(code, cycles=T))
+        assert batch.basis == basis
+        assert_batch_matches_scalar(batch, naive_fault_runs(basis, T, False))
 
     @pytest.mark.parametrize("basis", ["Z", "X"])
     def test_preparation_faults_match_scalar_injector(self, code, basis):
-        faults = [f for g in build_qec_cycle(code, cycles=1)
-                  for f in error_set(g)]
-        batch = _fault_batch(code, faults, basis, 2, fault_in_prep=True)
-        assert_batch_matches_scalar(batch, [
-            run_memory_experiment(code, None, T=2, basis=basis, m_in=0,
-                                  fault=f, fault_in_prep=True)
-            for f in faults])
+        faults = enumerate_single_faults(code, cycles=1)
+        for T in (1, 2, 3):
+            batch = _fault_batch(code, faults, basis, T, fault_in_prep=True)
+            assert_batch_matches_scalar(batch,
+                                        naive_fault_runs(basis, T, True))
 
     @pytest.mark.parametrize("make", [SeqLutDecoder, IdentityDecoder,
                                       AlwaysFlipDecoder])
     @pytest.mark.parametrize("basis", ["Z", "X"])
     def test_batched_dep_equals_per_fault_runs(self, code, make, basis):
         decoder = make(code) if make is SeqLutDecoder else make()
-        faults = enumerate_single_faults(code, cycles=2)
-        failed = sum(run_with_fault(code, f, basis, decoder, T=2)
-                     for f in faults)
+        samples = naive_fault_runs(basis, 2, False)
+        failed = sum(scalar_flip(decoder, s) ^ s.m_L for s in samples)
         assert dep_failure_fraction(decoder, code, basis, cycles=2) == \
-            failed / len(faults)
+            failed / len(samples)
