@@ -23,13 +23,10 @@ import sys
 
 import numpy as np
 
-from steanedec.analysis import (attribution_correlations,
-                                derive_hook_signatures, fit_scaling,
-                                hook_excess, logical_error_rate)
+from steanedec.analysis import derive_hook_signatures, ft_monitor
 from steanedec.decoders import NnDecoder, rnn_inputs
 from steanedec.nn import TrainConfig, build_model, srnn_spec, train
-from steanedec.sim import NoiseModel, dep_failure_fraction, \
-    sample_memory_batch
+from steanedec.sim import NoiseModel, sample_memory_batch
 from steanedec.steane import steane_code
 from steanedec.xai import deepshap_batch
 
@@ -72,30 +69,22 @@ def main():
                             seed=args.seed + 902).volumes, t_max=t_max)
     val_x = rnn_inputs(val.volumes, t_max=t_max)
     signatures = derive_hook_signatures(code, "Z")
-    lag = signatures.hook[0][2]
     sweep = [1e-3, 2e-3, 5e-3]
     model = build_model(srnn_spec("Z"), seed=args.seed)
     rows = []
 
+    def attribution_fn(decoder):
+        return deepshap_batch(decoder.model, val_x, bg, max_rows=4096)[0]
+
     def eval_fn(m, epoch):
-        decoder = NnDecoder(m, basis="Z", t_max=t_max)
-        dep = dep_failure_fraction(decoder, code, "Z", cycles=2)
-        p_ls = []
-        for p in sweep:
-            res = logical_error_rate(decoder, code, NoiseModel(p), "Z",
-                                     T=t_max,
-                                     shots_per_point=args.shots_eval,
-                                     seed=args.seed + 7)
-            p_ls.append(res.p_l)
-        b = fit_scaling(sweep, p_ls).params[1] \
-            if all(v > 0 for v in p_ls) else float("nan")
-        phi, _ = deepshap_batch(m, val_x, bg, max_rows=4096)
-        rep = attribution_correlations(phi, lag=lag)
-        hook, base = hook_excess(rep, signatures)
-        rows.append({"epoch": epoch, "dep": dep, "b": b, "hook": hook,
-                     "baseline": base})
-        print(f"epoch {epoch:3d} dep {dep:.5f} b {b:6.3f} "
-              f"hook {hook:.3f} baseline {base:.3f}", flush=True)
+        r, = ft_monitor([(epoch, NnDecoder(m, basis="Z", t_max=t_max))],
+                        code, sweep, "Z", rounds=range(1, t_max + 1),
+                        shots_per_point=args.shots_eval, seed=args.seed + 7,
+                        attribution_fn=attribution_fn, signatures=signatures)
+        rows.append({"epoch": epoch, "dep": r.dep_failure, "b": r.scaling_b,
+                     "hook": r.hook_mean, "baseline": r.baseline_mean})
+        print("epoch {epoch:3d} dep {dep:.5f} b {b:6.3f} hook {hook:.3f} "
+              "baseline {baseline:.3f}".format(**rows[-1]), flush=True)
         return rows[-1]
 
     train(model, x, y,

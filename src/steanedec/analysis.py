@@ -4,7 +4,7 @@ fault-tolerance learning monitor."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import curve_fit
@@ -107,32 +107,41 @@ class ErrorRateResult:
     rounds: np.ndarray
     infidelity: np.ndarray
     sigma: np.ndarray
-    fit: FitResult
+    fit: FitResult | None  # None when there is only one round
 
     @property
     def p_l(self) -> float:
+        """The fitted per-round rate, or the failure rate of a single
+        round."""
+        if self.fit is None:
+            return float(self.infidelity[0])
         return self.fit.params[0]
 
 
 def logical_error_rate(decoder, code: CodeDefinition, noise, basis: str,
-                       T: int, shots_per_point: int, seed: int) -> ErrorRateResult:
-    """Failure probability after t = 1..T rounds, with the per-round rate
-    from the infidelity fit. The decoder exposes predict_flips_batch."""
-    return _score_rounds(decoder, _sample_rounds(code, noise, basis, T,
+                       rounds, shots_per_point: int,
+                       seed: int) -> ErrorRateResult:
+    """Failure probability after each round count in ``rounds``. Over two
+    or more rounds p_L is the per-round rate of the infidelity fit; over
+    one it is the failure rate at that round count. The decoder exposes
+    predict_flips_batch."""
+    return _score_rounds(decoder, _sample_rounds(code, noise, basis, rounds,
                                                  shots_per_point, seed))
 
 
-def _sample_rounds(code: CodeDefinition, noise, basis: str, T: int,
+def _sample_rounds(code: CodeDefinition, noise, basis: str, rounds,
                    shots_per_point: int, seed: int) -> list[MemoryBatch]:
-    """The batches `logical_error_rate` scores, one per t = 1..T."""
+    """The batches `logical_error_rate` scores, one per round count t in
+    ``rounds``, from stream ``seed + 1000 * t``."""
     return [sample_memory_batch(code, noise, T=int(t), basis=basis,
                                 shots=shots_per_point, seed=seed + 1000 * t)
-            for t in np.arange(1, T + 1)]
+            for t in np.asarray(rounds)]
 
 
 def _score_rounds(decoder, batches: list[MemoryBatch]) -> ErrorRateResult:
-    """Decode the batches of `_sample_rounds` and fit the per-round rate."""
-    rounds = np.arange(1, len(batches) + 1)
+    """Decode the batches of `_sample_rounds`: Wilson points per round
+    count, and the infidelity fit when there are two or more."""
+    rounds = np.array([b.volumes.shape[1] for b in batches])
     infid = np.zeros(len(batches))
     sig = np.zeros(len(batches))
     for i, batch in enumerate(batches):
@@ -141,7 +150,8 @@ def _score_rounds(decoder, batches: list[MemoryBatch]) -> ErrorRateResult:
         w = wilson_interval(k, len(batch))
         infid[i] = w.p_hat
         sig[i] = max(w.sigma, 1e-12)
-    fit = fit_infidelity(rounds, infid, sigma=None)
+    fit = fit_infidelity(rounds, infid, sigma=None) if len(batches) >= 2 \
+        else None
     return ErrorRateResult(rounds, infid, sig, fit)
 
 
@@ -154,9 +164,6 @@ class CorrelationReport:
     matrix: np.ndarray          # (12, 12), row = channel at t, col at t+lag
     n_samples: int
     zero_variance: np.ndarray   # (12,) bool flags per leading channel
-
-    def pooled_pairs(self) -> int:
-        return self.n_samples
 
 
 def attribution_correlations(attributions: np.ndarray,
@@ -247,8 +254,7 @@ def hook_excess(report: CorrelationReport,
             if lag != report.lag:
                 raise ValueError("report lag does not match signature lag")
             # leading channel is the one observed earlier
-            vals.append(abs(report.matrix[cf, cs]) if lag == 0
-                        else abs(report.matrix[cf, cs]))
+            vals.append(abs(report.matrix[cf, cs]))
         return float(np.mean(vals))
 
     return mean_abs(signatures.hook), mean_abs(signatures.baseline)
@@ -268,44 +274,32 @@ class MonitorRow:
 
 
 def ft_monitor(epoch_decoders, code: CodeDefinition, noise_sweep, basis: str,
-               T: int, shots_per_point: int, seed: int,
-               attribution_fn=None, signatures: HookSignatureSet | None = None,
-               fixed_rounds: int | None = None) -> list[MonitorRow]:
-    """Per-epoch FT tracks: DEP failure fraction, fitted p_L per noise
-    point, scaling exponent, and hook vs baseline attribution correlation.
+               rounds, shots_per_point: int, seed: int,
+               attribution_fn=None,
+               signatures: HookSignatureSet | None = None) -> list[MonitorRow]:
+    """Per-epoch FT tracks: DEP failure fraction over the single faults of
+    two QEC cycles, p_L per noise point as `logical_error_rate` scores it
+    over ``rounds``, scaling exponent, and hook vs baseline attribution
+    correlation.
 
     ``epoch_decoders``: iterable of (epoch, decoder). ``attribution_fn``
     maps a decoder to an (n, T, 12) attribution array; when omitted the
-    correlation tracks are reported as NaN. Decoders that only accept a
-    fixed round count (``fixed_rounds``) are scored by their failure
-    rate at that count instead of the per-round infidelity fit.
+    correlation tracks are reported as NaN.
     """
     rows = []
     if signatures is None:
         signatures = derive_hook_signatures(code, basis)
-    faults = single_fault_batch(
-        code, basis, cycles=2 if fixed_rounds is None else fixed_rounds)
+    faults = single_fault_batch(code, basis)
     # every epoch scores the same volumes, so sample them once
-    points = {}
-    for p_ph in noise_sweep:
-        if fixed_rounds is not None:
-            points[p_ph] = sample_memory_batch(
-                code, NoiseModel(p_ph), T=fixed_rounds, basis=basis,
-                shots=shots_per_point, seed=seed)
-        else:
-            points[p_ph] = _sample_rounds(code, NoiseModel(p_ph), basis, T,
-                                          shots_per_point, seed)
+    points = {p_ph: _sample_rounds(code, NoiseModel(p_ph), basis, rounds,
+                                   shots_per_point, seed)
+              for p_ph in noise_sweep}
     for epoch, decoder in epoch_decoders:
         # the DEP failure fraction, as in sim.dep_failure_fraction
         dep = int((decoder.predict_flips_batch(faults)
                    ^ faults.m_L).sum()) / len(faults)
-        p_ls = {}
-        for p_ph, sampled in points.items():
-            if fixed_rounds is not None:
-                pred = decoder.predict_flips_batch(sampled)
-                p_ls[p_ph] = float((pred ^ sampled.m_L).mean())
-            else:
-                p_ls[p_ph] = _score_rounds(decoder, sampled).p_l
+        p_ls = {p_ph: _score_rounds(decoder, batches).p_l
+                for p_ph, batches in points.items()}
         if len(p_ls) >= 2 and all(v > 0 for v in p_ls.values()):
             b = fit_scaling(list(p_ls), list(p_ls.values())).params[1]
         else:

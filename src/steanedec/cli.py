@@ -23,7 +23,7 @@ from . import dataset as dsmod
 from .analysis import (derive_hook_signatures, fit_scaling, ft_monitor,
                        logical_error_rate)
 from .circuits import enumerate_single_faults
-from .decoders import NnDecoder, dnn2_inputs, rnn_inputs
+from .decoders import DNN2_CHANNELS, NnDecoder, dnn2_inputs, rnn_inputs
 from .nn import (TrainConfig, build_model, config_hash, load_checkpoint,
                  train)
 from .nn.model import spec_by_id
@@ -78,6 +78,9 @@ def load_config(path, overrides) -> dict:
         fail(1, f"unknown decoder {cfg['decoder']!r}")
     if not isinstance(cfg["rounds"], int) or cfg["rounds"] < 1:
         fail(1, "rounds must be a positive integer")
+    if cfg["decoder"] == "dnn2" and cfg["rounds"] != 2:
+        # dnn2_spec's input is 2 rounds x 6 channels
+        fail(1, "decoder dnn2 is fixed at rounds: 2")
     if not isinstance(cfg["seed"], int) or cfg["seed"] < 0:
         # dataset stream keys are derived from it by SeedSequence
         fail(1, "seed must be a non-negative integer")
@@ -101,6 +104,15 @@ def dataset_rounds(cfg) -> list[int]:
     if cfg["decoder"] in ("dnn2", "lut"):
         return [cfg["rounds"]]
     return list(range(1, cfg["rounds"] + 1))
+
+
+def eval_rounds(cfg) -> list[int]:
+    """Round counts ``eval`` and ``monitor`` score: the fixed-width dnn2
+    only at its own width (p_L is its failure rate there), every other
+    decoder over 1..max(rounds, 3) for the infidelity fit."""
+    if cfg["decoder"] == "dnn2":
+        return [cfg["rounds"]]
+    return list(range(1, max(cfg["rounds"], 3) + 1))
 
 
 def dataset_plan(cfg):
@@ -151,18 +163,22 @@ def latest_checkpoint(cfg):
     return os.path.join(d, names[-1])
 
 
+def checkpoint_decoder(cfg, path: str, basis: str):
+    """(epoch, NnDecoder) of the network checkpoint at ``path``."""
+    ckpt = load_checkpoint(path)
+    if ckpt.config_hash != cfg["hash"]:
+        fail(1, f"config hash mismatch between config and checkpoint {path}")
+    model = build_model(spec_by_id(cfg["decoder"]), seed=cfg["seed"])
+    model.set_weights_flat({k: v for k, v in ckpt.weights.items()
+                            if not k.startswith("adam.")})
+    t_max = cfg["rounds"] if model.spec.recurrent else None
+    return ckpt.epoch, NnDecoder(model, basis=basis, t_max=t_max)
+
+
 def load_decoder(cfg, basis: str):
     if cfg["decoder"] == "lut":
         return SeqLutDecoder(steane_code())
-    ckpt = load_checkpoint(latest_checkpoint(cfg))
-    if ckpt.config_hash != cfg["hash"]:
-        fail(1, "config hash mismatch between config and checkpoint")
-    model = build_model(spec_by_id(cfg["decoder"]), seed=cfg["seed"])
-    weights = {k: v for k, v in ckpt.weights.items()
-               if not k.startswith("adam.")}
-    model.set_weights_flat(weights)
-    t_max = cfg["rounds"] if model.spec.recurrent else None
-    return NnDecoder(model, basis=basis, t_max=t_max)
+    return checkpoint_decoder(cfg, latest_checkpoint(cfg), basis)[1]
 
 
 def _write_json(path, payload):
@@ -284,32 +300,18 @@ def cmd_eval(**kw):
     cfg = build_cfg(**kw)
     code = steane_code()
     os.makedirs(cfg["out"], exist_ok=True)
-    fixed_t = cfg["decoder"] == "dnn2"
     rows = []
     for basis in decoder_bases(cfg["decoder"]):
         decoder = load_decoder(cfg, basis)
         for p_ph in cfg["pph_sweep"]:
-            if fixed_t:
-                # fixed-width decoder: failure rate at T rounds, no
-                # per-round infidelity fit
-                from .analysis import wilson_interval
-                batch = sample_memory_batch(
-                    code, NoiseModel(p_ph), T=cfg["rounds"], basis=basis,
-                    shots=cfg["eval"]["shots_per_point"], seed=cfg["seed"])
-                k = int((decoder.predict_flips_batch(batch)
-                         ^ batch.m_L).sum())
-                w = wilson_interval(k, cfg["eval"]["shots_per_point"])
-                rows.append({"basis": basis, "p_ph": p_ph, "p_l": w.p_hat,
-                             "infidelity": [w.p_hat], "sigma": [w.sigma]})
-            else:
-                res = logical_error_rate(
-                    decoder, code, NoiseModel(p_ph), basis,
-                    T=max(cfg["rounds"], 3),
-                    shots_per_point=cfg["eval"]["shots_per_point"],
-                    seed=cfg["seed"])
-                rows.append({"basis": basis, "p_ph": p_ph, "p_l": res.p_l,
-                             "infidelity": res.infidelity.tolist(),
-                             "sigma": res.sigma.tolist()})
+            res = logical_error_rate(
+                decoder, code, NoiseModel(p_ph), basis,
+                rounds=eval_rounds(cfg),
+                shots_per_point=cfg["eval"]["shots_per_point"],
+                seed=cfg["seed"])
+            rows.append({"basis": basis, "p_ph": p_ph, "p_l": res.p_l,
+                         "infidelity": res.infidelity.tolist(),
+                         "sigma": res.sigma.tolist()})
             click.echo(f"{cfg['decoder']} basis={basis} p_ph={p_ph:g} "
                        f"p_L={rows[-1]['p_l']:.6g}")
     payload = {"config_hash": cfg["hash"], "decoder": cfg["decoder"],
@@ -395,47 +397,32 @@ def cmd_monitor(**kw):
     t = dataset_rounds(cfg)[-1]
     val = require_dataset(cfg, "val", basis, t)
     bg_ds = require_dataset(cfg, "train", basis, t)
-    spec = spec_by_id(cfg["decoder"])
     signatures = derive_hook_signatures(code, basis)
 
     def decoders():
         for name in sorted(os.listdir(d)):
-            if not name.endswith(".ckpt"):
-                continue
-            ckpt = load_checkpoint(os.path.join(d, name))
-            if ckpt.config_hash != cfg["hash"]:
-                fail(1, f"config hash mismatch in {name}")
-            model = build_model(spec, seed=cfg["seed"])
-            model.set_weights_flat({k: v for k, v in ckpt.weights.items()
-                                    if not k.startswith("adam.")})
-            t_max = cfg["rounds"] if spec.recurrent else None
-            yield ckpt.epoch, NnDecoder(model, basis=basis, t_max=t_max)
+            if name.endswith(".ckpt"):
+                yield checkpoint_decoder(cfg, os.path.join(d, name), basis)
 
     n = min(2000, len(val))
     nb = min(200, len(bg_ds))
-    chans = None
 
     def attribution_fn(decoder):
-        nonlocal chans
         xs = decoder.inputs(val.volumes[:n])
         bg = decoder.inputs(bg_ds.volumes[:nb])
         phi, _ = deepshap_batch(decoder.model, xs, bg, head=decoder.head,
                                 max_rows=100_000)
         if decoder.model.spec.recurrent:
             return phi
-        from .decoders import DNN2_CHANNELS
-        chans = list(DNN2_CHANNELS[basis])
         full = np.zeros((n, val.T, 12))
-        full[:, :, chans] = phi.reshape(n, val.T, 6)
+        full[:, :, list(DNN2_CHANNELS[basis])] = phi.reshape(n, val.T, 6)
         return full
 
     rows = ft_monitor(decoders(), code, cfg["pph_sweep"], basis,
-                      T=max(cfg["rounds"], 3),
+                      rounds=eval_rounds(cfg),
                       shots_per_point=cfg["eval"]["shots_per_point"],
                       seed=cfg["seed"], attribution_fn=attribution_fn,
-                      signatures=signatures,
-                      fixed_rounds=cfg["rounds"] if cfg["decoder"] == "dnn2"
-                      else None)
+                      signatures=signatures)
     table = os.path.join(cfg["out"], f"monitor_{cfg['decoder']}.txt")
     with open(table, "w") as fh:
         fh.write(f"# config={cfg['hash']}\n")

@@ -20,9 +20,11 @@ def dnn2_inputs(volumes, basis: str = "Z") -> np.ndarray:
 
 
 def rnn_inputs(volumes, t_max: int | None = None) -> np.ndarray:
-    """Float volumes, padded with the mask value -1.0 up to t_max."""
+    """Float volumes, padded with the mask value -1.0 up to t_max.
+    Longer volumes pass through unchanged: the recurrent networks take
+    any number of rounds."""
     volumes = np.asarray(volumes, dtype=float)
-    if t_max is None or volumes.shape[1] == t_max:
+    if t_max is None or volumes.shape[1] >= t_max:
         return volumes
     n, t, c = volumes.shape
     out = np.full((n, t_max, c), -1.0)

@@ -193,7 +193,8 @@ def test_criterion_4_seqlut_scaling(code):
     p_ls = []
     for p in sweep:
         res = logical_error_rate(decoder, code, NoiseModel(p), "Z",
-                                 T=8, shots_per_point=200_000, seed=42)
+                                 rounds=range(1, 8 + 1),
+                                 shots_per_point=200_000, seed=42)
         p_ls.append(res.p_l)
     b = fit_scaling(sweep, p_ls).params[1]
     report(4, f"look-up decoder logical rate scales as p^b with "

@@ -167,35 +167,49 @@ class TestHookSignatures:
 class TestLogicalErrorRate:
     def test_seqlut_noiseless(self, code):
         dec = SeqLutDecoder(code)
-        res = logical_error_rate(dec, code, NoiseModel(0.0), "Z", T=3,
+        res = logical_error_rate(dec, code, NoiseModel(0.0), "Z",
+                                 rounds=range(1, 3 + 1),
                                  shots_per_point=200, seed=0)
         assert res.p_l == 0.0
         assert not res.infidelity.any()
 
     def test_seqlut_small_sweep_positive(self, code):
         dec = SeqLutDecoder(code)
-        res = logical_error_rate(dec, code, NoiseModel(0.01), "Z", T=4,
+        res = logical_error_rate(dec, code, NoiseModel(0.01), "Z",
+                                 rounds=range(1, 4 + 1),
                                  shots_per_point=4000, seed=1)
         assert 0.0 < res.p_l < 0.1
 
+    def test_one_round_is_failure_rate(self, code):
+        dec = IdentityDecoder()
+        res = logical_error_rate(dec, code, NoiseModel(0.03), "Z",
+                                 rounds=[2], shots_per_point=500, seed=3)
+        batch = sample_memory_batch(code, NoiseModel(0.03), T=2, basis="Z",
+                                    shots=500, seed=3 + 2000)
+        k = int((dec.predict_flips_batch(batch) ^ batch.m_L).sum())
+        assert k > 0
+        assert res.fit is None
+        assert list(res.rounds) == [2]
+        assert res.p_l == wilson_interval(k, 500).p_hat
 
-def per_epoch_monitor_rows(decoders, code, sweep, basis, T, shots, seed,
-                           fixed_rounds):
+
+def per_epoch_monitor_rows(decoders, code, sweep, basis, rounds, shots,
+                           seed):
     """(epoch, DEP, p_L per point, b) with every epoch sampling its own
     volumes, as the monitor did before it sampled them once."""
     rows = []
     for epoch, decoder in decoders:
-        dep = dep_failure_fraction(
-            decoder, code, basis,
-            cycles=2 if fixed_rounds is None else fixed_rounds)
+        dep = dep_failure_fraction(decoder, code, basis, cycles=2)
         p_ls = {}
         for p in sweep:
-            if fixed_rounds is None:
+            if len(rounds) > 1:
                 p_ls[p] = logical_error_rate(decoder, code, NoiseModel(p),
-                                             basis, T, shots, seed).p_l
+                                             basis, rounds, shots, seed).p_l
                 continue
-            batch = sample_memory_batch(code, NoiseModel(p), T=fixed_rounds,
-                                        basis=basis, shots=shots, seed=seed)
+            t, = rounds
+            batch = sample_memory_batch(code, NoiseModel(p), T=t,
+                                        basis=basis, shots=shots,
+                                        seed=seed + 1000 * t)
             p_ls[p] = float((decoder.predict_flips_batch(batch)
                              ^ batch.m_L).mean())
         b = fit_scaling(list(p_ls), list(p_ls.values())).params[1] \
@@ -205,24 +219,23 @@ def per_epoch_monitor_rows(decoders, code, sweep, basis, T, shots, seed,
 
 
 class TestFtMonitor:
-    @pytest.mark.parametrize("fixed_rounds", [None, 2])
-    def test_rows_equal_per_epoch_sampling(self, code, fixed_rounds,
-                                           monkeypatch):
-        sweep, T, shots, seed = (0.01, 0.03), 3, 600, 5
+    @pytest.mark.parametrize("rounds", [(1, 2, 3), (2,)])
+    def test_rows_equal_per_epoch_sampling(self, code, rounds, monkeypatch):
+        sweep, shots, seed = (0.01, 0.03), 600, 5
         decoders = [(0, IdentityDecoder()), (1, SeqLutDecoder(code)),
                     (2, AlwaysFlipDecoder()), (3, SeqLutDecoder(code))]
-        expect = per_epoch_monitor_rows(decoders, code, sweep, "Z", T, shots,
-                                        seed, fixed_rounds)
+        expect = per_epoch_monitor_rows(decoders, code, sweep, "Z", rounds,
+                                        shots, seed)
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(kwargs["T"])
             return sample_memory_batch(*args, **kwargs)
         monkeypatch.setattr(analysis, "sample_memory_batch", counted)
-        rows = ft_monitor(iter(decoders), code, sweep, "Z", T, shots, seed,
-                          fixed_rounds=fixed_rounds)
-        # sampled once for all epochs: one batch per point (and round)
-        assert len(calls) == len(sweep) * (T if fixed_rounds is None else 1)
+        rows = ft_monitor(iter(decoders), code, sweep, "Z", rounds, shots,
+                          seed)
+        # sampled once for all epochs: one batch per point and round
+        assert len(calls) == len(sweep) * len(rounds)
         got = [(r.epoch, r.dep_failure, r.p_l, r.scaling_b) for r in rows]
         assert len(got) == len(expect)
         for g, e in zip(got, expect):

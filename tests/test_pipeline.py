@@ -1,8 +1,10 @@
-"""Dataset file format, the network decoder wrapper, and the CLI."""
+"""Dataset file format, the network decoder wrapper, the CLI, and the
+extended training-run script."""
 
-import importlib
+import importlib.util
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -247,6 +249,22 @@ class TestCli:
         r = self.run("eval", "--config", str(bad))
         assert r.exit_code == 1
 
+    def test_dnn2_other_rounds_exit_1(self, cfg_path):
+        r = self.run("gen-data", "--config", cfg_path, "--rounds", "3")
+        assert r.exit_code == 1
+        assert "dnn2" in r.output
+
+    def test_recurrent_pipeline_at_two_rounds(self, cfg_path, tmp_path):
+        # eval and monitor score rounds 1..3, past the training width
+        args = ["--config", cfg_path, "--decoder", "srnn-z"]
+        for stage in ("gen-data", "train", "eval", "monitor"):
+            r = self.run(stage, *args)
+            assert r.exit_code == 0, (stage, r.output)
+        payload = json.loads((tmp_path / "run" / "eval_srnn-z.json")
+                             .read_text())
+        assert len(payload["rows"][0]["infidelity"]) == 3
+        assert (tmp_path / "run" / "monitor_srnn-z.txt").exists()
+
     def test_negative_seed_exit_1(self, cfg_path):
         r = self.run("gen-data", "--config", cfg_path, "--seed", "-1")
         assert r.exit_code == 1, r.output
@@ -265,3 +283,22 @@ class TestCli:
         # different seed changes the config hash for the same files
         r = self.run("train", "--config", cfg_path, "--seed", "6")
         assert r.exit_code == 1
+
+
+def test_extended_srnn_run_smoke(monkeypatch, capsys):
+    """One tiny epoch of the extended run reaches its contract verdict."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                        "extended_srnn_run.py")
+    spec = importlib.util.spec_from_file_location("extended_srnn_run", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr("sys.argv", [
+        "extended_srnn_run.py", "--epochs", "1", "--shots-train", "800",
+        "--shots-eval", "200", "--attr-samples", "20",
+        "--attr-background", "10"])
+    with pytest.raises(SystemExit) as exc:
+        script.main()
+    assert exc.value.code in (0, 1)
+    out = capsys.readouterr().out
+    assert "epoch   0 dep " in out
+    assert re.search(r"^contract (HELD|FAILED)$", out, re.M)
