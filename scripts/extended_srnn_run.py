@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from steanedec.analysis import derive_hook_signatures, ft_monitor
+from steanedec.analysis import prepare_monitor
 from steanedec.decoders import NnDecoder, rnn_inputs
 from steanedec.nn import TrainConfig, build_model, srnn_spec, train
 from steanedec.sim import NoiseModel, sample_memory_batch
@@ -68,19 +68,21 @@ def main():
                             shots=args.attr_background,
                             seed=args.seed + 902).volumes, t_max=t_max)
     val_x = rnn_inputs(val.volumes, t_max=t_max)
-    signatures = derive_hook_signatures(code, "Z")
-    sweep = [1e-3, 2e-3, 5e-3]
     model = build_model(srnn_spec("Z"), seed=args.seed)
     rows = []
 
     def attribution_fn(decoder):
         return deepshap_batch(decoder.model, val_x, bg, max_rows=4096)[0]
 
+    # every epoch is scored on the same volumes, so sample them once
+    monitor = prepare_monitor(code, [1e-3, 2e-3, 5e-3], "Z",
+                              rounds=range(1, t_max + 1),
+                              shots_per_point=args.shots_eval,
+                              seed=args.seed + 7,
+                              attribution_fn=attribution_fn)
+
     def eval_fn(m, epoch):
-        r, = ft_monitor([(epoch, NnDecoder(m, basis="Z", t_max=t_max))],
-                        code, sweep, "Z", rounds=range(1, t_max + 1),
-                        shots_per_point=args.shots_eval, seed=args.seed + 7,
-                        attribution_fn=attribution_fn, signatures=signatures)
+        r = monitor.score(epoch, NnDecoder(m, basis="Z", t_max=t_max))
         rows.append({"epoch": epoch, "dep": r.dep_failure, "b": r.scaling_b,
                      "hook": r.hook_mean, "baseline": r.baseline_mean})
         print("epoch {epoch:3d} dep {dep:.5f} b {b:6.3f} hook {hook:.3f} "

@@ -5,6 +5,7 @@ fault-tolerance learning monitor."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import curve_fit
@@ -273,42 +274,62 @@ class MonitorRow:
     baseline_mean: float
 
 
-def ft_monitor(epoch_decoders, code: CodeDefinition, noise_sweep, basis: str,
-               rounds, shots_per_point: int, seed: int,
-               attribution_fn=None,
-               signatures: HookSignatureSet | None = None) -> list[MonitorRow]:
-    """Per-epoch FT tracks: DEP failure fraction over the single faults of
-    two QEC cycles, p_L per noise point as `logical_error_rate` scores it
-    over ``rounds``, scaling exponent, and hook vs baseline attribution
-    correlation.
+@dataclass
+class PreparedMonitor:
+    """Everything the FT monitor scores a decoder against, built once by
+    `prepare_monitor`: the single-fault batch of two QEC cycles, the
+    sampled batches of every noise point, the hook signatures and the
+    optional attribution function."""
 
-    ``epoch_decoders``: iterable of (epoch, decoder). ``attribution_fn``
-    maps a decoder to an (n, T, 12) attribution array; when omitted the
-    correlation tracks are reported as NaN.
-    """
-    rows = []
-    if signatures is None:
-        signatures = derive_hook_signatures(code, basis)
-    faults = single_fault_batch(code, basis)
-    # every epoch scores the same volumes, so sample them once
-    points = {p_ph: _sample_rounds(code, NoiseModel(p_ph), basis, rounds,
-                                   shots_per_point, seed)
-              for p_ph in noise_sweep}
-    for epoch, decoder in epoch_decoders:
+    faults: MemoryBatch
+    points: dict[float, list[MemoryBatch]]
+    signatures: HookSignatureSet
+    attribution_fn: Callable | None = None
+
+    def score(self, epoch: int, decoder) -> MonitorRow:
+        """One FT-learning row for ``decoder``: DEP failure fraction, p_L
+        per noise point as `logical_error_rate` scores it, scaling
+        exponent, and hook vs baseline attribution correlation (NaN
+        without an attribution function)."""
         # the DEP failure fraction, as in sim.dep_failure_fraction
-        dep = int((decoder.predict_flips_batch(faults)
-                   ^ faults.m_L).sum()) / len(faults)
+        dep = int((decoder.predict_flips_batch(self.faults)
+                   ^ self.faults.m_L).sum()) / len(self.faults)
         p_ls = {p_ph: _score_rounds(decoder, batches).p_l
-                for p_ph, batches in points.items()}
+                for p_ph, batches in self.points.items()}
         if len(p_ls) >= 2 and all(v > 0 for v in p_ls.values()):
             b = fit_scaling(list(p_ls), list(p_ls.values())).params[1]
         else:
             b = float("nan")
         hook_mean = baseline_mean = float("nan")
-        if attribution_fn is not None:
-            attr = attribution_fn(decoder)
-            lag = signatures.hook[0][2]
+        if self.attribution_fn is not None:
+            attr = self.attribution_fn(decoder)
+            lag = self.signatures.hook[0][2]
             report = attribution_correlations(attr, lag=lag)
-            hook_mean, baseline_mean = hook_excess(report, signatures)
-        rows.append(MonitorRow(epoch, dep, p_ls, b, hook_mean, baseline_mean))
-    return rows
+            hook_mean, baseline_mean = hook_excess(report, self.signatures)
+        return MonitorRow(epoch, dep, p_ls, b, hook_mean, baseline_mean)
+
+
+def prepare_monitor(code: CodeDefinition, noise_sweep, basis: str, rounds,
+                    shots_per_point: int, seed: int,
+                    attribution_fn=None) -> PreparedMonitor:
+    """Sample the volumes every epoch is scored on, once. The batches of
+    each noise point are those `logical_error_rate` draws for ``rounds``
+    and ``seed``. ``attribution_fn`` maps a decoder to an (n, T, 12)
+    attribution array."""
+    points = {p_ph: _sample_rounds(code, NoiseModel(p_ph), basis, rounds,
+                                   shots_per_point, seed)
+              for p_ph in noise_sweep}
+    return PreparedMonitor(single_fault_batch(code, basis), points,
+                           derive_hook_signatures(code, basis),
+                           attribution_fn)
+
+
+def ft_monitor(epoch_decoders, code: CodeDefinition, noise_sweep, basis: str,
+               rounds, shots_per_point: int, seed: int,
+               attribution_fn=None) -> list[MonitorRow]:
+    """Per-epoch FT tracks (see `PreparedMonitor.score`) for an iterable
+    of (epoch, decoder), all scored on one `prepare_monitor` sample."""
+    monitor = prepare_monitor(code, noise_sweep, basis, rounds,
+                              shots_per_point, seed, attribution_fn)
+    return [monitor.score(epoch, decoder)
+            for epoch, decoder in epoch_decoders]

@@ -20,8 +20,7 @@ import numpy as np
 import yaml
 
 from . import dataset as dsmod
-from .analysis import (derive_hook_signatures, fit_scaling, ft_monitor,
-                       logical_error_rate)
+from .analysis import fit_scaling, ft_monitor, logical_error_rate
 from .circuits import enumerate_single_faults
 from .decoders import DNN2_CHANNELS, NnDecoder, dnn2_inputs, rnn_inputs
 from .nn import (TrainConfig, build_model, config_hash, load_checkpoint,
@@ -397,7 +396,6 @@ def cmd_monitor(**kw):
     t = dataset_rounds(cfg)[-1]
     val = require_dataset(cfg, "val", basis, t)
     bg_ds = require_dataset(cfg, "train", basis, t)
-    signatures = derive_hook_signatures(code, basis)
 
     def decoders():
         for name in sorted(os.listdir(d)):
@@ -421,8 +419,7 @@ def cmd_monitor(**kw):
     rows = ft_monitor(decoders(), code, cfg["pph_sweep"], basis,
                       rounds=eval_rounds(cfg),
                       shots_per_point=cfg["eval"]["shots_per_point"],
-                      seed=cfg["seed"], attribution_fn=attribution_fn,
-                      signatures=signatures)
+                      seed=cfg["seed"], attribution_fn=attribution_fn)
     table = os.path.join(cfg["out"], f"monitor_{cfg['decoder']}.txt")
     with open(table, "w") as fh:
         fh.write(f"# config={cfg['hash']}\n")

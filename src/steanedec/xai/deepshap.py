@@ -9,6 +9,13 @@ and m_v = (u+ubar)/2, which makes the decomposition of Delta-y exact).
 Averaging over the background gives per-input-bit scores whose sum
 equals f(x) minus the mean background output.
 
+Syndrome and flag inputs repeat heavily, so the work runs on distinct
+rows only: each distinct input row is attributed once and its scores are
+copied to every input that equals it, and the background average is a
+mean over the distinct background rows weighted by how often each
+occurs. Both give the same values as the all-pairs average, up to float
+summation order.
+
 When a round is padded on the input side, the background pass is forced
 onto the same padding mask so the gating stays an affine op; padded
 rounds then receive exactly zero attribution.
@@ -21,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..nn.layers import Dense, Dropout, Lstm, Masking, sigmoid
+from .shapley import _distinct_rows
 
 GUARD = 1e-12
 
@@ -182,20 +190,23 @@ def deepshap_batch(model, xs, background, head: int = 0,
     per-sample baseline values.
     """
     xs = np.asarray(xs, dtype=float)
-    refs = np.asarray(background, dtype=float)
-    n, nb = xs.shape[0], refs.shape[0]
-    phi = np.empty_like(xs)
+    ux, inverse, _ = _distinct_rows(xs)
+    refs, _, counts = _distinct_rows(np.asarray(background, dtype=float))
+    weights = counts / counts.sum()
+    n, nb = ux.shape[0], refs.shape[0]
+    phi = np.empty_like(ux)
     phi0 = np.empty(n)
     per_chunk = max(1, max_rows // nb)
     for lo in range(0, n, per_chunk):
-        xb = xs[lo:lo + per_chunk]
+        xb = ux[lo:lo + per_chunk]
         c = xb.shape[0]
         x_rep = np.repeat(xb, nb, axis=0)
         r_rep = np.tile(refs, (c,) + (1,) * (refs.ndim - 1))
         contrib, base = _pairs_attribution(model, x_rep, r_rep, head)
-        phi[lo:lo + c] = contrib.reshape((c, nb) + xs.shape[1:]).mean(axis=1)
-        phi0[lo:lo + c] = base.reshape(c, nb).mean(axis=1)
-    return phi, phi0
+        phi[lo:lo + c] = (weights @ contrib.reshape(c, nb, -1)).reshape(
+            xb.shape)
+        phi0[lo:lo + c] = base.reshape(c, nb) @ weights
+    return phi[inverse], phi0[inverse]
 
 
 def deepshap(model, x, background, head: int = 0) -> Attribution:

@@ -55,6 +55,15 @@ def _shapley_from_table(values: np.ndarray, n: int) -> np.ndarray:
     return phi
 
 
+def _distinct_rows(rows: np.ndarray):
+    """Distinct rows of ``rows`` along axis 0 (sorted), the index of each
+    row's distinct row, and how often each distinct row occurs."""
+    distinct, inverse, counts = np.unique(rows, axis=0, return_inverse=True,
+                                          return_counts=True)
+    # numpy 2.0.0 shapes the inverse like the input; flatten it
+    return distinct, inverse.reshape(-1), counts
+
+
 def feature_exclusion_game(model, x, background, head: int = 0) -> Game:
     """Game on flattened input features: excluded features are replaced
     by their background means before the model is evaluated."""
@@ -78,7 +87,9 @@ def feature_exclusion_game(model, x, background, head: int = 0) -> Game:
 def exact_shapley_batch(model, xs, background, head: int = 0,
                         chunk: int = 256) -> np.ndarray:
     """Exact Shapley values of the feature-exclusion game for many
-    inputs at once; vectorizes the 2^n coalition evaluations."""
+    inputs at once; vectorizes the 2^n coalition evaluations. The game
+    of an input depends only on the input and the background mean, so
+    each distinct input row is solved once."""
     xs = np.asarray(xs, dtype=float)
     background = np.asarray(background, dtype=float)
     means = background.mean(axis=0).reshape(-1)
@@ -91,10 +102,11 @@ def exact_shapley_batch(model, xs, background, head: int = 0,
     sizes = member.sum(axis=1)
     weights = _coalition_weights(n)
     feat_shape = xs.shape[1:]
-    flat = xs.reshape(xs.shape[0], -1)
-    phi = np.empty((xs.shape[0], n))
+    distinct, inverse, _ = _distinct_rows(xs)
+    flat = distinct.reshape(distinct.shape[0], -1)
+    phi = np.empty((flat.shape[0], n))
     without = [masks[~member[:, i]] for i in range(n)]
-    for lo in range(0, xs.shape[0], chunk):
+    for lo in range(0, flat.shape[0], chunk):
         xb = flat[lo:lo + chunk]
         c = xb.shape[0]
         # (c * 2^n, n): each sample against every coalition
@@ -105,4 +117,4 @@ def exact_shapley_batch(model, xs, background, head: int = 0,
             wo = without[i]
             gain = v[:, wo | (1 << i)] - v[:, wo]
             phi[lo:lo + c, i] = gain @ weights[sizes[wo]]
-    return phi
+    return phi[inverse]

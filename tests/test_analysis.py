@@ -7,7 +7,7 @@ from steanedec.analysis import (CorrelationReport, HookSignatureSet,
                                 derive_hook_signatures, fit_infidelity,
                                 fit_scaling, ft_monitor, hook_excess,
                                 infidelity_model, logical_error_rate,
-                                wilson_interval)
+                                prepare_monitor, wilson_interval)
 from steanedec.circuits import FX, FZ, SX, SZ
 from steanedec.seqlut import SeqLutDecoder
 from steanedec.sim import (AlwaysFlipDecoder, IdentityDecoder, NoiseModel,
@@ -241,3 +241,31 @@ class TestFtMonitor:
         for g, e in zip(got, expect):
             assert g[:3] == e[:3]
             assert g[3] == e[3] or (np.isnan(g[3]) and np.isnan(e[3]))
+
+    def test_prepared_monitor_scores_like_ft_monitor(self, code,
+                                                     monkeypatch):
+        sweep, rounds, shots, seed = (0.01, 0.03), (1, 2, 3), 400, 9
+        decoders = [(0, IdentityDecoder()), (1, SeqLutDecoder(code)),
+                    (2, AlwaysFlipDecoder())]
+
+        def attribution_fn(decoder):
+            # a fixed attribution array per decoder type
+            rng = np.random.default_rng(len(type(decoder).__name__))
+            return rng.normal(size=(50, 3, 12))
+
+        expect = ft_monitor(iter(decoders), code, sweep, "Z", rounds, shots,
+                            seed, attribution_fn=attribution_fn)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["T"])
+            return sample_memory_batch(*args, **kwargs)
+        monkeypatch.setattr(analysis, "sample_memory_batch", counted)
+        monitor = prepare_monitor(code, sweep, "Z", rounds, shots, seed,
+                                  attribution_fn=attribution_fn)
+        # one decoder a call, as a per-epoch callback scores them
+        got = [monitor.score(epoch, decoder) for epoch, decoder in decoders]
+        assert len(calls) == len(sweep) * len(rounds)
+        # repr round-trips every float and prints NaN tracks equal
+        assert repr(got) == repr(expect)
+        assert not np.isnan(got[0].hook_mean)

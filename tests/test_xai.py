@@ -5,12 +5,15 @@ rule family on dense stacks."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from steanedec.nn import Model, NetworkSpec, build_model, dnn2_spec
 from steanedec.xai import (Game, deepshap, deepshap_batch, exact_shapley,
                            exact_shapley_batch, feature_exclusion_game, lrp,
                            lrp_conservation_sums,
                            relevance_conservation_check)
+from steanedec.xai.deepshap import _pairs_attribution
 
 
 def linear_model(beta, beta0=0.0):
@@ -38,6 +41,24 @@ def small_recurrent_model(seed=0, units=5, input_dim=4):
          "activation": "sigmoid"},
     ))
     return build_model(spec, seed=seed)
+
+
+def repeated_bits(rng, n, shape, distinct):
+    """``n`` rows of sparse bits drawn from ``distinct`` patterns, so
+    most rows repeat."""
+    patterns = (rng.random((distinct,) + shape) < 0.2).astype(float)
+    return patterns[rng.integers(0, distinct, size=n)]
+
+
+def all_pairs_deepshap(model, xs, bg, head=0):
+    """Reference: every (input, background) pair in one batch, averaged
+    with a plain mean over the background."""
+    n, nb = xs.shape[0], bg.shape[0]
+    x_rep = np.repeat(xs, nb, axis=0)
+    r_rep = np.tile(bg, (n,) + (1,) * (bg.ndim - 1))
+    contrib, base = _pairs_attribution(model, x_rep, r_rep, head)
+    return (contrib.reshape((n, nb) + xs.shape[1:]).mean(axis=1),
+            base.reshape(n, nb).mean(axis=1))
 
 
 def random_game(rng, n):
@@ -119,6 +140,19 @@ class TestFeatureExclusionGame:
             single = exact_shapley(feature_exclusion_game(model, xs[i], bg))
             assert np.allclose(batch[i], single, atol=1e-9)
 
+    def test_batch_with_repeated_rows_matches_single(self):
+        # each distinct row is solved once and copied back in input order
+        model = build_model(dnn2_spec(input_dim=6), seed=8)
+        rng = np.random.default_rng(15)
+        xs = repeated_bits(rng, 40, (6,), distinct=5)
+        bg = repeated_bits(rng, 30, (6,), distinct=4)
+        batch = exact_shapley_batch(model, xs, bg, chunk=2)
+        assert batch.shape == (40, 6)
+        assert len(np.unique(xs, axis=0)) < 40
+        for i in range(40):
+            single = exact_shapley(feature_exclusion_game(model, xs[i], bg))
+            assert np.max(np.abs(batch[i] - single)) < 1e-9
+
 
 class TestDeepShap:
     def test_affine_matches_exact(self):
@@ -182,6 +216,66 @@ class TestDeepShap:
             a = deepshap(model, xs[i], bg)
             assert np.allclose(a.phi, phis[i], atol=1e-12)
             assert abs(a.phi0 - phi0s[i]) < 1e-12
+
+
+class TestDeepShapDistinctRows:
+    """Attributing distinct rows against the count-weighted distinct
+    background equals the all-pairs plain mean, row for row."""
+
+    def check(self, model, xs, bg, max_rows):
+        phi, phi0 = deepshap_batch(model, xs, bg, max_rows=max_rows)
+        ref_phi, ref_phi0 = all_pairs_deepshap(model, xs, bg)
+        assert phi.shape == xs.shape and phi0.shape == (xs.shape[0],)
+        assert np.max(np.abs(phi - ref_phi)) < 1e-12
+        assert np.max(np.abs(phi0 - ref_phi0)) < 1e-12
+
+    def test_dense_many_duplicates(self):
+        model = build_model(dnn2_spec(input_dim=8), seed=25)
+        rng = np.random.default_rng(16)
+        xs = repeated_bits(rng, 60, (8,), distinct=7)
+        bg = repeated_bits(rng, 25, (8,), distinct=5)
+        # several chunks of distinct inputs
+        self.check(model, xs, bg, max_rows=11)
+
+    def test_recurrent_mixed_padding(self):
+        model = small_recurrent_model(seed=27)
+        rng = np.random.default_rng(17)
+        xs = repeated_bits(rng, 30, (5, 4), distinct=4)
+        # three padded lengths, so rows carry different masks
+        xs[::3, 3:] = -1.0
+        xs[1::3, 4:] = -1.0
+        bg = repeated_bits(rng, 12, (5, 4), distinct=3)
+        self.check(model, xs, bg, max_rows=7)
+
+    def test_single_distinct_background_row(self):
+        model = small_recurrent_model(seed=29)
+        rng = np.random.default_rng(18)
+        xs = repeated_bits(rng, 10, (4, 4), distinct=3)
+        bg = np.repeat(repeated_bits(rng, 1, (4, 4), distinct=1), 9, axis=0)
+        self.check(model, xs, bg, max_rows=2)
+
+    def test_single_input(self):
+        model = build_model(dnn2_spec(input_dim=6), seed=31)
+        rng = np.random.default_rng(19)
+        xs = repeated_bits(rng, 1, (6,), distinct=1)
+        bg = repeated_bits(rng, 20, (6,), distinct=6)
+        self.check(model, xs, bg, max_rows=3)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_row_permutations(self, seed):
+        model = build_model(dnn2_spec(input_dim=4), seed=33)
+        rng = np.random.default_rng(seed)
+        xs = repeated_bits(rng, 12, (4,), distinct=4)
+        bg = repeated_bits(rng, 8, (4,), distinct=3)
+        phi, phi0 = deepshap_batch(model, xs, bg, max_rows=5)
+        perm = rng.permutation(12)
+        phi_p, phi0_p = deepshap_batch(model, xs[perm], bg, max_rows=5)
+        assert np.max(np.abs(phi_p - phi[perm])) < 1e-12
+        assert np.max(np.abs(phi0_p - phi0[perm])) < 1e-12
+        phi_b, phi0_b = deepshap_batch(model, xs, bg[rng.permutation(8)],
+                                       max_rows=5)
+        assert np.max(np.abs(phi_b - phi)) < 1e-12
+        assert np.max(np.abs(phi0_b - phi0)) < 1e-12
 
 
 class TestLrp:
