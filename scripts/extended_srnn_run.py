@@ -82,7 +82,7 @@ def main():
                               attribution_fn=attribution_fn)
 
     def eval_fn(m, epoch):
-        r = monitor.score(epoch, NnDecoder(m, basis="Z", t_max=t_max))
+        r = monitor.score(epoch, NnDecoder(m, basis="Z"))
         rows.append({"epoch": epoch, "dep": r.dep_failure, "b": r.scaling_b,
                      "hook": r.hook_mean, "baseline": r.baseline_mean})
         print("epoch {epoch:3d} dep {dep:.5f} b {b:6.3f} hook {hook:.3f} "

@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""Layer-by-layer timing of the recurrent decoder's hot kernels.
+
+Prints one JSON line:
+
+  * ``lstm_forward_rows_steps_per_s`` / ``lstm_backward_rows_steps_per_s``:
+    rows x rounds per second through the two LSTM layers of the srnn
+    decoder (12 -> 36 -> 36 units) at T = 8, for batches of 64 rows (one
+    training minibatch) and 1,500 rows (one evaluation point);
+  * ``deepshap_pairs_per_s``: (input, background) pairs per second of
+    `deepshap_batch` on the srnn decoder, 60 inputs against 100 background
+    rows of 8 rounds, in one chunk as ``steanedec explain`` runs it (the
+    sizes of the ``srnn-pipeline`` benchmark's explain stage).
+
+Each figure is the best of several repeats, so that a quiet moment of a
+shared machine is what is reported. Inputs are sparse random bits with a
+fixed seed. Run from the root of a checkout:
+
+    PYTHONPATH=src python3 scripts/kernel_bench.py
+"""
+
+import json
+import time
+
+import numpy as np
+
+from steanedec.nn import build_model, srnn_spec
+from steanedec.xai import deepshap_batch
+
+T = 8
+REPEATS = 7
+
+
+def best_seconds(fn, calls: int) -> float:
+    """Least mean time per call of ``fn`` over REPEATS runs of ``calls``."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        best = min(best, (time.perf_counter() - t0) / calls)
+    return best
+
+
+def lstm_rates(model, rng, rows: int, calls: int) -> tuple[float, float]:
+    lstms = model.layers[1:3]
+    x = (rng.random((rows, T, 12)) < 0.1).astype(float)
+
+    def forward():
+        h = x
+        for layer in lstms:
+            h = layer.forward(h)
+        return h
+
+    dout = rng.normal(size=forward().shape)
+
+    def backward():
+        d = dout
+        for layer in reversed(lstms):
+            d = layer.backward(d)
+
+    fwd = best_seconds(forward, calls)
+    bwd = best_seconds(backward, calls)
+    return rows * T / fwd, rows * T / bwd
+
+
+def main():
+    rng = np.random.default_rng(0)
+    model = build_model(srnn_spec("Z"), seed=0)
+    out = {}
+    for rows, calls in ((64, 40), (1500, 3)):
+        fwd, bwd = lstm_rates(model, rng, rows, calls)
+        out[f"lstm_forward_rows_steps_per_s_b{rows}"] = round(fwd)
+        out[f"lstm_backward_rows_steps_per_s_b{rows}"] = round(bwd)
+    xs = (rng.random((60, T, 12)) < 0.1).astype(float)
+    bg = (rng.random((100, T, 12)) < 0.1).astype(float)
+    sec = best_seconds(lambda: deepshap_batch(model, xs, bg,
+                                                 max_rows=200_000), 1)
+    out["deepshap_pairs_per_s"] = round(60 * 100 / sec)
+    print(json.dumps(out, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()

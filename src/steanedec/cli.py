@@ -83,12 +83,23 @@ def load_config(path, overrides) -> dict:
     if not isinstance(cfg["seed"], int) or cfg["seed"] < 0:
         # dataset stream keys are derived from it by SeedSequence
         fail(1, "seed must be a non-negative integer")
+    # YAML 1.1 reads exponent floats without a dot (5e-3) as strings
     try:
         cfg["pph_sweep"] = [float(p) for p in cfg["pph_sweep"]]
     except (TypeError, ValueError):
         fail(1, "pph_sweep must be a list of error rates")
     if any(not 0 <= p < 1 for p in cfg["pph_sweep"]):
         fail(1, "pph_sweep rates must lie in [0, 1)")
+    try:
+        cfg["p_ph"] = float(cfg["p_ph"])
+    except (TypeError, ValueError):
+        fail(1, "p_ph must be an error rate")
+    if not 0 <= cfg["p_ph"] < 1:
+        fail(1, "p_ph must lie in [0, 1)")
+    try:
+        cfg["train"]["lr"] = float(cfg["train"]["lr"])
+    except (TypeError, ValueError):
+        fail(1, "train.lr must be a number")
     cfg["hash"] = config_hash({k: v for k, v in sorted(cfg.items())
                                if k != "hash"})
     return cfg
@@ -170,8 +181,7 @@ def checkpoint_decoder(cfg, path: str, basis: str):
     model = build_model(spec_by_id(cfg["decoder"]), seed=cfg["seed"])
     model.set_weights_flat({k: v for k, v in ckpt.weights.items()
                             if not k.startswith("adam.")})
-    t_max = cfg["rounds"] if model.spec.recurrent else None
-    return ckpt.epoch, NnDecoder(model, basis=basis, t_max=t_max)
+    return ckpt.epoch, NnDecoder(model, basis=basis)
 
 
 def load_decoder(cfg, basis: str):

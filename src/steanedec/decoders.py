@@ -36,13 +36,13 @@ class NnDecoder:
     """Decoder interface over a trained network.
 
     For the dual-head network the head matching the decoding basis is
-    thresholded; single-head networks use their only output.
+    thresholded; single-head networks use their only output. A batch of
+    volumes has one round count, so recurrent networks take it unpadded.
     """
 
-    def __init__(self, model, basis: str = "Z", t_max: int | None = None):
+    def __init__(self, model, basis: str = "Z"):
         self.model = model
         self.basis = basis
-        self.t_max = t_max
         if model.spec.spec_id == "drnn":
             self.head = {"Z": 0, "X": 1}[basis]
         else:
@@ -50,7 +50,7 @@ class NnDecoder:
 
     def inputs(self, volumes) -> np.ndarray:
         if self.model.spec.recurrent:
-            return rnn_inputs(volumes, self.t_max)
+            return rnn_inputs(volumes)
         return dnn2_inputs(volumes, self.basis)
 
     def predict_flips(self, volumes) -> np.ndarray:

@@ -6,12 +6,18 @@ from __future__ import annotations
 import numpy as np
 
 
-def sigmoid(z):
+def sigmoid(z, out=None):
     """Overflow-free logistic function: 1 / (1 + e^-z) for z >= 0 and
     e^z / (1 + e^z) below, both from e = exp(-|z|) without branching.
-    (min(z, -z) rather than -abs(z) keeps the sign of a NaN input.)"""
-    e = np.exp(np.minimum(z, -z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    (min(z, -z) rather than -abs(z) keeps the sign of a NaN input.) The
+    numerator max(e, sign z) is 1 for z >= 0 and e below, as e lies in
+    (0, 1]. Writes into ``out`` when given, which may be ``z``."""
+    e = np.negative(z)
+    np.minimum(z, e, out=e)
+    np.exp(e, out=e)
+    num = np.sign(z, out=out)
+    np.maximum(e, num, out=num)
+    return np.divide(num, np.add(e, 1.0, out=e), out=num)
 
 
 def glorot_uniform(rng, fan_in, fan_out, shape=None):
@@ -65,9 +71,15 @@ class Masking(Layer):
 class Lstm(Layer):
     """LSTM layer; ``return_sequences`` selects sequential vs final-only
     output. The output-gate activation defaults to the logistic function
-    and can be switched to ReLU."""
+    and can be switched to ReLU.
+
+    The 12 per-gate arrays in the registry are the parameters: checkpoints,
+    the optimizer and gradient checks read and write them. Each pass
+    concatenates them once with `fused` into (.., 4n) gate blocks in
+    FUSED order, which puts the three logistic gates next to each other."""
 
     GATES = ("f", "i", "c", "o")
+    FUSED = ("o", "f", "i", "c")
 
     def __init__(self, units: int, input_dim: int, return_sequences: bool,
                  rng=None, output_gate_activation: str = "sigmoid"):
@@ -87,102 +99,131 @@ class Lstm(Layer):
             self._register(f"b_{g}", bias)
         self.cache = None
 
-    def _gate_act(self, z, gate):
-        if gate == "o" and self.output_gate_activation == "relu":
-            return np.maximum(z, 0.0)
-        return sigmoid(z)
+    def fused(self):
+        """The registry concatenated in FUSED order: W_x (d, 4n),
+        W_h (n, 4n) and b (4n,)."""
+        w = self.weights
+        return (np.concatenate([w[f"W_x{g}"] for g in self.FUSED], axis=1),
+                np.concatenate([w[f"W_h{g}"] for g in self.FUSED], axis=1),
+                np.concatenate([w[f"b_{g}"] for g in self.FUSED]))
+
+    def gates(self, a):
+        """(o, f, i, cc) views of a (.., 4n) gate block."""
+        n = self.n
+        return tuple(a[..., k * n:(k + 1) * n] for k in range(4))
+
+    def slopes(self, a):
+        """Slope of each gate's activation at its pre-activation, from the
+        activations of a (.., 4n) gate block."""
+        n = self.n
+        d = a * (1.0 - a)
+        cc = a[..., 3 * n:]
+        d[..., 3 * n:] = 1.0 - cc * cc
+        if self.output_gate_activation == "relu":
+            d[..., :n] = a[..., :n] > 0
+        return d
+
+    def _activate(self, z):
+        """Gate activations of a (.., 4n) pre-activation block, in place."""
+        n = self.n
+        lo = 0
+        if self.output_gate_activation == "relu":
+            np.maximum(z[..., :n], 0.0, out=z[..., :n])
+            lo = n
+        sigmoid(z[..., lo:3 * n], out=z[..., lo:3 * n])
+        np.tanh(z[..., 3 * n:], out=z[..., 3 * n:])
+        return z
+
+    def _round(self, a, h_prev, c_prev, wh, b, hw):
+        """One recurrence step: ``a`` holds x_t W_x on entry and the gate
+        activations on return (``hw`` is scratch for h_prev W_h). Returns
+        the candidate output, memory and tanh(memory)."""
+        np.matmul(h_prev, wh, out=hw)
+        a += hw  # (x W_x + h W_h) + b
+        a += b
+        o, f, i, cc = self.gates(self._activate(a))
+        c = c_prev * f
+        c += cc * i
+        tc = np.tanh(c)
+        return o * tc, c, tc
 
     def step(self, x_t, h_prev, c_prev):
-        """One recurrence step; returns (h, c) and the gate cache."""
-        w = self.weights
-        zf = x_t @ w["W_xf"] + h_prev @ w["W_hf"] + w["b_f"]
-        zi = x_t @ w["W_xi"] + h_prev @ w["W_hi"] + w["b_i"]
-        zc = x_t @ w["W_xc"] + h_prev @ w["W_hc"] + w["b_c"]
-        zo = x_t @ w["W_xo"] + h_prev @ w["W_ho"] + w["b_o"]
-        f = sigmoid(zf)
-        i = sigmoid(zi)
-        cc = np.tanh(zc)
-        o = self._gate_act(zo, "o")
-        c = c_prev * f + cc * i
-        tc = np.tanh(c)
-        h = o * tc
-        return h, c, dict(x=x_t, h_prev=h_prev, c_prev=c_prev, f=f, i=i,
-                          cc=cc, o=o, c=c, tc=tc, h=h)
+        """One recurrence step; returns (h, c) and the gate block."""
+        wx, wh, b = self.fused()
+        a = x_t @ wx
+        h, c, _ = self._round(a, h_prev, c_prev, wh, b, np.empty_like(a))
+        return h, c, a
 
     def forward(self, x, mask=None, train=False, rng=None):
         B, T, _ = x.shape
+        wx, wh, b = self.fused()
         h = np.zeros((B, self.n))
         c = np.zeros((B, self.n))
+        hw = np.empty((B, 4 * self.n))
         steps = []
-        outs = np.zeros((B, T, self.n))
+        outs = []  # the rounds' outputs, zero where masked
         for t in range(T):
-            h_cand, c_cand, cache = self.step(x[:, t, :], h, c)
-            if mask is not None:
-                m = mask[:, t:t + 1]
-                h_new = m * h_cand + (1.0 - m) * h
-                c_new = m * c_cand + (1.0 - m) * c
+            # one input product per round keeps every product's shape
+            # independent of T, so padding cannot change a result bit
+            a = x[:, t] @ wx
+            h_cand, c_cand, tc = self._round(a, h, c, wh, b, hw)
+            m = None if mask is None else mask[:, t:t + 1]
+            if m is not None and np.all(m == 1.0):
+                m = None  # exact: 1 * a + 0 * b == a
+            steps.append(dict(x=x[:, t], h_prev=h, c_prev=c, a=a, c=c_cand,
+                              tc=tc, m=m))
+            if m is None:
+                h, c = h_cand, c_cand
             else:
-                m = None
-                h_new, c_new = h_cand, c_cand
-            cache["m"] = m
-            cache["c_comb"] = c_new
-            steps.append(cache)
-            outs[:, t, :] = h_new if m is None else m * h_new
-            h, c = h_new, c_new
-        self.cache = dict(steps=steps, mask=mask, T=T, B=B)
-        return outs if self.return_sequences else h
+                h = m * h_cand + (1.0 - m) * h
+                c = m * c_cand + (1.0 - m) * c
+            if self.return_sequences:
+                outs.append(h if m is None else m * h)
+        self.cache = dict(steps=steps, B=B, T=T)
+        return np.stack(outs, axis=1) if self.return_sequences else h
 
     def backward(self, dout):
-        steps = self.cache["steps"]
-        mask = self.cache["mask"]
-        T, B = self.cache["T"], self.cache["B"]
-        w = self.weights
-        dx = np.zeros((B, T, self.d))
-        dh_next = np.zeros((B, self.n))
-        dc_next = np.zeros((B, self.n))
-        if not self.return_sequences:
-            dh_next = dout.copy()
+        steps, B, T = (self.cache[k] for k in ("steps", "B", "T"))
+        n = self.n
+        wx, wh, _ = self.fused()
+        gwx = np.zeros((self.d, 4 * n))
+        gwh = np.zeros((n, 4 * n))
+        gb = np.zeros(4 * n)
+        dx = np.empty((B, T, self.d))
+        dh_next = np.zeros((B, n)) if self.return_sequences else dout
+        dc_next = np.zeros((B, n))
         for t in reversed(range(T)):
             s = steps[t]
-            dh = dh_next.copy()
+            m, a, tc = s["m"], s["a"], s["tc"]
+            o, f, i, cc = self.gates(a)
+            dh = dh_next
             if self.return_sequences:
-                dh += dout[:, t, :] if mask is None \
-                    else s["m"] * dout[:, t, :]
-            if mask is None:
-                dh_cand, dh_pass = dh, 0.0
-            else:
-                dh_cand = s["m"] * dh
-                dh_pass = (1.0 - s["m"]) * dh
-            do = dh_cand * s["tc"]
-            # tanh is applied to the combined (mask-aware) memory state
-            tc_comb = s["tc"] if mask is None else np.tanh(s["c_comb"])
-            dtc = dh_cand * s["o"]
-            dc = dc_next + dtc * (1.0 - tc_comb ** 2)
-            if mask is None:
-                dc_cand, dc_pass = dc, 0.0
-            else:
-                dc_cand = s["m"] * dc
-                dc_pass = (1.0 - s["m"]) * dc
-            df = dc_cand * s["c_prev"]
-            di = dc_cand * s["cc"]
-            dcc = dc_cand * s["i"]
-            dzf = df * s["f"] * (1.0 - s["f"])
-            dzi = di * s["i"] * (1.0 - s["i"])
-            dzc = dcc * (1.0 - s["cc"] ** 2)
-            if self.output_gate_activation == "relu":
-                dzo = do * (s["o"] > 0)
-            else:
-                dzo = do * s["o"] * (1.0 - s["o"])
-            x_t, h_prev = s["x"], s["h_prev"]
-            for g, dz in zip(self.GATES, (dzf, dzi, dzc, dzo)):
-                self.grads[f"W_x{g}"] += x_t.T @ dz
-                self.grads[f"W_h{g}"] += h_prev.T @ dz
-                self.grads[f"b_{g}"] += dz.sum(axis=0)
-            dx[:, t, :] = (dzf @ w["W_xf"].T + dzi @ w["W_xi"].T
-                           + dzc @ w["W_xc"].T + dzo @ w["W_xo"].T)
-            dh_next = (dh_pass + dzf @ w["W_hf"].T + dzi @ w["W_hi"].T
-                       + dzc @ w["W_hc"].T + dzo @ w["W_ho"].T)
-            dc_next = dc_pass + dc_cand * s["f"]
+                dh = dh + (dout[:, t] if m is None else m * dout[:, t])
+            dh_cand = dh if m is None else m * dh
+            dc = dc_next + dh_cand * o * (1.0 - tc * tc)
+            dc_cand = dc if m is None else m * dc
+            # dz = (gradient at the gate's output) * (its slope)
+            dz = self.slopes(a)
+            dz_o, dz_f, dz_i, dz_c = self.gates(dz)
+            dz_o *= dh_cand * tc
+            dz_f *= dc_cand * s["c_prev"]
+            dz_i *= dc_cand * cc
+            dz_c *= dc_cand * i
+            gwx += s["x"].T @ dz
+            gwh += s["h_prev"].T @ dz
+            gb += dz.sum(axis=0)
+            np.matmul(dz, wx.T, out=dx[:, t])
+            dh_next = dz @ wh.T
+            dc_next = dc_cand * f
+            if m is not None:
+                # a masked row passes its state gradients straight through
+                dh_next += (1.0 - m) * dh
+                dc_next += (1.0 - m) * dc
+        for k, g in enumerate(self.FUSED):
+            cols = slice(k * n, (k + 1) * n)
+            self.grads[f"W_x{g}"] += gwx[:, cols]
+            self.grads[f"W_h{g}"] += gwh[:, cols]
+            self.grads[f"b_{g}"] += gb[cols]
         return dx
 
 

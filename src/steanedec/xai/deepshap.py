@@ -18,7 +18,12 @@ summation order.
 
 When a round is padded on the input side, the background pass is forced
 onto the same padding mask so the gating stays an affine op; padded
-rounds then receive exactly zero attribution.
+rounds then receive exactly zero attribution. The background pass
+therefore depends only on the padding pattern: the distinct inputs are
+grouped by pattern, the distinct background rows are traced once per
+pattern, each chunk of inputs is traced once, and the multipliers of
+every (input, background) pair are formed on a (inputs, background, ..)
+grid by broadcasting the two traces against each other.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn.layers import Dense, Dropout, Lstm, Masking, sigmoid
+from ..nn.layers import Dense, Dropout, Lstm, Masking
 from .shapley import _distinct_rows
 
 GUARD = 1e-12
@@ -43,21 +48,28 @@ class Attribution:
 
 
 def _rescale(d_out, d_in, local):
+    # where d_in is tiny the quotient is discarded; adding 1 there only
+    # keeps the division finite
     tiny = np.abs(d_in) < GUARD
-    return np.where(tiny, local, d_out / np.where(tiny, 1.0, d_in))
+    return np.where(tiny, local, d_out / (d_in + tiny))
 
 
-def _forward_trace(model, x, mask_override=None):
-    """Forward pass collecting per-layer caches; the masking decision
-    can be overridden so two passes share one padding pattern."""
+def _padding_mask(model, x):
+    """(rows, T) float mask of the non-padded rounds of ``x``, or None for
+    a network without a masking layer."""
+    for layer in model.layers:
+        if isinstance(layer, Masking):
+            return (~np.all(x == layer.mask_value, axis=2)).astype(float)
+    return None
+
+
+def _forward_trace(model, x, mask):
+    """Forward pass collecting per-layer caches, with the masking layer
+    set to ``mask`` so that two passes share one padding pattern."""
     traces = []
     cur_mask = None
     for layer in model.layers:
         if isinstance(layer, Masking):
-            if mask_override is None:
-                mask = (~np.all(x == layer.mask_value, axis=2)).astype(float)
-            else:
-                mask = mask_override
             x = x * mask[:, :, None]
             cur_mask = mask
             traces.append(("masking", {"mask": mask}))
@@ -86,99 +98,100 @@ def _dense_local(layer, cache):
     return np.ones_like(cache["z"])
 
 
-def _lstm_gate_pre(layer, cache, gate):
-    w = layer.weights
-    return (cache["x"] @ w[f"W_x{gate}"] + cache["h_prev"] @ w[f"W_h{gate}"]
-            + w[f"b_{gate}"])
+def _matmul(m, w):
+    """``m @ w`` over the last axis of a (P, Q, .., k) multiplier block."""
+    return (m.reshape(-1, m.shape[-1]) @ w).reshape(m.shape[:-1]
+                                                    + w.shape[1:])
 
 
-def _lstm_multipliers(layer, cx, cr, m_out):
-    """Push multipliers through one LSTM layer (both-pass caches)."""
-    steps_x, steps_r = cx["steps"], cr["steps"]
-    T, B = cx["T"], m_out.shape[0]
-    w = layer.weights
-    mx_in = np.zeros((B, T, layer.d))
-    mh = np.zeros((B, layer.n))
-    mc = np.zeros((B, layer.n))
-    if not layer.return_sequences:
-        mh = m_out.copy()
+def _lstm_multipliers(layer, cx, cr, m_out, lx, lr):
+    """Push (P, Q, ..) pair multipliers through one LSTM layer; ``lx`` and
+    ``lr`` lift an input-pass or background-pass array onto the pair
+    grid."""
+    n = layer.n
+    wx, wh, b = layer.fused()
+    T = cx["T"]
+    lead = m_out.shape[:2]
+    mx_in = np.empty(lead + (T, layer.d))
+    mh = np.zeros(lead + (n,)) if layer.return_sequences else m_out
+    mc = np.zeros(lead + (n,))
     for t in reversed(range(T)):
-        sx, sr = steps_x[t], steps_r[t]
-        m = sx["m"]
-        mh_t = mh.copy()
+        sx, sr = cx["steps"][t], cr["steps"][t]
+        # both passes share the padding mask
+        m = None if sx["m"] is None else lx(sx["m"])
         if layer.return_sequences:
-            mh_t += m_out[:, t, :] if m is None else m * m_out[:, t, :]
-        if m is None:
-            mh_cand, mh_pass = mh_t, 0.0
-        else:
-            mh_cand = m * mh_t
-            mh_pass = (1.0 - m) * mh_t
+            mh = mh + (m_out[:, :, t] if m is None else m * m_out[:, :, t])
+        mh_cand = mh if m is None else m * mh
+        ax, ar = lx(sx["a"]), lr(sr["a"])
+        ox, fx, ix, ccx = layer.gates(ax)
+        or_, fr, ir, ccr = layer.gates(ar)
+        tcx, tcr = lx(sx["tc"]), lr(sr["tc"])
+        mz = np.empty(lead + (4 * n,))
+        mo, mf, mi, mcc = layer.gates(mz)
         # h_cand = o * tanh(c_cand): bilinear split
-        mo = mh_cand * 0.5 * (sx["tc"] + sr["tc"])
-        mtc = mh_cand * 0.5 * (sx["o"] + sr["o"])
-        mc_cand = mtc * _rescale(sx["tc"] - sr["tc"], sx["c"] - sr["c"],
-                                 1.0 - sx["tc"] ** 2)
-        if m is None:
-            mc_cand += mc
-            mc_pass = 0.0
-        else:
-            mc_cand += m * mc
-            mc_pass = (1.0 - m) * mc
+        half = mh_cand * 0.5
+        np.multiply(half, tcx + tcr, out=mo)
+        mtc = half * (ox + or_)
+        mc_cand = mtc * _rescale(
+            tcx - tcr, lx(sx["c"]) - lr(sr["c"]), 1.0 - tcx ** 2)
+        mc_cand += mc if m is None else m * mc
         # c_cand = c_prev * f + cc * i: bilinear splits
-        mf = mc_cand * 0.5 * (sx["c_prev"] + sr["c_prev"])
-        mc_prev = mc_cand * 0.5 * (sx["f"] + sr["f"])
-        mi = mc_cand * 0.5 * (sx["cc"] + sr["cc"])
-        mcc = mc_cand * 0.5 * (sx["i"] + sr["i"])
-        # gate nonlinearities: rescale to the pre-activations
-        mz = {}
-        for gate, mg in (("f", mf), ("i", mi), ("c", mcc), ("o", mo)):
-            zx = _lstm_gate_pre(layer, sx, gate)
-            zr = _lstm_gate_pre(layer, sr, gate)
-            ax, ar = sx[{"c": "cc"}.get(gate, gate)], \
-                sr[{"c": "cc"}.get(gate, gate)]
-            if gate == "c":
-                local = 1.0 - ax ** 2
-            elif gate == "o" and layer.output_gate_activation == "relu":
-                local = (zx > 0).astype(float)
-            else:
-                local = ax * (1.0 - ax)
-            mz[gate] = mg * _rescale(ax - ar, zx - zr, local)
-        mx_in[:, t, :] = sum(mz[g] @ w[f"W_x{g}"].T for g in layer.GATES)
-        mh = mh_pass + sum(mz[g] @ w[f"W_h{g}"].T for g in layer.GATES)
-        mc = mc_pass + mc_prev
+        half = mc_cand * 0.5
+        np.multiply(half, lx(sx["c_prev"]) + lr(sr["c_prev"]), out=mf)
+        np.multiply(half, ccx + ccr, out=mi)
+        np.multiply(half, ix + ir, out=mcc)
+        mc_prev = half * (fx + fr)
+        # gate nonlinearities: rescale to the pre-activations, one fused
+        # product per pass
+        zx = lx((sx["x"] @ wx + sx["h_prev"] @ wh) + b)
+        zr = lr((sr["x"] @ wx + sr["h_prev"] @ wh) + b)
+        mz *= _rescale(ax - ar, zx - zr, layer.slopes(ax))
+        mx_in[:, :, t] = _matmul(mz, wx.T)
+        mh_prev = _matmul(mz, wh.T)
+        if m is not None:
+            # a masked pair passes its state multipliers straight through
+            mh_prev += (1.0 - m) * mh
+            mc_prev += (1.0 - m) * mc
+        mh, mc = mh_prev, mc_prev
     return mx_in
 
 
-def _multiplier_backward(model, traces_x, traces_r, m_out):
+def _multiplier_backward(model, traces_x, traces_r, m_out, axis_r):
+    """Multipliers of (input, background) pairs from the two passes'
+    traces. Input-pass rows index the first axis of the pair grid;
+    background rows index the second (``axis_r`` 0: every input against
+    every background row) or align with the inputs (``axis_r`` 1)."""
+    def lx(a):
+        return np.expand_dims(a, 1)
+
+    def lr(a):
+        return np.expand_dims(a, axis_r)
+
     m = m_out
     for layer, (kind, cx), (_, cr) in zip(reversed(model.layers),
                                           reversed(traces_x),
                                           reversed(traces_r)):
         if kind == "masking":
-            m = m * cx["mask"][:, :, None]
+            m = m * lx(cx["mask"])[..., None]
         elif kind == "dense":
-            mz = m * _rescale(cx["a"] - cr["a"], cx["z"] - cr["z"],
-                              _dense_local(layer, cx))
-            m = mz @ layer.weights["W"].T
+            mz = m * _rescale(lx(cx["a"]) - lr(cr["a"]),
+                              lx(cx["z"]) - lr(cr["z"]),
+                              lx(_dense_local(layer, cx)))
+            m = _matmul(mz, layer.weights["W"].T)
         elif kind == "lstm":
-            m = _lstm_multipliers(layer, cx, cr, m)
+            m = _lstm_multipliers(layer, cx, cr, m, lx, lr)
         # dropout in eval mode is the identity
     return m
 
 
 def _pairs_attribution(model, x_rep, refs, head):
     """Multipliers for aligned (input, background) row pairs."""
-    recurrent = any(isinstance(l, Masking) for l in model.layers)
-    if recurrent:
-        mask = (~np.all(x_rep == model.layers[0].mask_value,
-                        axis=2)).astype(float)
-    else:
-        mask = None
-    out_x, tx = _forward_trace(model, x_rep, mask_override=mask)
-    out_r, tr = _forward_trace(model, refs, mask_override=mask)
-    m_out = np.zeros_like(out_x)
-    m_out[:, head] = 1.0
-    mult = _multiplier_backward(model, tx, tr, m_out)
+    mask = _padding_mask(model, x_rep)
+    out_x, tx = _forward_trace(model, x_rep, mask)
+    out_r, tr = _forward_trace(model, refs, mask)
+    m_out = np.zeros((out_x.shape[0], 1, out_x.shape[1]))
+    m_out[..., head] = 1.0
+    mult = _multiplier_backward(model, tx, tr, m_out, axis_r=1)[:, 0]
     return mult * (x_rep - refs), out_r[:, head]
 
 
@@ -197,15 +210,27 @@ def deepshap_batch(model, xs, background, head: int = 0,
     phi = np.empty_like(ux)
     phi0 = np.empty(n)
     per_chunk = max(1, max_rows // nb)
-    for lo in range(0, n, per_chunk):
-        xb = ux[lo:lo + per_chunk]
-        c = xb.shape[0]
-        x_rep = np.repeat(xb, nb, axis=0)
-        r_rep = np.tile(refs, (c,) + (1,) * (refs.ndim - 1))
-        contrib, base = _pairs_attribution(model, x_rep, r_rep, head)
-        phi[lo:lo + c] = (weights @ contrib.reshape(c, nb, -1)).reshape(
-            xb.shape)
-        phi0[lo:lo + c] = base.reshape(c, nb) @ weights
+    masks = _padding_mask(model, ux)
+    if masks is None:
+        groups = [(None, np.arange(n))]
+    else:
+        patterns, which = np.unique(masks, axis=0, return_inverse=True)
+        groups = [(p[None], np.flatnonzero(which.reshape(-1) == k))
+                  for k, p in enumerate(patterns)]
+    for mask, rows in groups:
+        # the background pass depends only on the padding pattern
+        out_r, tr = _forward_trace(model, refs, mask)
+        phi0[rows] = out_r[:, head] @ weights
+        for lo in range(0, len(rows), per_chunk):
+            idx = rows[lo:lo + per_chunk]
+            xb = ux[idx]
+            out_x, tx = _forward_trace(model, xb, mask)
+            m_out = np.zeros((len(idx), nb, out_x.shape[1]))
+            m_out[..., head] = 1.0
+            mult = _multiplier_backward(model, tx, tr, m_out, axis_r=0)
+            contrib = mult * (xb[:, None] - refs[None])
+            phi[idx] = (weights @ contrib.reshape(len(idx), nb, -1)
+                        ).reshape(xb.shape)
     return phi[inverse], phi0[inverse]
 
 

@@ -65,6 +65,47 @@ class TestLstmStep:
                 h = o * np.tanh(c)
                 assert np.allclose(out[b, t], h, atol=1e-12)
 
+    def test_scalar_loop_oracle_with_mask(self):
+        # a masked round keeps the previous state and outputs zeros
+        rng = np.random.default_rng(8)
+        lstm = Lstm(5, 3, return_sequences=True, rng=rng)
+        x = rng.normal(size=(4, 6, 3))
+        mask = (rng.random((4, 6)) < 0.6).astype(float)
+        mask[:, 0] = 1.0  # an all-ones round next to mixed ones
+        out = lstm.forward(x, mask=mask)
+        w = lstm.weights
+        for b in range(4):
+            h = np.zeros(5)
+            c = np.zeros(5)
+            for t in range(6):
+                xt = x[b, t]
+                f = sigmoid(xt @ w["W_xf"] + h @ w["W_hf"] + w["b_f"])
+                i = sigmoid(xt @ w["W_xi"] + h @ w["W_hi"] + w["b_i"])
+                cc = np.tanh(xt @ w["W_xc"] + h @ w["W_hc"] + w["b_c"])
+                o = sigmoid(xt @ w["W_xo"] + h @ w["W_ho"] + w["b_o"])
+                if mask[b, t]:
+                    c = c * f + cc * i
+                    h = o * np.tanh(c)
+                assert np.allclose(out[b, t], mask[b, t] * h, atol=1e-12)
+
+    @pytest.mark.parametrize("seq", [True, False])
+    def test_all_ones_mask_is_no_mask(self, seq):
+        # an all-ones mask column is exactly an unmasked round, forward
+        # and backward, bit for bit
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(7, 5, 3))
+        dout = rng.normal(size=(7, 5, 4) if seq else (7, 4))
+        runs = []
+        for mask in (None, np.ones((7, 5))):
+            lstm = Lstm(4, 3, return_sequences=seq,
+                        rng=np.random.default_rng(2))
+            out = lstm.forward(x, mask=mask)
+            dx = lstm.backward(dout)
+            runs.append([out, dx] + [lstm.grads[k] for k in sorted(
+                lstm.grads)])
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)
+
     def test_final_output_mode(self):
         rng = np.random.default_rng(3)
         seq = Lstm(4, 2, return_sequences=True, rng=np.random.default_rng(3))
@@ -218,6 +259,35 @@ class TestGradients:
                 fd = (bce_loss(y, model.forward(xp))
                       - bce_loss(y, model.forward(xm))) / (2 * h)
                 assert abs(fd - dx[b, j]) < 1e-5
+
+
+class TestWeightWrites:
+    """The fused LSTM blocks are rebuilt from the registry on every pass,
+    so every write through the registry shows in the next forward."""
+
+    def test_set_weights_flat(self):
+        x = np.random.default_rng(3).integers(0, 2, (6, 4, 3)).astype(float)
+        model = build_model(tiny_recurrent_spec(), seed=1)
+        model.forward(x)
+        other = build_model(tiny_recurrent_spec(), seed=2)
+        model.set_weights_flat(other.weights_flat())
+        assert np.array_equal(model.forward(x), other.forward(x))
+
+    def test_adam_step(self):
+        rng = np.random.default_rng(4)
+        x = rng.integers(0, 2, (6, 4, 3)).astype(float)
+        y = rng.integers(0, 2, (6, 1)).astype(float)
+        model = build_model(tiny_recurrent_spec(), seed=1)
+        before = model.forward(x)
+        model.zero_grads()
+        model.backward(bce_loss_grad(y, before))
+        AdamState(lr=0.05).update(model.weights_flat(), model.grads_flat())
+        fresh = build_model(tiny_recurrent_spec(), seed=7)
+        fresh.set_weights_flat(
+            {k: v.copy() for k, v in model.weights_flat().items()})
+        after = model.forward(x)
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, fresh.forward(x))
 
 
 class TestAdam:

@@ -154,8 +154,8 @@ class TestDecoderWrapper:
 
     def test_drnn_head_selection(self, batch):
         model = build_model(drnn_spec(), seed=2)
-        z = NnDecoder(model, basis="Z", t_max=2)
-        x = NnDecoder(model, basis="X", t_max=2)
+        z = NnDecoder(model, basis="Z")
+        x = NnDecoder(model, basis="X")
         assert (z.head, x.head) == (0, 1)
         q = model.forward(rnn_inputs(batch.volumes, 2))
         assert np.array_equal(z.predict_flips_batch(batch),
@@ -163,9 +163,27 @@ class TestDecoderWrapper:
         assert np.array_equal(x.predict_flips_batch(batch),
                               (q[:, 1] > 0.5).astype(np.uint8))
 
+    def test_unpadded_rounds_match_padded_forward(self):
+        # a batch has one round count, so the recurrent decoder runs it
+        # unpadded; its outputs equal the width-8 padded forward bit for
+        # bit (trained-looking weights: the init ones, perturbed)
+        model = build_model(srnn_spec("Z"), seed=3)
+        rng = np.random.default_rng(5)
+        for w in model.weights_flat().values():
+            w += rng.normal(0.0, 0.3, w.shape)
+        dec = NnDecoder(model, basis="Z")
+        for t in range(1, 8):
+            vols = sample_memory_batch(steane_code(), NoiseModel(0.02),
+                                       T=t, basis="Z", shots=30,
+                                       seed=t).volumes
+            padded = model.forward(rnn_inputs(vols, t_max=8))
+            assert np.array_equal(model.forward(dec.inputs(vols)), padded)
+            assert np.array_equal(dec.predict_flips(vols),
+                                  (padded[:, 0] > 0.5).astype(np.uint8))
+
     def test_srnn_single_head(self, batch):
         model = build_model(srnn_spec("Z"), seed=3)
-        dec = NnDecoder(model, basis="Z", t_max=4)
+        dec = NnDecoder(model, basis="Z")
         flips = dec.predict_flips_batch(batch)
         assert flips.shape == (len(batch),)
 
@@ -248,6 +266,28 @@ class TestCli:
         bad.write_text("decoder: nosuch\n")
         r = self.run("eval", "--config", str(bad))
         assert r.exit_code == 1
+
+    def test_exponent_notation_rates(self, cfg_path, tmp_path):
+        # YAML 1.1 loads 5e-3 and 1e-3 as strings; both must still work
+        # and hash like the decimal spelling
+        text = open(cfg_path).read()
+        exp = tmp_path / "exp.yaml"
+        exp.write_text(text.replace("p_ph: 0.005", "p_ph: 5e-3")
+                       .replace("lr: 0.001", "lr: 1e-3"))
+        cfg = load_config(str(exp), {})
+        assert (cfg["p_ph"], cfg["train"]["lr"]) == (0.005, 0.001)
+        assert cfg["hash"] == load_config(cfg_path, {})["hash"]
+        for stage in ("gen-data", "train"):
+            r = self.run(stage, "--config", str(exp))
+            assert r.exit_code == 0, (stage, r.output)
+
+    @pytest.mark.parametrize("line", ["p_ph: often\n", "p_ph: 2.0\n",
+                                      "train: {lr: fast}\n"])
+    def test_bad_rate_exit_1(self, tmp_path, line):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(line)
+        r = self.run("gen-data", "--config", str(bad))
+        assert r.exit_code == 1, r.output
 
     def test_dnn2_other_rounds_exit_1(self, cfg_path):
         r = self.run("gen-data", "--config", cfg_path, "--rounds", "3")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from steanedec.nn import Model, NetworkSpec, build_model, dnn2_spec
+from steanedec.nn import Lstm, Model, NetworkSpec, build_model, dnn2_spec
 from steanedec.xai import (Game, deepshap, deepshap_batch, exact_shapley,
                            exact_shapley_batch, feature_exclusion_game, lrp,
                            lrp_conservation_sums,
@@ -27,13 +27,13 @@ def linear_model(beta, beta0=0.0):
     return m
 
 
-def small_recurrent_model(seed=0, units=5, input_dim=4):
+def small_recurrent_model(seed=0, units=5, input_dim=4, gate="sigmoid"):
     spec = NetworkSpec("small", input_dim, True, (
         {"kind": "masking", "mask_value": -1.0},
         {"kind": "lstm", "units": units, "input_dim": input_dim,
-         "return_sequences": True, "output_gate_activation": "sigmoid"},
+         "return_sequences": True, "output_gate_activation": gate},
         {"kind": "lstm", "units": units, "input_dim": units,
-         "return_sequences": False, "output_gate_activation": "sigmoid"},
+         "return_sequences": False, "output_gate_activation": gate},
         {"kind": "dense", "units": 8, "input_dim": units,
          "activation": "relu"},
         {"kind": "dropout", "rate": 0.2},
@@ -176,6 +176,14 @@ class TestDeepShap:
         res = relevance_conservation_check(model, xs, bg)
         assert np.max(res) < 1e-10
 
+    def test_sum_to_delta_recurrent_relu_output_gate(self):
+        model = small_recurrent_model(seed=12, gate="relu")
+        rng = np.random.default_rng(10)
+        xs, _ = padded_lengths(rng, 30, (5, 4), distinct=20)
+        bg = rng.integers(0, 2, size=(8, 5, 4)).astype(float)
+        res = relevance_conservation_check(model, xs, bg)
+        assert np.max(res) < 1e-10
+
     def test_sum_to_delta_dense(self):
         model = build_model(dnn2_spec(input_dim=6), seed=9)
         rng = np.random.default_rng(8)
@@ -276,6 +284,57 @@ class TestDeepShapDistinctRows:
                                        max_rows=5)
         assert np.max(np.abs(phi_b - phi)) < 1e-12
         assert np.max(np.abs(phi0_b - phi0)) < 1e-12
+
+
+def padded_lengths(rng, n, shape, distinct):
+    """``n`` sparse-bit rows of (T, d) ``shape`` from ``distinct``
+    patterns, each padded with -1 after a random length in 1..T."""
+    xs = repeated_bits(rng, n, shape, distinct)
+    lengths = rng.integers(1, shape[0] + 1, size=n)
+    xs[np.arange(shape[0])[None, :] >= lengths[:, None]] = -1.0
+    return xs, lengths
+
+
+class TestDeepShapBackgroundTrace:
+    """The background pass depends only on the padding pattern, so each
+    pattern traces the distinct background rows once and broadcasts them
+    against every chunk of its inputs."""
+
+    def test_background_traced_once_per_pattern(self, monkeypatch):
+        model = small_recurrent_model(seed=35)
+        first = model.layers[1]
+        rows = []
+        real_forward = Lstm.forward
+
+        def counting_forward(layer, x, *args, **kwargs):
+            if layer is first:
+                rows.append(x.shape[0])
+            return real_forward(layer, x, *args, **kwargs)
+
+        monkeypatch.setattr(Lstm, "forward", counting_forward)
+        rng = np.random.default_rng(20)
+        xs, lengths = padded_lengths(rng, 40, (5, 4), distinct=30)
+        bg = (rng.random((9, 5, 4)) < 0.3).astype(float)
+        nb = len(np.unique(bg.reshape(9, -1), axis=0))
+        n = len(np.unique(xs.reshape(40, -1), axis=0))
+        assert nb > 3
+        deepshap_batch(model, xs, bg, max_rows=3 * nb)
+        # one background pass of nb rows per pattern, never c * nb rows;
+        # every distinct input enters once, in chunks of at most 3
+        assert rows.count(nb) == len(np.unique(lengths))
+        inputs = [r for r in rows if r != nb]
+        assert max(inputs) <= 3 and sum(inputs) == n
+
+    def test_mixed_lengths_across_chunks_match_all_pairs(self):
+        model = small_recurrent_model(seed=37)
+        rng = np.random.default_rng(21)
+        xs, _ = padded_lengths(rng, 50, (6, 4), distinct=20)
+        bg, _ = padded_lengths(rng, 15, (6, 4), distinct=8)
+        phi, phi0 = deepshap_batch(model, xs, bg, max_rows=10)
+        ref_phi, ref_phi0 = all_pairs_deepshap(model, xs, bg)
+        assert np.max(np.abs(phi - ref_phi)) < 1e-12
+        assert np.max(np.abs(phi0 - ref_phi0)) < 1e-12
+        assert np.all(phi[xs == -1.0] == 0.0)
 
 
 class TestLrp:
