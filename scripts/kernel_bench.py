@@ -1,8 +1,16 @@
 #!/usr/bin/env python3
-"""Layer-by-layer timing of the recurrent decoder's hot kernels.
+"""Layer-by-layer timing of the simulator, the look-up-table decoder and
+the recurrent decoder's hot kernels.
 
 Prints one JSON line:
 
+  * ``sample_shots_per_s_t{T}_p{p_ph}``: shots per second of
+    `sample_memory_batch` drawing 100,000 shots of a T-round Z-basis
+    memory experiment, for T in {2, 8} and p_ph in {1e-3, 5e-3} (the
+    fault table is built before timing);
+  * ``lut_decodes_per_s_t8``: shots per second that
+    `SeqLutDecoder.predict_flips_batch` decodes, on the 100,000 shots of
+    T = 8 at p_ph = 5e-3;
   * ``lstm_forward_rows_steps_per_s`` / ``lstm_backward_rows_steps_per_s``:
     rows x rounds per second through the two LSTM layers of the srnn
     decoder (12 -> 36 -> 36 units) at T = 8, for batches of 64 rows (one
@@ -13,8 +21,8 @@ Prints one JSON line:
     sizes of the ``srnn-pipeline`` benchmark's explain stage).
 
 Each figure is the best of several repeats, so that a quiet moment of a
-shared machine is what is reported. Inputs are sparse random bits with a
-fixed seed. Run from the root of a checkout:
+shared machine is what is reported. Network inputs are sparse random
+bits with a fixed seed. Run from the root of a checkout:
 
     PYTHONPATH=src python3 scripts/kernel_bench.py
 """
@@ -25,10 +33,14 @@ import time
 import numpy as np
 
 from steanedec.nn import build_model, srnn_spec
+from steanedec.seqlut import SeqLutDecoder
+from steanedec.sim import NoiseModel, sample_memory_batch
+from steanedec.steane import steane_code
 from steanedec.xai import deepshap_batch
 
 T = 8
 REPEATS = 7
+SHOTS = 100_000
 
 
 def best_seconds(fn, calls: int) -> float:
@@ -64,10 +76,27 @@ def lstm_rates(model, rng, rows: int, calls: int) -> tuple[float, float]:
     return rows * T / fwd, rows * T / bwd
 
 
+def sampler_and_lut_rates() -> dict:
+    code = steane_code()
+    out = {}
+    for t in (2, 8):
+        for p_ph in (1e-3, 5e-3):
+            noise = NoiseModel(p_ph)
+            sample_memory_batch(code, noise, t, "Z", 1, seed=0)  # the table
+            sec = best_seconds(lambda: sample_memory_batch(
+                code, noise, t, "Z", SHOTS, seed=1), 1)
+            out[f"sample_shots_per_s_t{t}_p{p_ph:g}"] = round(SHOTS / sec)
+    batch = sample_memory_batch(code, NoiseModel(5e-3), T, "Z", SHOTS, seed=1)
+    decoder = SeqLutDecoder(code)
+    sec = best_seconds(lambda: decoder.predict_flips_batch(batch), 1)
+    out[f"lut_decodes_per_s_t{T}"] = round(SHOTS / sec)
+    return out
+
+
 def main():
     rng = np.random.default_rng(0)
     model = build_model(srnn_spec("Z"), seed=0)
-    out = {}
+    out = sampler_and_lut_rates()
     for rows, calls in ((64, 40), (1500, 3)):
         fwd, bwd = lstm_rates(model, rng, rows, calls)
         out[f"lstm_forward_rows_steps_per_s_b{rows}"] = round(fwd)

@@ -14,10 +14,11 @@ many frames at once. Everything else is built on it:
   outcomes, syndrome-increment/flag volume, final half syndrome and
   logical parity) is the XOR of the records of its single faults. The
   table holds one bit-packed row per location and fault, and
-  `sample_memory_batch` reduces Monte-Carlo sampling to draw, select
-  and XOR: each location draws one uniform per shot, the shots below
-  the fault probability pick their row, and the rows are XORed into
-  the shots' packed records, which are unpacked once at the end.
+  `sample_memory_batch` reduces Monte-Carlo sampling to two stages.
+  The draw stage (`_fault_events`) lists the faults of the batch as
+  (shot, table row) events; the apply stage (`_apply_fault_events`)
+  XORs the events' rows into the shots' packed records, which are
+  unpacked once at the end.
 
 Noise model (depolarizing circuit-level): after every two-qubit gate one
 of the 15 nontrivial two-qubit Paulis with probability p_ph/15 each;
@@ -25,10 +26,17 @@ initialization and measurement outcomes invert with probability 2/3 p_ph.
 Idling data qubits are not subjected to noise (`NoiseModel.one_q` is
 not used by any engine yet).
 
-Randomness is drawn from counter-based Philox streams keyed by
-(seed, location id), so sampling is reproducible, independent of the
-order in which locations are processed, and stable under growing the
-shot count.
+The draw stage sees the locations of each fault class (two-qubit gates
+at rate p_ph; preparations and measurements at 2/3 p_ph) as one
+shot-major grid of independent Bernoulli cells, at index
+``shot * locations + location``. It places the faulting cells with
+geometric gaps, so its work grows with the number of faults, not with
+shots x locations. The gaps of a class come from one counter-based
+Philox stream keyed by (seed, class), and the Pauli of the i-th
+two-qubit fault is draw i of a second stream of that class. Sampling
+is therefore reproducible, and stable under growing the shot count:
+the faults of the first n shots do not depend on how many shots
+follow.
 """
 
 from __future__ import annotations
@@ -108,10 +116,19 @@ _PX2 = np.array([PAULI_1Q[b][0] for a, b in TWO_QUBIT_PAULIS], dtype=np.int64)
 _PZ2 = np.array([PAULI_1Q[b][1] for a, b in TWO_QUBIT_PAULIS], dtype=np.int64)
 
 
-def _loc_rng(seed: int, loc: int) -> np.random.Generator:
+# fault classes of the draw stage (two-qubit gates; preparations and
+# measurements) and the two streams of each class (fault gaps; the
+# Pauli of each fault, read only where a location has several)
+_TWO_QUBIT, _SPAM = 0, 1
+_GAPS, _PAULIS = 0, 1
+
+
+def _class_rng(seed: int, cls: int, stream: int) -> np.random.Generator:
+    """The Philox stream ``stream`` of fault class ``cls``, keyed by
+    (seed, 2 cls + stream)."""
     # an explicit uint64 key: numpy converts a tuple key through float64,
     # which drops the low bits of seeds at or above 2**63
-    key = np.array([int(seed) % 2**64, loc], dtype=np.uint64)
+    key = np.array([int(seed) % 2**64, 2 * cls + stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -233,13 +250,15 @@ class _FaultTable:
     correction is not linear; ``flip_of_tail`` recovers the flip from
     the last 4 bits (syndrome | parity << 3).
 
-    ``locations`` lists (loc, first row, two-qubit gate?) in program
-    order. A two-qubit gate owns 15 rows in `TWO_QUBIT_PAULIS` order, a
-    preparation or measurement one row (its flip).
+    Rows follow the program order of the locations. A two-qubit gate owns
+    15 rows in `TWO_QUBIT_PAULIS` order, a preparation or measurement
+    one row (its flip). ``first_rows[cls]`` lists the first row of each
+    location of fault class ``cls`` (`_TWO_QUBIT`, `_SPAM`), in program
+    order.
     """
 
     rows: np.ndarray
-    locations: tuple[tuple[int, int, bool], ...]
+    first_rows: tuple[np.ndarray, np.ndarray]
     flip_of_tail: np.ndarray
 
 
@@ -290,65 +309,86 @@ def _build_fault_table(code: CodeDefinition, T: int,
     rows[first[~two_qubit]] = gens[first_gen[~two_qubit]]
     rows[first[two_qubit, None] + np.arange(15)] = paulis
     rows.setflags(write=False)
-    locations = tuple(zip((g.loc for g in program), first.tolist(),
-                          two_qubit.tolist()))
+    first_rows = (first[two_qubit], first[~two_qubit])
+    for a in first_rows:
+        a.setflags(write=False)
     tail = np.arange(16)
     flip_of_tail = ((tail >> 3) ^ corr_par[tail & 7]).astype(np.uint8)
     flip_of_tail.setflags(write=False)
-    return _FaultTable(rows, locations, flip_of_tail)
+    return _FaultTable(rows, first_rows, flip_of_tail)
 
 
-def _loc_streams(seed: int):
-    """Return ``draw(loc, u)``, which fills ``u`` with
-    ``_loc_rng(seed, loc).random(len(u))`` and returns it.
+def _fault_cells(rng: np.random.Generator, q: float,
+                 size: int) -> np.ndarray:
+    """The faulting cells, in increasing order, of a grid of ``size``
+    independent Bernoulli(``q``) cells.
 
-    Constructing a Philox generator (which first seeds a SeedSequence
-    from OS entropy) costs about as much as drawing two thousand
-    doubles from it, so one generator is re-keyed per location instead.
-    It starts as ``_loc_rng(seed, 0)`` and only the location word of its
-    key is replaced, so every seed converts to a key exactly as there.
+    The gaps between faulting cells are geometric; they are drawn from
+    ``rng`` in order, so the cells below any index do not depend on
+    ``size``.
     """
-    gen = _loc_rng(seed, 0)
-    bitgen = gen.bit_generator
-    state = bitgen.state  # fresh: zero counter, empty buffer
+    if q == 0.0 or size == 0:
+        return np.empty(0, dtype=np.int64)
+    parts = []
+    last = -1  # the last faulting cell so far
+    while True:
+        mean = (size - 1 - last) * q
+        gaps = rng.geometric(q, size=int(mean + 5 * mean ** 0.5 + 64))
+        # numpy returns 2**63 - 1 for a gap past the int64 range (tiny
+        # q), and two of those wrap the sum; a gap of size + 1 leaves the
+        # grid from any cell. Inversion gives a gap of 0 when its
+        # underlying draw is exactly 0, which would repeat a cell.
+        np.clip(gaps, 1, size + 1, out=gaps)
+        cells = np.cumsum(gaps, out=gaps)
+        cells += last
+        inside = int(np.searchsorted(cells, size))
+        parts.append(cells[:inside])
+        if inside < len(cells):
+            return np.concatenate(parts)
+        last = int(cells[-1])
 
-    def draw(loc: int, u: np.ndarray) -> np.ndarray:
-        state["state"]["key"][1] = loc
-        bitgen.state = state
-        return gen.random(out=u)
-    return draw
 
+def _fault_events(table: _FaultTable, noise: NoiseModel, shots: int,
+                  seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The draw stage of `sample_memory_batch`: every fault of ``shots``
+    shots as parallel arrays (shot, row of ``table``), the two-qubit
+    faults first, each class in shot-major order.
 
-def sample_memory_batch(code: CodeDefinition, noise: NoiseModel, T: int,
-                        basis: str, shots: int, seed: int) -> MemoryBatch:
-    """Sample `shots` memory experiments at once.
-
-    Each location draws one uniform per shot from its own stream; the
-    shots below the fault probability select a row of the fault table
-    (the Pauli from the same uniform at two-qubit gates), and the rows
-    are XORed into the shots' packed records.
-
-    m_in alternates 0/1 so each input state obtains an equal share of
-    samples; the label depends only on the accumulated errors.
+    The locations of a class form a grid of ``shots * L`` cells, cell
+    ``shot * L + location``, each faulting independently at the class
+    rate. A two-qubit fault takes its Pauli uniformly from the 15:
+    fault i gets draw i of the class's Pauli stream.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    table = _fault_table(code, T, basis)
+    shot_parts, row_parts = [], []
+    for cls, q in ((_TWO_QUBIT, noise.p_ph), (_SPAM, noise.spam_flip)):
+        first = table.first_rows[cls]
+        cells = _fault_cells(_class_rng(seed, cls, _GAPS), q,
+                             shots * len(first))
+        shot, loc = np.divmod(cells, len(first))
+        row = first[loc]
+        if cls == _TWO_QUBIT:
+            row += _class_rng(seed, cls, _PAULIS).integers(15, size=len(row))
+        shot_parts.append(shot)
+        row_parts.append(row)
+    return np.concatenate(shot_parts), np.concatenate(row_parts)
+
+
+def _apply_fault_events(table: _FaultTable, T: int, basis: str, shots: int,
+                        events: tuple[np.ndarray, np.ndarray],
+                        seed: int) -> MemoryBatch:
+    """The apply stage of `sample_memory_batch`: XOR the rows of the
+    (shot, row) ``events`` into the packed records of ``shots`` shots,
+    and unpack the records into a batch."""
     n = shots
-    p = noise.p_ph
-    spam = noise.spam_flip
+    shot, row = events
+    # XOR the rows of each shot's events together into its record
+    order = np.argsort(shot, kind="stable")
+    shot = shot[order]
+    starts = np.flatnonzero(np.diff(shot, prepend=-1))
     acc = np.zeros((n, table.rows.shape[1]), dtype=_WORD)
-    if p > 0.0:
-        draw = _loc_streams(seed)
-        u = np.empty(n)  # one buffer for every location's draws
-        for loc, first, two_qubit in table.locations:
-            draw(loc, u)
-            if not two_qubit:  # preparation or measurement flip
-                acc[np.flatnonzero(u < spam)] ^= table.rows[first]
-                continue
-            idx = np.flatnonzero(u < p)
-            acc[idx] ^= table.rows[first + np.minimum(
-                (u[idx] / noise.two_q).astype(np.int64), 14)]
+    if len(shot):
+        acc[shot[starts]] = np.bitwise_xor.reduceat(
+            table.rows[row[order]], starts, axis=0)
     volumes = np.empty((n, T, N_CHANNELS), dtype=np.uint8)
     prep_rows = np.empty((n, N_CHANNELS), dtype=np.uint8)
     tail = np.empty(n, dtype=np.uint8)
@@ -367,6 +407,24 @@ def sample_memory_batch(code: CodeDefinition, noise: NoiseModel, T: int,
                        m_out=m_in ^ table.flip_of_tail[tail],
                        final_syndrome=tail & 7, seed=seed,
                        prep_rows=prep_rows)
+
+
+def sample_memory_batch(code: CodeDefinition, noise: NoiseModel, T: int,
+                        basis: str, shots: int, seed: int) -> MemoryBatch:
+    """Sample `shots` memory experiments at once.
+
+    The draw stage (`_fault_events`) lists the faults of the batch as
+    (shot, fault-table row) events, and the apply stage
+    (`_apply_fault_events`) XORs their rows into the shots' records.
+
+    m_in alternates 0/1 so each input state obtains an equal share of
+    samples; the label depends only on the accumulated errors.
+    """
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    table = _fault_table(code, T, basis)
+    events = _fault_events(table, noise, shots, seed)
+    return _apply_fault_events(table, T, basis, shots, events, seed)
 
 
 def _fault_batch(code: CodeDefinition, faults: list[FaultInjection],

@@ -3,18 +3,19 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from naive_sim import naive_run
 from steanedec.circuits import (SZ, FaultInjection, Gate, build_qec_cycle,
                                 enumerate_single_faults)
 from steanedec.seqlut import SeqLutDecoder
-from steanedec.sim import (_PX1, _PX2, _PZ1, _PZ2, AlwaysFlipDecoder,
-                           IdentityDecoder, MemoryBatch, MemorySample,
-                           NoiseModel, _fault_batch, _fault_table,
-                           _loc_rng, _loc_streams, _run_frames,
-                           dep_failure_fraction, run_memory_experiment,
-                           run_with_fault, sample_memory_batch,
-                           single_fault_batch)
+from steanedec.sim import (_GAPS, _PAULIS, _PX1, _PX2, _PZ1, _PZ2, _SPAM,
+                           _TWO_QUBIT, AlwaysFlipDecoder, IdentityDecoder,
+                           MemoryBatch, MemorySample, NoiseModel,
+                           _class_rng, _fault_batch, _fault_cells,
+                           _fault_events, _fault_table, _run_frames, dep_failure_fraction,
+                           run_memory_experiment, run_with_fault,
+                           sample_memory_batch, single_fault_batch)
 from steanedec.steane import steane_code
 
 
@@ -131,43 +132,44 @@ class TestVectorizedEngine:
 
 def dense_sample_memory_batch(code, noise: NoiseModel, T: int, basis: str,
                               shots: int, seed: int) -> MemoryBatch:
-    """The per-gate sampler that the fault table replaced: every shot's
-    frame goes through every gate, and each location's faults are
-    applied to the frames right after it."""
+    """The per-gate reference of the apply stage: the faults that the
+    draw stage (`_fault_events`) lists are applied to every shot's frame
+    right after their gate, while the frames go through every gate."""
     if T < 1:
         raise ValueError("T must be >= 1")
     n = shots
-    p = noise.p_ph
-    spam = noise.spam_flip
+    program = build_qec_cycle(code, cycles=T, include_prep=True)
+    # fault-table rows in program order: 15 Paulis per two-qubit gate,
+    # one flip per preparation or measurement
+    row_fault = [(gate.loc, k) for gate in program
+                 for k in range(15 if gate.kind in ("cnot", "cz") else 1)]
+    shot, row = _fault_events(_fault_table(code, T, basis), noise, n, seed)
+    events: dict[int, tuple[list, list]] = {}
+    for s, r in zip(shot.tolist(), row.tolist()):
+        loc, k = row_fault[r]
+        events.setdefault(loc, ([], []))[0].append(s)
+        events[loc][1].append(k)
 
-    def sample_noise(gate: Gate, x: np.ndarray, z: np.ndarray):
-        if p == 0.0:
+    def apply_events(gate: Gate, x: np.ndarray, z: np.ndarray):
+        if gate.loc not in events:
             return 0
-        rng = _loc_rng(seed, gate.loc)
+        shots_hit, k = (np.array(a) for a in events[gate.loc])
         kind = gate.kind
         if kind in ("cnot", "cz"):
-            u = rng.random(n)
-            faulted = u < p
-            k = np.minimum((u / noise.two_q).astype(np.int64), 14)
-            k[~faulted] = 0
             q1, q2 = gate.qubits
-            xt = (_PX1[k] << q1) | (_PX2[k] << q2)
-            zt = (_PZ1[k] << q1) | (_PZ2[k] << q2)
-            x ^= np.where(faulted, xt, 0)
-            z ^= np.where(faulted, zt, 0)
+            np.bitwise_xor.at(x, shots_hit, (_PX1[k] << q1) | (_PX2[k] << q2))
+            np.bitwise_xor.at(z, shots_hit, (_PZ1[k] << q1) | (_PZ2[k] << q2))
         elif kind in ("prep_plus", "prep_zero"):
-            v = (rng.random(n) < spam).astype(np.int64) << gate.qubits[0]
-            if kind == "prep_plus":
-                z ^= v
-            else:
-                x ^= v
+            np.bitwise_xor.at(z if kind == "prep_plus" else x, shots_hit,
+                              1 << gate.qubits[0])
         else:  # measurement flip
-            return (rng.random(n) < spam).astype(np.uint8)
+            flips = np.zeros(n, dtype=np.uint8)
+            np.bitwise_xor.at(flips, shots_hit, 1)
+            return flips
         return 0
 
-    program = build_qec_cycle(code, cycles=T, include_prep=True)
     volumes, prep_rows, syn, flip = _run_frames(code, program, basis, n,
-                                                sample_noise)
+                                                apply_events)
     m_in = (np.arange(n) & 1).astype(np.uint8)
     return MemoryBatch(volumes=volumes, basis=basis, m_in=m_in,
                        m_out=m_in ^ flip,
@@ -181,7 +183,8 @@ class TestFaultTableSampler:
     @pytest.mark.parametrize("basis", ["Z", "X"])
     @pytest.mark.parametrize("T", [1, 2, 3, 4, 8, 12])
     def test_equals_dense_sampler(self, code, T, basis, p_ph, shots):
-        # p_ph = 0.2 stacks many faults per shot (GF(2) linearity);
+        # the same fault events applied by the fault table and gate by
+        # gate; p_ph = 0.2 stacks many faults per shot (GF(2) linearity);
         # T = 4 rows fill one word exactly, T = 12 rows span three
         seed = 1000 * T + shots + int(1e4 * p_ph)
         got = sample_memory_batch(code, NoiseModel(p_ph), T, basis, shots,
@@ -200,32 +203,146 @@ class TestFaultTableSampler:
         assert _fault_table(code, 8, "Z").rows.shape[1] == 2
         assert _fault_table(code, 12, "X").rows.shape[1] == 3
 
-    @pytest.mark.parametrize("seed", [0, 7, -1, 2**63 + 3])
-    def test_rekeyed_stream_equals_fresh_generator(self, seed):
-        draw = _loc_streams(seed)
-        for loc in (0, 1, 539, 5, 0):
-            assert np.array_equal(draw(loc, np.empty(37)),
-                                  _loc_rng(seed, loc).random(37))
+
+class TestFaultEvents:
+    """The draw stage against the noise model: independent Bernoulli
+    cells at the class rate, and uniform Paulis given a fault."""
+
+    T, SHOTS, P_PH = 3, 20_000, 0.02
+
+    @pytest.fixture(scope="class")
+    def draw(self, code):
+        table = _fault_table(code, self.T, "Z")
+        events = _fault_events(table, NoiseModel(self.P_PH), self.SHOTS,
+                               seed=5)
+        return table, events
+
+    @staticmethod
+    def class_events(table, events, cls):
+        """(shot, location index, Pauli) of the events of class ``cls``."""
+        shot, row = events
+        first = table.first_rows[cls]
+        width = 15 if cls == _TWO_QUBIT else 1
+        loc = np.maximum(np.searchsorted(first, row, side="right") - 1, 0)
+        mine = (row >= first[loc]) & (row < first[loc] + width)
+        return shot[mine], loc[mine], row[mine] - first[loc[mine]]
+
+    def test_events_are_distinct_cells(self, draw):
+        table, events = draw
+        total = 0
+        for cls in (_TWO_QUBIT, _SPAM):
+            shot, loc, _ = self.class_events(table, events, cls)
+            assert shot.min() >= 0 and shot.max() < self.SHOTS
+            cells = shot * len(table.first_rows[cls]) + loc
+            assert len(np.unique(cells)) == len(cells)
+            total += len(cells)
+        assert total == len(events[0])
+
+    @pytest.mark.parametrize("cls", [_TWO_QUBIT, _SPAM])
+    def test_class_total_is_binomial(self, draw, cls):
+        table, events = draw
+        noise = NoiseModel(self.P_PH)
+        q = noise.p_ph if cls == _TWO_QUBIT else noise.spam_flip
+        trials = self.SHOTS * len(table.first_rows[cls])
+        count = len(self.class_events(table, events, cls)[0])
+        assert stats.binomtest(count, trials, q).pvalue > 1e-3
+
+    @pytest.mark.parametrize("cls", [_TWO_QUBIT, _SPAM])
+    def test_location_counts_are_uniform(self, draw, cls):
+        # every location of a class faults at the same rate
+        table, events = draw
+        loc = self.class_events(table, events, cls)[1]
+        counts = np.bincount(loc, minlength=len(table.first_rows[cls]))
+        assert stats.chisquare(counts).pvalue > 1e-3
+
+    def test_shot_counts_are_uniform(self, draw):
+        # the grid is shot-major: late shots fault as often as early ones
+        table, (shot, _) = draw
+        counts = np.bincount(shot // 100, minlength=self.SHOTS // 100)
+        assert stats.chisquare(counts).pvalue > 1e-3
+
+    def test_paulis_are_uniform(self, draw):
+        table, events = draw
+        pauli = self.class_events(table, events, _TWO_QUBIT)[2]
+        assert stats.chisquare(np.bincount(pauli, minlength=15)).pvalue > 1e-3
+
+
+class TestFaultCells:
+    class EveryCell:
+        """Gaps of 1 whatever the rate, so that the grid takes many
+        blocks of draws."""
+
+        def geometric(self, q, size):
+            return np.ones(size, dtype=np.int64)
+
+    def test_blocks_continue_from_the_last_cell(self):
+        assert np.array_equal(_fault_cells(self.EveryCell(), 1e-3, 1000),
+                              np.arange(1000))
+
+    @pytest.mark.parametrize("q", [1e-3, 0.2, 0.9])
+    def test_cells_are_the_partial_sums_of_the_gaps(self, q):
+        got = _fault_cells(_class_rng(4, _SPAM, _GAPS), q, 5000)
+        cells = np.cumsum(_class_rng(4, _SPAM, _GAPS).geometric(q, 10_000))
+        assert np.array_equal(got, cells[cells <= 5000] - 1)
+
+
+class TestRateExtremes:
+    @pytest.mark.parametrize("p_ph", [1e-300, 5e-324])
+    def test_tiny_rates_sample_no_faults(self, code, p_ph):
+        # numpy's geometric gap saturates at 2**63 - 1 for these rates
+        noise = NoiseModel(p_ph)
+        shot, row = _fault_events(_fault_table(code, 8, "Z"), noise,
+                                  100_000, seed=3)
+        assert len(shot) == 0
+        batch = sample_memory_batch(code, noise, 8, "Z", 1000, seed=3)
+        assert not batch.volumes.any() and not batch.m_L.any()
+
+    def test_near_one_rate_is_prefix_stable_and_reproducible(self, code):
+        # q >= 1/3 takes numpy's search branch of `geometric`
+        noise = NoiseModel(0.999)
+        small = sample_memory_batch(code, noise, 3, "X", 40, seed=8)
+        big = sample_memory_batch(code, noise, 3, "X", 100, seed=8)
+        again = sample_memory_batch(code, noise, 3, "X", 100, seed=8)
+        for name in ("volumes", "prep_rows", "m_out", "final_syndrome"):
+            assert np.array_equal(getattr(big, name)[:40],
+                                  getattr(small, name)), name
+            assert np.array_equal(getattr(big, name),
+                                  getattr(again, name)), name
+        table = _fault_table(code, 3, "X")
+        shot, row = _fault_events(table, noise, 100, seed=8)
+        cells = 100 * sum(len(f) for f in table.first_rows)
+        assert 0.6 * cells < len(shot) < cells
 
 
 class TestLocationKeys:
+    """Key words of the draw stage's Philox streams."""
+
     @pytest.mark.parametrize("seed,word", [(0, 0), (7, 7), (np.int64(7), 7),
                                            (-1, 2**64 - 1),
                                            (2**63 - 1, 2**63 - 1),
                                            (2**63 + 3, 2**63 + 3)])
     def test_key_words(self, seed, word):
-        key = _loc_rng(seed, 17).bit_generator.state["state"]["key"]
-        assert key.tolist() == [word, 17]
+        key = _class_rng(seed, _SPAM, _PAULIS).bit_generator.state[
+            "state"]["key"]
+        assert key.tolist() == [word, 3]
 
     def test_seeds_above_2_63_draw_distinct_streams(self):
-        assert not np.array_equal(_loc_rng(2**63 + 3, 5).random(8),
-                                  _loc_rng(2**63 + 4, 5).random(8))
+        assert not np.array_equal(
+            _class_rng(2**63 + 3, _TWO_QUBIT, _GAPS).random(8),
+            _class_rng(2**63 + 4, _TWO_QUBIT, _GAPS).random(8))
 
     def test_largest_seed_converts_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            key = _loc_rng(2**64 - 1, 5).bit_generator.state["state"]["key"]
-        assert key.tolist() == [2**64 - 1, 5]
+            key = _class_rng(2**64 - 1, _SPAM, _GAPS).bit_generator.state[
+                "state"]["key"]
+        assert key.tolist() == [2**64 - 1, 2]
+
+    def test_class_streams_have_distinct_keys(self):
+        keys = {tuple(_class_rng(11, cls, stream).bit_generator.state[
+                    "state"]["key"].tolist())
+                for cls in (_TWO_QUBIT, _SPAM) for stream in (_GAPS, _PAULIS)}
+        assert len(keys) == 4
 
 
 class TestDep:
