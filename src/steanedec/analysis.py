@@ -10,8 +10,8 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import curve_fit
 
-from .circuits import ANC, FX, FZ, SX, SZ
-from .sim import (MemoryBatch, NoiseModel, sample_memory_batch,
+from .circuits import ANC, FX, FZ, SX, SZ, FaultInjection, build_qec_cycle
+from .sim import (MemoryBatch, NoiseModel, _fault_batch, sample_memory_batch,
                   single_fault_batch)
 from .steane import CodeDefinition
 
@@ -212,9 +212,6 @@ def derive_hook_signatures(code: CodeDefinition, basis: str) -> HookSignatureSet
     """Derive the dangerous flag/syndrome channel pairings by injecting the
     weight-two hook class into each plaquette readout and recording which
     flag and which later syndrome increment it raises."""
-    from .circuits import FaultInjection, build_qec_cycle
-    from .sim import _fault_batch
-
     ptype = "X" if basis == "Z" else "Z"
     flag_family = FX if ptype == "X" else FZ
     syn_family = SZ if ptype == "X" else SX

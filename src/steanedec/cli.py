@@ -52,7 +52,28 @@ def fail(code: int, msg: str):
     sys.exit(code)
 
 
+# sizes that must be positive integers, by config section
+POSITIVE_SIZES = {
+    "shots": ("train", "val", "test"),
+    "train": ("epochs", "batch_size"),
+    "eval": ("shots_per_point",),
+    "explain": ("background", "samples"),
+}
+
+
+def _merge(cfg, updates):
+    """Apply ``updates`` to ``cfg``; a mapping updates a section key by
+    key."""
+    for k, v in updates.items():
+        if isinstance(v, dict) and isinstance(cfg.get(k), dict):
+            cfg[k].update(v)
+        else:
+            cfg[k] = v
+
+
 def load_config(path, overrides) -> dict:
+    """Defaults, then the YAML file at ``path``, then the non-None
+    ``overrides``; validated, with the hash of the result in ``hash``."""
     cfg = {k: (dict(v) if isinstance(v, dict) else v)
            for k, v in DEFAULTS.items()}
     if path is not None:
@@ -65,14 +86,8 @@ def load_config(path, overrides) -> dict:
             fail(1, f"config parse error: {exc}")
         if not isinstance(user, dict):
             fail(1, "config must be a mapping")
-        for k, v in user.items():
-            if isinstance(v, dict) and isinstance(cfg.get(k), dict):
-                cfg[k].update(v)
-            else:
-                cfg[k] = v
-    for k, v in overrides.items():
-        if v is not None:
-            cfg[k] = v
+        _merge(cfg, user)
+    _merge(cfg, {k: v for k, v in overrides.items() if v is not None})
     if cfg["decoder"] not in VALID_DECODERS:
         fail(1, f"unknown decoder {cfg['decoder']!r}")
     if not isinstance(cfg["rounds"], int) or cfg["rounds"] < 1:
@@ -83,6 +98,13 @@ def load_config(path, overrides) -> dict:
     if not isinstance(cfg["seed"], int) or cfg["seed"] < 0:
         # dataset stream keys are derived from it by SeedSequence
         fail(1, "seed must be a non-negative integer")
+    for section, keys in POSITIVE_SIZES.items():
+        if not isinstance(cfg[section], dict):
+            fail(1, f"{section} must be a mapping")
+        for key in keys:
+            v = cfg[section].get(key)
+            if not isinstance(v, int) or v < 1:
+                fail(1, f"{section}.{key} must be a positive integer")
     # YAML 1.1 reads exponent floats without a dot (5e-3) as strings
     try:
         cfg["pph_sweep"] = [float(p) for p in cfg["pph_sweep"]]
@@ -222,12 +244,9 @@ def build_cfg(config_path, seed, out, decoder, shots, pph, rounds) -> dict:
                  "rounds": rounds}
     if pph is not None:
         overrides["pph_sweep"] = pph.split(",")
-    cfg = load_config(config_path, overrides)
     if shots is not None:
-        cfg["shots"]["train"] = shots
-        cfg["hash"] = config_hash({k: v for k, v in sorted(cfg.items())
-                                   if k != "hash"})
-    return cfg
+        overrides["shots"] = {"train": shots}
+    return load_config(config_path, overrides)
 
 
 @click.group()

@@ -29,11 +29,14 @@ def glorot_uniform(rng, fan_in, fan_out, shape=None):
 
 class Layer:
     """Common parameter bookkeeping: subclasses register tensors in
-    self.weights (name -> array) and matching self.grads."""
+    self.weights (name -> array) and matching self.grads. A layer that
+    caches its forward pass puts a new dict in self.cache on every call,
+    so a reference to one call's cache stays valid."""
 
     def __init__(self):
         self.weights: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
+        self.cache = None
 
     def _register(self, name: str, value: np.ndarray):
         self.weights[name] = value
@@ -57,12 +60,23 @@ class Masking(Layer):
     def __init__(self, mask_value: float = -1.0):
         super().__init__()
         self.mask_value = mask_value
-        self.mask = None
 
-    def forward(self, x, train=False, rng=None):
-        self.mask = (~np.all(x == self.mask_value, axis=2)).astype(float)
+    def padding(self, x):
+        """(rows, T) float mask of the non-padded rounds of ``x``."""
+        return (~np.all(x == self.mask_value, axis=2)).astype(float)
+
+    @property
+    def mask(self):
+        """The mask of the last ``forward``."""
+        return self.cache["mask"]
+
+    def forward(self, x, mask=None, train=False, rng=None):
+        """``mask``, when given, replaces the padding mask of ``x``."""
+        if mask is None:
+            mask = self.padding(x)
+        self.cache = dict(mask=mask)
         # padded rounds carry no information downstream
-        return x * self.mask[:, :, None]
+        return x * mask[:, :, None]
 
     def backward(self, dout):
         return dout * self.mask[:, :, None]
@@ -97,7 +111,6 @@ class Lstm(Layer):
             if g == "f":
                 bias += 1.0  # open forget gate at init
             self._register(f"b_{g}", bias)
-        self.cache = None
 
     def fused(self):
         """The registry concatenated in FUSED order: W_x (d, 4n),
@@ -239,7 +252,6 @@ class Dense(Layer):
         rng = rng or np.random.default_rng(0)
         self._register("W", glorot_uniform(rng, input_dim, units))
         self._register("b", np.zeros(units))
-        self.cache = None
 
     def forward(self, x, train=False, rng=None):
         z = x @ self.weights["W"] + self.weights["b"]

@@ -126,17 +126,20 @@ class Model:
             else:
                 raise ValueError(f"unknown layer kind {kind!r}")
 
-    def forward(self, x, train: bool = False, rng=None) -> np.ndarray:
+    def forward(self, x, train: bool = False, rng=None,
+                mask=None) -> np.ndarray:
+        """Run the layers in order. ``mask``, when given, replaces the
+        padding mask the masking layer computes from ``x``."""
         x = np.asarray(x, dtype=float)
-        mask = None
+        cur = None
         for layer in self.layers:
             if isinstance(layer, Masking):
-                x = layer.forward(x)
-                mask = layer.mask
+                x = layer.forward(x, mask=mask)
+                cur = layer.mask
             elif isinstance(layer, Lstm):
-                x = layer.forward(x, mask=mask, train=train, rng=rng)
+                x = layer.forward(x, mask=cur, train=train, rng=rng)
                 if not layer.return_sequences:
-                    mask = None
+                    cur = None
             else:
                 x = layer.forward(x, train=train, rng=rng)
         return x

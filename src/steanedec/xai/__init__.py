@@ -1,16 +1,13 @@
-"""Attribution engine: exact Shapley values for small games, multiplier
-backpropagation through the network stack, and the LRP rule family for
-dense networks."""
+"""Attribution engine: exact Shapley values for small games and
+multiplier backpropagation (DeepSHAP) through the network stack."""
 
 from .shapley import (Game, exact_shapley, exact_shapley_batch,
                       feature_exclusion_game)
 from .deepshap import (Attribution, deepshap, deepshap_batch,
                        relevance_conservation_check)
-from .lrp import lrp, lrp_conservation_sums
 
 __all__ = [
     "Game", "exact_shapley", "exact_shapley_batch", "feature_exclusion_game",
     "Attribution", "deepshap", "deepshap_batch",
     "relevance_conservation_check",
-    "lrp", "lrp_conservation_sums",
 ]

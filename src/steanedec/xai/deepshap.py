@@ -2,10 +2,12 @@
 
 Each attribution compares a forward pass on the input with one on a
 background sample and pushes finite-difference multipliers back through
-the stack: the linear rule on affine ops, the rescale rule Delta-out /
-Delta-in on sigmoids, tanh and relu, and a symmetric bilinear rule on
-elementwise products (for y = u*v the multipliers are m_u = (v+vbar)/2
-and m_v = (u+ubar)/2, which makes the decomposition of Delta-y exact).
+the stack. Both passes are ordinary ``Model.forward`` calls; the caches
+they leave on the layers are the traces the multipliers read. The rules
+are the linear rule on affine ops, the rescale rule Delta-out / Delta-in
+on sigmoids, tanh and relu, and a symmetric bilinear rule on elementwise
+products (for y = u*v the multipliers are m_u = (v+vbar)/2 and
+m_v = (u+ubar)/2, which makes the decomposition of Delta-y exact).
 Averaging over the background gives per-input-bit scores whose sum
 equals f(x) minus the mean background output.
 
@@ -17,13 +19,14 @@ occurs. Both give the same values as the all-pairs average, up to float
 summation order.
 
 When a round is padded on the input side, the background pass is forced
-onto the same padding mask so the gating stays an affine op; padded
-rounds then receive exactly zero attribution. The background pass
-therefore depends only on the padding pattern: the distinct inputs are
-grouped by pattern, the distinct background rows are traced once per
-pattern, each chunk of inputs is traced once, and the multipliers of
-every (input, background) pair are formed on a (inputs, background, ..)
-grid by broadcasting the two traces against each other.
+onto the same padding mask (the ``mask`` argument of ``Model.forward``)
+so the gating stays an affine op; padded rounds then receive exactly
+zero attribution. The background pass therefore depends only on the
+padding pattern: the distinct inputs are grouped by pattern, the
+distinct background rows are traced once per pattern, each chunk of
+inputs is traced once, and the multipliers of every (input, background)
+pair are formed on a (inputs, background, ..) grid by broadcasting the
+two traces against each other.
 """
 
 from __future__ import annotations
@@ -54,39 +57,21 @@ def _rescale(d_out, d_in, local):
     return np.where(tiny, local, d_out / (d_in + tiny))
 
 
-def _padding_mask(model, x):
-    """(rows, T) float mask of the non-padded rounds of ``x``, or None for
-    a network without a masking layer."""
+def _padding(model, x):
+    """The masking layer's padding mask of ``x``, or None for a network
+    without one."""
     for layer in model.layers:
         if isinstance(layer, Masking):
-            return (~np.all(x == layer.mask_value, axis=2)).astype(float)
+            return layer.padding(x)
     return None
 
 
 def _forward_trace(model, x, mask):
-    """Forward pass collecting per-layer caches, with the masking layer
-    set to ``mask`` so that two passes share one padding pattern."""
-    traces = []
-    cur_mask = None
-    for layer in model.layers:
-        if isinstance(layer, Masking):
-            x = x * mask[:, :, None]
-            cur_mask = mask
-            traces.append(("masking", {"mask": mask}))
-        elif isinstance(layer, Lstm):
-            x = layer.forward(x, mask=cur_mask)
-            traces.append(("lstm", dict(layer.cache)))
-            if not layer.return_sequences:
-                cur_mask = None
-        elif isinstance(layer, Dense):
-            x = layer.forward(x)
-            traces.append(("dense", dict(layer.cache)))
-        elif isinstance(layer, Dropout):
-            traces.append(("dropout", {}))
-        else:
-            raise ValueError(
-                f"unsupported layer {type(layer).__name__}")
-    return x, traces
+    """``model.forward`` with the padding mask forced to ``mask``, so that
+    two passes share one padding pattern, and the caches it leaves on
+    the layers."""
+    out = model.forward(x, mask=mask)
+    return out, [layer.cache for layer in model.layers]
 
 
 def _dense_local(layer, cache):
@@ -168,25 +153,25 @@ def _multiplier_backward(model, traces_x, traces_r, m_out, axis_r):
         return np.expand_dims(a, axis_r)
 
     m = m_out
-    for layer, (kind, cx), (_, cr) in zip(reversed(model.layers),
-                                          reversed(traces_x),
-                                          reversed(traces_r)):
-        if kind == "masking":
+    for layer, cx, cr in zip(reversed(model.layers), reversed(traces_x),
+                             reversed(traces_r)):
+        if isinstance(layer, Masking):
             m = m * lx(cx["mask"])[..., None]
-        elif kind == "dense":
+        elif isinstance(layer, Dense):
             mz = m * _rescale(lx(cx["a"]) - lr(cr["a"]),
                               lx(cx["z"]) - lr(cr["z"]),
                               lx(_dense_local(layer, cx)))
             m = _matmul(mz, layer.weights["W"].T)
-        elif kind == "lstm":
+        elif isinstance(layer, Lstm):
             m = _lstm_multipliers(layer, cx, cr, m, lx, lr)
-        # dropout in eval mode is the identity
+        elif not isinstance(layer, Dropout):  # eval-mode dropout: identity
+            raise ValueError(f"unsupported layer {type(layer).__name__}")
     return m
 
 
 def _pairs_attribution(model, x_rep, refs, head):
     """Multipliers for aligned (input, background) row pairs."""
-    mask = _padding_mask(model, x_rep)
+    mask = _padding(model, x_rep)
     out_x, tx = _forward_trace(model, x_rep, mask)
     out_r, tr = _forward_trace(model, refs, mask)
     m_out = np.zeros((out_x.shape[0], 1, out_x.shape[1]))
@@ -210,7 +195,7 @@ def deepshap_batch(model, xs, background, head: int = 0,
     phi = np.empty_like(ux)
     phi0 = np.empty(n)
     per_chunk = max(1, max_rows // nb)
-    masks = _padding_mask(model, ux)
+    masks = _padding(model, ux)
     if masks is None:
         groups = [(None, np.arange(n))]
     else:

@@ -175,6 +175,29 @@ class TestMasking:
             [x[:, :2], np.full((3, 1, 3), -1.0), x[:, 2:]], axis=1)
         assert np.allclose(model.forward(x), model.forward(x_gap), atol=1e-12)
 
+    def test_forced_own_mask_is_identity(self):
+        model = build_model(tiny_recurrent_spec(), seed=13)
+        rng = np.random.default_rng(4)
+        x = rng.integers(0, 2, size=(8, 5, 3)).astype(float)
+        x[np.arange(5)[None, :] >= rng.integers(1, 6, size=8)[:, None]] = -1.0
+        x[2, 1] = -1.0  # an interior padded round
+        mask = model.layers[0].padding(x)
+        assert 0.0 < mask.mean() < 1.0
+        assert np.array_equal(model.forward(x, mask=mask), model.forward(x))
+
+    def test_forced_pattern_equals_padded_input(self):
+        # one (1, T) pattern forced onto unpadded rows, as DeepSHAP does
+        # for a background pass
+        model = build_model(tiny_recurrent_spec(), seed=14)
+        rng = np.random.default_rng(5)
+        x = rng.integers(0, 2, size=(6, 5, 3)).astype(float)
+        pattern = np.array([[1.0, 0.0, 1.0, 1.0, 0.0]])
+        x_pad = x.copy()
+        x_pad[:, pattern[0] == 0.0] = -1.0
+        assert np.array_equal(model.forward(x, mask=pattern),
+                              model.forward(x_pad))
+        assert not np.allclose(model.forward(x), model.forward(x_pad))
+
 
 class TestGradients:
     def fd_check(self, model, x, y, h=1e-5, tol=1e-4):

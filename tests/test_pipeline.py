@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from steanedec import dataset as dsmod
-from steanedec.cli import dataset_plan, load_config, main
+from steanedec.cli import build_cfg, dataset_plan, load_config, main
 from steanedec.decoders import DNN2_CHANNELS, NnDecoder, dnn2_inputs, \
     rnn_inputs
 from steanedec.nn import build_model, dnn2_spec, drnn_spec, srnn_spec
@@ -288,6 +288,35 @@ class TestCli:
         bad.write_text(line)
         r = self.run("gen-data", "--config", str(bad))
         assert r.exit_code == 1, r.output
+
+    @pytest.mark.parametrize("value", [0, -5, 2.5])
+    @pytest.mark.parametrize("field", [
+        "shots.train", "shots.val", "shots.test", "train.epochs",
+        "train.batch_size", "eval.shots_per_point", "explain.background",
+        "explain.samples"])
+    def test_non_positive_size_exit_1(self, tmp_path, field, value):
+        section, key = field.split(".")
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(f"{section}: {{{key}: {value}}}\n")
+        r = self.run("gen-data", "--config", str(bad))
+        assert r.exit_code == 1, r.output
+        assert field in r.output
+
+    def test_zero_shots_flag_exit_1(self, cfg_path):
+        r = self.run("gen-data", "--config", cfg_path, "--shots", "0")
+        assert r.exit_code == 1, r.output
+        assert "shots.train" in r.output
+
+    def test_shots_flag_hashes_like_config_file(self, cfg_path, tmp_path):
+        text = open(cfg_path).read()
+        edited = tmp_path / "edited.yaml"
+        edited.write_text(text.replace("train: 3000", "train: 1234"))
+        from_file = load_config(str(edited), {})
+        from_flag = build_cfg(cfg_path, seed=None, out=None, decoder=None,
+                              shots=1234, pph=None, rounds=None)
+        assert from_flag["shots"] == from_file["shots"]
+        assert from_flag["hash"] == from_file["hash"]
+        assert from_flag["hash"] != load_config(cfg_path, {})["hash"]
 
     def test_dnn2_other_rounds_exit_1(self, cfg_path):
         r = self.run("gen-data", "--config", cfg_path, "--rounds", "3")

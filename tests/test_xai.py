@@ -1,7 +1,7 @@
 """Tests for the attribution engine: exact Shapley values against the
 defining axioms and hand-worked games, multiplier backpropagation
-against the exact values and its conservation property, and the LRP
-rule family on dense stacks."""
+against the exact values and its conservation property, and the
+forward traces it reads from ``Model.forward``."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from steanedec.nn import Lstm, Model, NetworkSpec, build_model, dnn2_spec
 from steanedec.xai import (Game, deepshap, deepshap_batch, exact_shapley,
-                           exact_shapley_batch, feature_exclusion_game, lrp,
-                           lrp_conservation_sums,
+                           exact_shapley_batch, feature_exclusion_game,
                            relevance_conservation_check)
 from steanedec.xai.deepshap import _pairs_attribution
 
@@ -336,64 +335,3 @@ class TestDeepShapBackgroundTrace:
         assert np.max(np.abs(phi0 - ref_phi0)) < 1e-12
         assert np.all(phi[xs == -1.0] == 0.0)
 
-
-class TestLrp:
-    def test_hand_worked_single_layer(self):
-        model = linear_model(np.array([1.0, 3.0]))
-        rel = lrp(model, np.array([[1.0, 1.0]]), rule="lrp-0",
-                  normalize=True)
-        assert np.allclose(rel, [[0.25, 0.75]])
-
-    def test_output_initialization(self):
-        model = linear_model(np.array([1.0, 3.0]))
-        rel = lrp(model, np.array([[1.0, 1.0]]), rule="lrp-0")
-        # relevance starts at f(x) = 4
-        assert np.allclose(rel, [[1.0, 3.0]])
-
-    def test_alpha_beta_ignores_negative_weights(self):
-        model = linear_model(np.array([2.0, -5.0]))
-        rel = lrp(model, np.array([[1.0, 1.0]]), rule="lrp-ab",
-                  alpha=1.0, beta=0.0, normalize=True)
-        assert rel[0, 1] == 0.0
-        assert rel[0, 0] > 0.0
-
-    def test_conservation_lrp0_zero_bias(self):
-        model = build_model(dnn2_spec(input_dim=6), seed=19)
-        for layer in model.layers:
-            if "b" in layer.weights:
-                layer.weights["b"][:] = 0.0
-        rng = np.random.default_rng(12)
-        x = rng.normal(size=(9, 6))
-        sums = lrp_conservation_sums(model, x, rule="lrp-0")
-        for row in sums[1:]:
-            assert np.max(np.abs(row - sums[0])) < 1e-9
-
-    def test_eps_not_conserved(self):
-        model = build_model(dnn2_spec(input_dim=6), seed=19)
-        rng = np.random.default_rng(13)
-        x = rng.normal(size=(5, 6))
-        sums = lrp_conservation_sums(model, x, rule="lrp-eps", eps=0.05)
-        assert np.max(np.abs(sums[-1] - sums[0])) > 1e-6
-
-    def test_pixel_bounds_scores_zero_inputs(self):
-        model = build_model(dnn2_spec(input_dim=6), seed=21)
-        x = np.zeros((1, 6))
-        x[0, 2] = 1.0
-        plain = lrp(model, x, rule="lrp-eps")
-        bounded = lrp(model, x, rule="lrp-ab", input_rule="pixel-bounds")
-        # proportional redistribution leaves zero inputs at zero
-        assert np.allclose(np.delete(plain[0], 2), 0.0)
-        assert np.any(np.delete(bounded[0], 2) != 0.0)
-
-    def test_squared_weights_rule_runs(self):
-        model = build_model(dnn2_spec(input_dim=6), seed=23)
-        rng = np.random.default_rng(14)
-        x = rng.normal(size=(3, 6))
-        rel = lrp(model, x, rule="lrp-gamma", input_rule="squared-weights")
-        assert rel.shape == (3, 6)
-        assert np.all(np.isfinite(rel))
-
-    def test_rejects_recurrent(self):
-        model = small_recurrent_model()
-        with pytest.raises(ValueError):
-            lrp(model, np.zeros((1, 3, 4)))
