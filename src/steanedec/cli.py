@@ -61,6 +61,11 @@ POSITIVE_SIZES = {
 }
 
 
+def _is_int(v) -> bool:
+    # YAML's true/false load as bool, which is an int subclass
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _merge(cfg, updates):
     """Apply ``updates`` to ``cfg``; a mapping updates a section key by
     key."""
@@ -90,12 +95,12 @@ def load_config(path, overrides) -> dict:
     _merge(cfg, {k: v for k, v in overrides.items() if v is not None})
     if cfg["decoder"] not in VALID_DECODERS:
         fail(1, f"unknown decoder {cfg['decoder']!r}")
-    if not isinstance(cfg["rounds"], int) or cfg["rounds"] < 1:
+    if not _is_int(cfg["rounds"]) or cfg["rounds"] < 1:
         fail(1, "rounds must be a positive integer")
     if cfg["decoder"] == "dnn2" and cfg["rounds"] != 2:
         # dnn2_spec's input is 2 rounds x 6 channels
         fail(1, "decoder dnn2 is fixed at rounds: 2")
-    if not isinstance(cfg["seed"], int) or cfg["seed"] < 0:
+    if not _is_int(cfg["seed"]) or cfg["seed"] < 0:
         # dataset stream keys are derived from it by SeedSequence
         fail(1, "seed must be a non-negative integer")
     for section, keys in POSITIVE_SIZES.items():
@@ -103,13 +108,15 @@ def load_config(path, overrides) -> dict:
             fail(1, f"{section} must be a mapping")
         for key in keys:
             v = cfg[section].get(key)
-            if not isinstance(v, int) or v < 1:
+            if not _is_int(v) or v < 1:
                 fail(1, f"{section}.{key} must be a positive integer")
     # YAML 1.1 reads exponent floats without a dot (5e-3) as strings
     try:
         cfg["pph_sweep"] = [float(p) for p in cfg["pph_sweep"]]
     except (TypeError, ValueError):
         fail(1, "pph_sweep must be a list of error rates")
+    if not cfg["pph_sweep"]:
+        fail(1, "pph_sweep must name at least one error rate")
     if any(not 0 <= p < 1 for p in cfg["pph_sweep"]):
         fail(1, "pph_sweep rates must lie in [0, 1)")
     try:
@@ -185,31 +192,37 @@ def checkpoint_dir(cfg) -> str:
     return os.path.join(cfg["out"], "checkpoints", cfg["decoder"])
 
 
-def latest_checkpoint(cfg):
+def checkpoint_paths(cfg) -> list[str]:
+    """The run's epoch checkpoints in epoch order; exit 2 if none."""
     d = checkpoint_dir(cfg)
-    if not os.path.isdir(d):
+    names = sorted(os.listdir(d)) if os.path.isdir(d) else []
+    paths = [os.path.join(d, n) for n in names if n.endswith(".ckpt")]
+    if not paths:
         fail(2, f"no checkpoints under {d}; run train first")
-    names = sorted(n for n in os.listdir(d) if n.endswith(".ckpt"))
-    if not names:
-        fail(2, f"no checkpoints under {d}; run train first")
-    return os.path.join(d, names[-1])
+    return paths
 
 
 def checkpoint_decoder(cfg, path: str, basis: str):
     """(epoch, NnDecoder) of the network checkpoint at ``path``."""
-    ckpt = load_checkpoint(path)
-    if ckpt.config_hash != cfg["hash"]:
-        fail(1, f"config hash mismatch between config and checkpoint {path}")
-    model = build_model(spec_by_id(cfg["decoder"]), seed=cfg["seed"])
-    model.set_weights_flat({k: v for k, v in ckpt.weights.items()
-                            if not k.startswith("adam.")})
+    try:
+        ckpt = load_checkpoint(path)
+        if ckpt.config_hash != cfg["hash"]:
+            fail(1, "config hash mismatch between config and checkpoint "
+                 f"{path}")
+        model = build_model(spec_by_id(cfg["decoder"]), seed=cfg["seed"])
+        model.set_weights_flat({k: v for k, v in ckpt.weights.items()
+                                if not k.startswith("adam.")})
+    except ValueError as exc:
+        # a truncated file, or tensors of another network layout
+        fail(1, f"cannot load checkpoint {path} into the {cfg['decoder']} "
+             f"network: {exc}")
     return ckpt.epoch, NnDecoder(model, basis=basis)
 
 
 def load_decoder(cfg, basis: str):
     if cfg["decoder"] == "lut":
         return SeqLutDecoder(steane_code())
-    return checkpoint_decoder(cfg, latest_checkpoint(cfg), basis)[1]
+    return checkpoint_decoder(cfg, checkpoint_paths(cfg)[-1], basis)[1]
 
 
 def _write_json(path, payload):
@@ -419,17 +432,10 @@ def cmd_monitor(**kw):
         fail(1, "monitoring requires a trained run")
     code = steane_code()
     basis = decoder_bases(cfg["decoder"])[0]
-    d = checkpoint_dir(cfg)
-    if not os.path.isdir(d) or not os.listdir(d):
-        fail(2, f"no checkpoints under {d}; run train first")
+    paths = checkpoint_paths(cfg)
     t = dataset_rounds(cfg)[-1]
     val = require_dataset(cfg, "val", basis, t)
     bg_ds = require_dataset(cfg, "train", basis, t)
-
-    def decoders():
-        for name in sorted(os.listdir(d)):
-            if name.endswith(".ckpt"):
-                yield checkpoint_decoder(cfg, os.path.join(d, name), basis)
 
     n = min(2000, len(val))
     nb = min(200, len(bg_ds))
@@ -445,7 +451,8 @@ def cmd_monitor(**kw):
         full[:, :, list(DNN2_CHANNELS[basis])] = phi.reshape(n, val.T, 6)
         return full
 
-    rows = ft_monitor(decoders(), code, cfg["pph_sweep"], basis,
+    decoders = (checkpoint_decoder(cfg, path, basis) for path in paths)
+    rows = ft_monitor(decoders, code, cfg["pph_sweep"], basis,
                       rounds=eval_rounds(cfg),
                       shots_per_point=cfg["eval"]["shots_per_point"],
                       seed=cfg["seed"], attribution_fn=attribution_fn)

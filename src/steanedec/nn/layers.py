@@ -20,11 +20,9 @@ def sigmoid(z, out=None):
     return np.divide(num, np.add(e, 1.0, out=e), out=num)
 
 
-def glorot_uniform(rng, fan_in, fan_out, shape=None):
+def glorot_uniform(rng, fan_in, fan_out):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    if shape is None:
-        shape = (fan_in, fan_out)
-    return rng.uniform(-limit, limit, size=shape)
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
 class Layer:
@@ -87,11 +85,11 @@ class Lstm(Layer):
     output. The output-gate activation defaults to the logistic function
     and can be switched to ReLU.
 
-    The 12 per-gate arrays in the registry are the parameters: checkpoints,
-    the optimizer and gradient checks read and write them. Each pass
-    concatenates them once with `fused` into (.., 4n) gate blocks in
-    FUSED order, which puts the three logistic gates next to each other."""
+    The parameters are three fused gate blocks, W_x (d, 4n), W_h (n, 4n)
+    and b (4n,), each with one n-column block per gate in FUSED order,
+    which puts the three logistic gates next to each other."""
 
+    # per-gate Glorot draw order: changing it changes every trained number
     GATES = ("f", "i", "c", "o")
     FUSED = ("o", "f", "i", "c")
 
@@ -103,22 +101,19 @@ class Lstm(Layer):
         self.return_sequences = return_sequences
         self.output_gate_activation = output_gate_activation
         rng = rng or np.random.default_rng(0)
+        wx = np.empty((input_dim, 4 * units))
+        wh = np.empty((units, 4 * units))
+        b = np.zeros(4 * units)
+        blocks = dict(zip(self.FUSED, zip(self.gates(wx), self.gates(wh))))
         for g in self.GATES:
-            self._register(f"W_x{g}", glorot_uniform(rng, input_dim, units))
-            self._register(f"W_h{g}", glorot_uniform(rng, units, units,
-                                                     shape=(units, units)))
-            bias = np.zeros(units)
-            if g == "f":
-                bias += 1.0  # open forget gate at init
-            self._register(f"b_{g}", bias)
-
-    def fused(self):
-        """The registry concatenated in FUSED order: W_x (d, 4n),
-        W_h (n, 4n) and b (4n,)."""
-        w = self.weights
-        return (np.concatenate([w[f"W_x{g}"] for g in self.FUSED], axis=1),
-                np.concatenate([w[f"W_h{g}"] for g in self.FUSED], axis=1),
-                np.concatenate([w[f"b_{g}"] for g in self.FUSED]))
+            bx, bh = blocks[g]
+            bx[:] = glorot_uniform(rng, input_dim, units)
+            bh[:] = glorot_uniform(rng, units, units)
+        _, f, _, _ = self.gates(b)
+        f[:] = 1.0  # open forget gate at init
+        self._register("W_x", wx)
+        self._register("W_h", wh)
+        self._register("b", b)
 
     def gates(self, a):
         """(o, f, i, cc) views of a (.., 4n) gate block."""
@@ -162,14 +157,14 @@ class Lstm(Layer):
 
     def step(self, x_t, h_prev, c_prev):
         """One recurrence step; returns (h, c) and the gate block."""
-        wx, wh, b = self.fused()
+        wx, wh, b = (self.weights[k] for k in ("W_x", "W_h", "b"))
         a = x_t @ wx
         h, c, _ = self._round(a, h_prev, c_prev, wh, b, np.empty_like(a))
         return h, c, a
 
     def forward(self, x, mask=None, train=False, rng=None):
         B, T, _ = x.shape
-        wx, wh, b = self.fused()
+        wx, wh, b = (self.weights[k] for k in ("W_x", "W_h", "b"))
         h = np.zeros((B, self.n))
         c = np.zeros((B, self.n))
         hw = np.empty((B, 4 * self.n))
@@ -198,10 +193,8 @@ class Lstm(Layer):
     def backward(self, dout):
         steps, B, T = (self.cache[k] for k in ("steps", "B", "T"))
         n = self.n
-        wx, wh, _ = self.fused()
-        gwx = np.zeros((self.d, 4 * n))
-        gwh = np.zeros((n, 4 * n))
-        gb = np.zeros(4 * n)
+        wx, wh = self.weights["W_x"], self.weights["W_h"]
+        gwx, gwh, gb = (self.grads[k] for k in ("W_x", "W_h", "b"))
         dx = np.empty((B, T, self.d))
         dh_next = np.zeros((B, n)) if self.return_sequences else dout
         dc_next = np.zeros((B, n))
@@ -232,11 +225,6 @@ class Lstm(Layer):
                 # a masked row passes its state gradients straight through
                 dh_next += (1.0 - m) * dh
                 dc_next += (1.0 - m) * dc
-        for k, g in enumerate(self.FUSED):
-            cols = slice(k * n, (k + 1) * n)
-            self.grads[f"W_x{g}"] += gwx[:, cols]
-            self.grads[f"W_h{g}"] += gwh[:, cols]
-            self.grads[f"b_{g}"] += gb[cols]
         return dx
 
 

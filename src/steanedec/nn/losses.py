@@ -1,8 +1,10 @@
-"""Binary cross entropy and its masked dual-head variant.
+"""Binary cross entropy over (samples, heads) labels.
 
 Probabilities are clamped to [1e-7, 1 - 1e-7] against sigmoid
-saturation. Masked labels are marked with a negative sentinel; a masked
-head contributes neither loss nor gradient.
+saturation. A label equal to MASKED marks a head that carries no label
+for its sample (the dual-head decoder labels one head per sample); it
+contributes neither loss nor gradient. The sum is divided by the number
+of samples, which on single-head labels is the mean.
 """
 
 from __future__ import annotations
@@ -18,26 +20,8 @@ def _clamp(q):
 
 
 def bce_loss(p, q) -> float:
-    """Mean binary cross entropy of probabilities q against labels p."""
-    p = np.asarray(p, dtype=float)
-    q = _clamp(np.asarray(q, dtype=float))
-    return float(np.mean(-(p * np.log(q) + (1.0 - p) * np.log(1.0 - q))))
-
-
-def bce_loss_grad(p, q) -> np.ndarray:
-    """d(mean BCE)/dq, elementwise."""
-    p = np.asarray(p, dtype=float)
-    qc = _clamp(np.asarray(q, dtype=float))
-    return (qc - p) / (qc * (1.0 - qc)) / p.size
-
-
-def masked_bce_loss(p, q) -> float:
-    """BCE over the unmasked heads only.
-
-    ``p``: labels (B, 2) with MASKED marking the head that carries no
-    label for this sample; ``q``: probabilities (B, 2). Averaged over
-    samples (each sample has exactly one labelled head).
-    """
+    """Binary cross entropy of probabilities q against labels p, summed
+    over the unmasked entries and divided by the number of samples."""
     p = np.asarray(p, dtype=float)
     q = _clamp(np.asarray(q, dtype=float))
     live = p != MASKED
@@ -45,7 +29,8 @@ def masked_bce_loss(p, q) -> float:
     return float(np.sum(terms * live) / p.shape[0])
 
 
-def masked_bce_loss_grad(p, q) -> np.ndarray:
+def bce_loss_grad(p, q) -> np.ndarray:
+    """d(bce_loss)/dq, elementwise; zero on masked entries."""
     p = np.asarray(p, dtype=float)
     qc = _clamp(np.asarray(q, dtype=float))
     live = p != MASKED

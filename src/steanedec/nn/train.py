@@ -9,8 +9,7 @@ import numpy as np
 
 from .adam import AdamState
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .losses import (MASKED, bce_loss, bce_loss_grad, masked_bce_loss,
-                     masked_bce_loss_grad)
+from .losses import bce_loss, bce_loss_grad
 from .model import Model
 
 
@@ -20,12 +19,6 @@ class TrainConfig:
     batch_size: int = 64
     lr: float = 1e-3
     seed: int = 0
-
-
-def _losses_for(y: np.ndarray):
-    if y.ndim == 2 and y.shape[1] > 1 and np.any(y == MASKED):
-        return masked_bce_loss, masked_bce_loss_grad
-    return bce_loss, bce_loss_grad
 
 
 def train(model: Model, x, y, config: TrainConfig, config_hash: str = "",
@@ -41,7 +34,6 @@ def train(model: Model, x, y, config: TrainConfig, config_hash: str = "",
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
         y = y[:, None]
-    loss_fn, grad_fn = _losses_for(y)
     n = x.shape[0]
     if adam is None:
         adam = AdamState(lr=config.lr)
@@ -56,10 +48,10 @@ def train(model: Model, x, y, config: TrainConfig, config_hash: str = "",
             idx = order[lo:lo + config.batch_size]
             xb, yb = x[idx], y[idx]
             q = model.forward(xb, train=True, rng=rng)
-            total += loss_fn(yb, q)
+            total += bce_loss(yb, q)
             batches += 1
             model.zero_grads()
-            model.backward(grad_fn(yb, q))
+            model.backward(bce_loss_grad(yb, q))
             adam.update(weights, model.grads_flat())
         record = {"epoch": epoch, "loss": total / max(batches, 1)}
         if eval_fn is not None:

@@ -94,7 +94,7 @@ def _lstm_multipliers(layer, cx, cr, m_out, lx, lr):
     ``lr`` lift an input-pass or background-pass array onto the pair
     grid."""
     n = layer.n
-    wx, wh, b = layer.fused()
+    wx, wh, b = (layer.weights[k] for k in ("W_x", "W_h", "b"))
     T = cx["T"]
     lead = m_out.shape[:2]
     mx_in = np.empty(lead + (T, layer.d))

@@ -11,9 +11,8 @@ import pytest
 from steanedec.nn import (AdamState, Checkpoint, Dense, Dropout, Lstm,
                           Masking, Model, NetworkSpec, bce_loss,
                           bce_loss_grad, build_model, config_hash, dnn2_spec,
-                          drnn_spec, load_checkpoint, masked_bce_loss,
-                          masked_bce_loss_grad, restore, save_checkpoint,
-                          srnn_spec, TrainConfig, train)
+                          drnn_spec, load_checkpoint, restore,
+                          save_checkpoint, srnn_spec, TrainConfig, train)
 from steanedec.nn.layers import sigmoid
 
 
@@ -30,14 +29,40 @@ def tiny_recurrent_spec(units=4, heads=1):
     ))
 
 
+def gate_params(lstm, g):
+    """(W_x, W_h, b) of gate ``g``: its columns of the fused blocks."""
+    k = lstm.FUSED.index(g)
+    cols = slice(k * lstm.n, (k + 1) * lstm.n)
+    w = lstm.weights
+    return w["W_x"][:, cols], w["W_h"][:, cols], w["b"][cols]
+
+
 class TestLstmStep:
+    def test_init_is_per_gate_glorot_draws(self):
+        # one Glorot block per gate, input then recurrent, in GATES order
+        # from the layer's generator; zero biases except the forget gate
+        for units, d, seed in ((5, 3, 0), (36, 12, 11), (36, 36, 12)):
+            lstm = Lstm(units, d, return_sequences=True,
+                        rng=np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            lim_x = math.sqrt(6.0 / (d + units))
+            lim_h = math.sqrt(6.0 / (2 * units))
+            for g in ("f", "i", "c", "o"):
+                wx, wh, b = gate_params(lstm, g)
+                assert np.array_equal(
+                    wx, rng.uniform(-lim_x, lim_x, size=(d, units)))
+                assert np.array_equal(
+                    wh, rng.uniform(-lim_h, lim_h, size=(units, units)))
+                assert np.array_equal(b, np.full(units, float(g == "f")))
+            assert sorted(lstm.weights) == ["W_h", "W_x", "b"]
+
     def test_zero_weight_step(self):
         # all weights zero keeps only the biases: f=sigmoid(1), i=o=1/2,
         # candidate cell 0, so c halves nothing and h = tanh(c)/2
         lstm = Lstm(3, 2, return_sequences=True)
         for w in lstm.weights.values():
             w[:] = 0.0
-        lstm.weights["b_f"][:] = 1.0
+        gate_params(lstm, "f")[2][:] = 1.0
         x = np.ones((1, 2))
         c_prev = np.full((1, 3), 0.8)
         h, c, _ = lstm.step(x, np.zeros((1, 3)), c_prev)
@@ -51,16 +76,15 @@ class TestLstmStep:
         lstm = Lstm(5, 3, return_sequences=True, rng=rng)
         x = rng.normal(size=(4, 6, 3))
         out = lstm.forward(x)
-        w = lstm.weights
+        p = {g: gate_params(lstm, g) for g in lstm.GATES}
         for b in range(4):
             h = np.zeros(5)
             c = np.zeros(5)
             for t in range(6):
-                xt = x[b, t]
-                f = sigmoid(xt @ w["W_xf"] + h @ w["W_hf"] + w["b_f"])
-                i = sigmoid(xt @ w["W_xi"] + h @ w["W_hi"] + w["b_i"])
-                cc = np.tanh(xt @ w["W_xc"] + h @ w["W_hc"] + w["b_c"])
-                o = sigmoid(xt @ w["W_xo"] + h @ w["W_ho"] + w["b_o"])
+                z = {g: x[b, t] @ wx + h @ wh + bias
+                     for g, (wx, wh, bias) in p.items()}
+                f, i, o = (sigmoid(z[g]) for g in "fio")
+                cc = np.tanh(z["c"])
                 c = c * f + cc * i
                 h = o * np.tanh(c)
                 assert np.allclose(out[b, t], h, atol=1e-12)
@@ -73,16 +97,15 @@ class TestLstmStep:
         mask = (rng.random((4, 6)) < 0.6).astype(float)
         mask[:, 0] = 1.0  # an all-ones round next to mixed ones
         out = lstm.forward(x, mask=mask)
-        w = lstm.weights
+        p = {g: gate_params(lstm, g) for g in lstm.GATES}
         for b in range(4):
             h = np.zeros(5)
             c = np.zeros(5)
             for t in range(6):
-                xt = x[b, t]
-                f = sigmoid(xt @ w["W_xf"] + h @ w["W_hf"] + w["b_f"])
-                i = sigmoid(xt @ w["W_xi"] + h @ w["W_hi"] + w["b_i"])
-                cc = np.tanh(xt @ w["W_xc"] + h @ w["W_hc"] + w["b_c"])
-                o = sigmoid(xt @ w["W_xo"] + h @ w["W_ho"] + w["b_o"])
+                z = {g: x[b, t] @ wx + h @ wh + bias
+                     for g, (wx, wh, bias) in p.items()}
+                f, i, o = (sigmoid(z[g]) for g in "fio")
+                cc = np.tanh(z["c"])
                 if mask[b, t]:
                     c = c * f + cc * i
                     h = o * np.tanh(c)
@@ -118,8 +141,8 @@ class TestLstmStep:
                     output_gate_activation="relu")
         for w in lstm.weights.values():
             w[:] = 0.0
-        lstm.weights["b_o"][:] = np.array([-1.0, 0.5, 2.0])
-        lstm.weights["b_c"][:] = 3.0  # candidate ~ tanh(3)
+        gate_params(lstm, "o")[2][:] = np.array([-1.0, 0.5, 2.0])
+        gate_params(lstm, "c")[2][:] = 3.0  # candidate ~ tanh(3)
         h = lstm.forward(np.ones((1, 1, 2)))
         i = 0.5
         c = np.tanh(3.0) * i
@@ -285,8 +308,8 @@ class TestGradients:
 
 
 class TestWeightWrites:
-    """The fused LSTM blocks are rebuilt from the registry on every pass,
-    so every write through the registry shows in the next forward."""
+    """Every pass reads the registry's arrays themselves, so every write
+    through the registry shows in the next forward."""
 
     def test_set_weights_flat(self):
         x = np.random.default_rng(3).integers(0, 2, (6, 4, 3)).astype(float)
@@ -363,12 +386,12 @@ class TestLosses:
         q = np.array([[0.7, 0.2], [0.9, 0.4], [0.1, 0.8]])
         live = np.array([0.7, 0.4, 0.1])
         labels = np.array([1.0, 0.0, 0.0])
-        assert abs(masked_bce_loss(p, q) - bce_loss(labels, live)) < 1e-12
+        assert abs(bce_loss(p, q) - bce_loss(labels, live)) < 1e-12
 
     def test_masked_grad_zero_on_masked_heads(self):
         p = np.array([[1.0, -1.0], [-1.0, 0.0]])
         q = np.array([[0.7, 0.2], [0.9, 0.4]])
-        g = masked_bce_loss_grad(p, q)
+        g = bce_loss_grad(p, q)
         assert g[0, 1] == 0.0 and g[1, 0] == 0.0
         assert g[0, 0] != 0.0 and g[1, 1] != 0.0
 
@@ -523,7 +546,7 @@ class TestTraining:
         model = build_model(spec, seed=0)
         q = model.forward(x)
         model.zero_grads()
-        model.backward(masked_bce_loss_grad(y, q))
+        model.backward(bce_loss_grad(y, q))
         head_w_grad = model.layers[-1].grads["W"]
         assert np.abs(head_w_grad[:, 0]).sum() > 0
         assert np.abs(head_w_grad[:, 1]).sum() > 0

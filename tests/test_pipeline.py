@@ -14,7 +14,8 @@ from steanedec import dataset as dsmod
 from steanedec.cli import build_cfg, dataset_plan, load_config, main
 from steanedec.decoders import DNN2_CHANNELS, NnDecoder, dnn2_inputs, \
     rnn_inputs
-from steanedec.nn import build_model, dnn2_spec, drnn_spec, srnn_spec
+from steanedec.nn import (Checkpoint, build_model, dnn2_spec, drnn_spec,
+                          save_checkpoint, srnn_spec)
 from steanedec.sim import NoiseModel, sample_memory_batch
 from steanedec.steane import steane_code
 
@@ -301,6 +302,60 @@ class TestCli:
         r = self.run("gen-data", "--config", str(bad))
         assert r.exit_code == 1, r.output
         assert field in r.output
+
+    @pytest.mark.parametrize("field,value", [
+        (f, "true") for f in (
+            "rounds", "seed", "shots.train", "shots.val", "shots.test",
+            "train.epochs", "train.batch_size", "eval.shots_per_point",
+            "explain.background", "explain.samples")] + [("seed", "false")])
+    def test_boolean_integer_exit_1(self, tmp_path, field, value):
+        # YAML booleans load as bool, an int subclass; false is also a
+        # valid-looking seed 0
+        section, _, key = field.rpartition(".")
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(f"{section}: {{{key}: {value}}}\n" if section
+                       else f"decoder: lut\n{key}: {value}\n")
+        r = self.run("dep", "--config", str(bad))
+        assert r.exit_code == 1, r.output
+        assert field in r.output
+
+    def test_empty_sweep_exit_1(self, cfg_path, tmp_path):
+        empty = tmp_path / "empty.yaml"
+        empty.write_text(open(cfg_path).read()
+                         .replace("pph_sweep: [0.005]", "pph_sweep: []"))
+        r = self.run("eval", "--config", str(empty), "--decoder", "lut")
+        assert r.exit_code == 1, r.output
+        assert "pph_sweep" in r.output
+        assert not (tmp_path / "run" / "eval_lut.json").exists()
+
+    @pytest.mark.parametrize("stage", ["eval", "monitor"])
+    def test_checkpoint_dir_without_checkpoints_exit_2(self, cfg_path,
+                                                       tmp_path, stage):
+        stray = tmp_path / "run" / "checkpoints" / "dnn2" / "notes.txt"
+        stray.parent.mkdir(parents=True)
+        stray.write_text("not a checkpoint\n")
+        r = self.run(stage, "--config", cfg_path)
+        assert r.exit_code == 2, r.output
+        assert "no checkpoints" in r.output
+
+    @pytest.mark.parametrize("damage", ["renamed_tensor", "truncated"])
+    def test_unloadable_checkpoint_exit_1(self, cfg_path, tmp_path, damage):
+        # right config hash, but a tensor the network does not have, or a
+        # file cut short
+        cfg = load_config(cfg_path, {})
+        weights = build_model(dnn2_spec(), seed=cfg["seed"]).weights_flat()
+        if damage == "renamed_tensor":
+            weights["0.W_old"] = weights.pop("0.W")
+        path = tmp_path / "run" / "checkpoints" / "dnn2" / "epoch_0000.ckpt"
+        path.parent.mkdir(parents=True)
+        save_checkpoint(str(path), Checkpoint(epoch=0, weights=weights,
+                                              config_hash=cfg["hash"]))
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[:-8])
+        r = self.run("eval", "--config", cfg_path)
+        assert r.exit_code == 1, r.output
+        assert isinstance(r.exception, SystemExit)  # not a traceback
+        assert str(path) in r.output
 
     def test_zero_shots_flag_exit_1(self, cfg_path):
         r = self.run("gen-data", "--config", cfg_path, "--shots", "0")
