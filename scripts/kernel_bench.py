@@ -21,8 +21,10 @@ Prints one JSON line:
     sizes of the ``srnn-pipeline`` benchmark's explain stage).
 
 Each figure is the best of several repeats, so that a quiet moment of a
-shared machine is what is reported. Network inputs are sparse random
-bits with a fixed seed. Run from the root of a checkout:
+shared machine is what is reported; ``<key>_median`` and
+``<key>_range`` (slowest, fastest) show the spread of the repeats,
+which can reach 30%. Network inputs are sparse random bits with a fixed
+seed. Run from the root of a checkout:
 
     PYTHONPATH=src python3 scripts/kernel_bench.py
 """
@@ -43,18 +45,27 @@ REPEATS = 7
 SHOTS = 100_000
 
 
-def best_seconds(fn, calls: int) -> float:
-    """Least mean time per call of ``fn`` over REPEATS runs of ``calls``."""
-    best = float("inf")
-    for _ in range(REPEATS):
+def repeat_seconds(fn, calls: int) -> np.ndarray:
+    """Mean time per call of ``fn`` in each of REPEATS runs of ``calls``."""
+    seconds = np.empty(REPEATS)
+    for i in range(REPEATS):
         t0 = time.perf_counter()
         for _ in range(calls):
             fn()
-        best = min(best, (time.perf_counter() - t0) / calls)
-    return best
+        seconds[i] = (time.perf_counter() - t0) / calls
+    return seconds
 
 
-def lstm_rates(model, rng, rows: int, calls: int) -> tuple[float, float]:
+def rate_figures(key: str, work: float, seconds: np.ndarray) -> dict:
+    """``work`` per second over the repeats: the best under ``key``, the
+    median and the (min, max) range."""
+    rates = work / seconds
+    return {key: round(rates.max()),
+            f"{key}_median": round(float(np.median(rates))),
+            f"{key}_range": [round(rates.min()), round(rates.max())]}
+
+
+def lstm_rates(model, rng, rows: int, calls: int) -> dict:
     lstms = model.layers[1:3]
     x = (rng.random((rows, T, 12)) < 0.1).astype(float)
 
@@ -71,9 +82,10 @@ def lstm_rates(model, rng, rows: int, calls: int) -> tuple[float, float]:
         for layer in reversed(lstms):
             d = layer.backward(d)
 
-    fwd = best_seconds(forward, calls)
-    bwd = best_seconds(backward, calls)
-    return rows * T / fwd, rows * T / bwd
+    return {**rate_figures(f"lstm_forward_rows_steps_per_s_b{rows}",
+                           rows * T, repeat_seconds(forward, calls)),
+            **rate_figures(f"lstm_backward_rows_steps_per_s_b{rows}",
+                           rows * T, repeat_seconds(backward, calls))}
 
 
 def sampler_and_lut_rates() -> dict:
@@ -83,13 +95,14 @@ def sampler_and_lut_rates() -> dict:
         for p_ph in (1e-3, 5e-3):
             noise = NoiseModel(p_ph)
             sample_memory_batch(code, noise, t, "Z", 1, seed=0)  # the table
-            sec = best_seconds(lambda: sample_memory_batch(
+            sec = repeat_seconds(lambda: sample_memory_batch(
                 code, noise, t, "Z", SHOTS, seed=1), 1)
-            out[f"sample_shots_per_s_t{t}_p{p_ph:g}"] = round(SHOTS / sec)
+            out.update(rate_figures(f"sample_shots_per_s_t{t}_p{p_ph:g}",
+                                    SHOTS, sec))
     batch = sample_memory_batch(code, NoiseModel(5e-3), T, "Z", SHOTS, seed=1)
     decoder = SeqLutDecoder(code)
-    sec = best_seconds(lambda: decoder.predict_flips_batch(batch), 1)
-    out[f"lut_decodes_per_s_t{T}"] = round(SHOTS / sec)
+    sec = repeat_seconds(lambda: decoder.predict_flips_batch(batch), 1)
+    out.update(rate_figures(f"lut_decodes_per_s_t{T}", SHOTS, sec))
     return out
 
 
@@ -98,14 +111,12 @@ def main():
     model = build_model(srnn_spec("Z"), seed=0)
     out = sampler_and_lut_rates()
     for rows, calls in ((64, 40), (1500, 3)):
-        fwd, bwd = lstm_rates(model, rng, rows, calls)
-        out[f"lstm_forward_rows_steps_per_s_b{rows}"] = round(fwd)
-        out[f"lstm_backward_rows_steps_per_s_b{rows}"] = round(bwd)
+        out.update(lstm_rates(model, rng, rows, calls))
     xs = (rng.random((60, T, 12)) < 0.1).astype(float)
     bg = (rng.random((100, T, 12)) < 0.1).astype(float)
-    sec = best_seconds(lambda: deepshap_batch(model, xs, bg,
-                                                 max_rows=200_000), 1)
-    out["deepshap_pairs_per_s"] = round(60 * 100 / sec)
+    sec = repeat_seconds(lambda: deepshap_batch(model, xs, bg,
+                                                max_rows=200_000), 1)
+    out.update(rate_figures("deepshap_pairs_per_s", 60 * 100, sec))
     print(json.dumps(out, sort_keys=True))
 
 

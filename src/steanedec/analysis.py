@@ -330,3 +330,65 @@ def ft_monitor(epoch_decoders, code: CodeDefinition, noise_sweep, basis: str,
                               shots_per_point, seed, attribution_fn)
     return [monitor.score(epoch, decoder)
             for epoch, decoder in epoch_decoders]
+
+
+# --- FT-learning contract ---------------------------------------------------
+
+# windows of the FT-learning contract (see ft_contract)
+CONTRACT_B = 2.0
+CONTRACT_B_WINDOW = 0.2
+CONTRACT_EPOCH_WINDOW = 3
+CONTRACT_DIVERGENCE = 2.0
+CONTRACT_MARGIN = 0.05
+
+
+@dataclass
+class ContractResult:
+    verdict: str                    # "HELD" or "FAILED"
+    reasons: list[str]              # one line per failed clause
+    dep_zero_epoch: int | None
+    settled_b_epoch: int | None
+    gap_early: float | None         # mean hook-baseline gap, early epochs
+    gap_max: float | None           # max hook-baseline gap before DEP zero
+
+
+def ft_contract(rows: list[MonitorRow]) -> ContractResult:
+    """The co-occurrence contract on monitor rows in epoch order: the
+    first DEP-zero epoch lies within CONTRACT_EPOCH_WINDOW epochs of the
+    first epoch from which b stays in CONTRACT_B +/- CONTRACT_B_WINDOW,
+    and before the DEP-zero epoch the hook-baseline gap rose above
+    CONTRACT_DIVERGENCE * max(early gap, 0) + CONTRACT_MARGIN, the early
+    gap being the mean over the first third (at least one) of the
+    epochs before it."""
+    reasons = []
+    lo, hi = CONTRACT_B - CONTRACT_B_WINDOW, CONTRACT_B + CONTRACT_B_WINDOW
+    dep_zero = next((r.epoch for r in rows if r.dep_failure == 0.0), None)
+    # NaN b is outside the window
+    settled = [lo <= r.scaling_b <= hi for r in rows]
+    settled_b = next((r.epoch for i, r in enumerate(rows)
+                      if all(settled[i:])), None)
+    if dep_zero is None:
+        reasons.append("DEP failure never reached zero")
+    if settled_b is None:
+        reasons.append(f"b never settled in [{lo:g}, {hi:g}]")
+    if dep_zero is not None and settled_b is not None \
+            and abs(dep_zero - settled_b) > CONTRACT_EPOCH_WINDOW:
+        reasons.append("FT and scaling onsets do not co-occur")
+    gap_early = gap_max = None
+    if dep_zero is not None:
+        pre = [r.hook_mean - r.baseline_mean for r in rows
+               if r.epoch < dep_zero]
+        if not pre:
+            reasons.append("DEP failure was zero at the first scored "
+                           "epoch: no earlier epoch to compare the "
+                           "attribution curves against")
+        else:
+            gap_early = float(np.mean(pre[:max(1, len(pre) // 3)]))
+            gap_max = float(np.max(pre))
+            # a NaN gap (no attributions) is no divergence
+            if not gap_max > (CONTRACT_DIVERGENCE * max(gap_early, 0.0)
+                              + CONTRACT_MARGIN):
+                reasons.append("hook/baseline curves did not diverge "
+                               "before the FT epoch")
+    return ContractResult("FAILED" if reasons else "HELD", reasons,
+                          dep_zero, settled_b, gap_early, gap_max)

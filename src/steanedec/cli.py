@@ -20,7 +20,8 @@ import numpy as np
 import yaml
 
 from . import dataset as dsmod
-from .analysis import fit_scaling, ft_monitor, logical_error_rate
+from .analysis import (fit_scaling, ft_contract, ft_monitor,
+                       logical_error_rate)
 from .circuits import enumerate_single_faults
 from .decoders import DNN2_CHANNELS, NnDecoder, dnn2_inputs, rnn_inputs
 from .nn import (TrainConfig, build_model, config_hash, load_checkpoint,
@@ -465,10 +466,16 @@ def cmd_monitor(**kw):
             pls = " ".join(f"{r.p_l[p]:.6g}" for p in cfg["pph_sweep"])
             fh.write(f"{r.epoch} {r.dep_failure:.6g} {r.scaling_b:.4g} "
                      f"{r.hook_mean:.4g} {r.baseline_mean:.4g} {pls}\n")
+    # the verdict is a result of the run, not an error: exit 0 either way
+    contract = ft_contract(rows)
     _write_json(os.path.join(cfg["out"], f"monitor_{cfg['decoder']}.json"),
                 {"config_hash": cfg["hash"],
-                 "rows": [r.__dict__ for r in rows]})
+                 "rows": [r.__dict__ for r in rows],
+                 "contract": contract.__dict__})
     click.echo(f"wrote {table}")
+    for reason in contract.reasons:
+        click.echo(f"contract FAILED: {reason}")
+    click.echo(f"contract {contract.verdict}")
 
 
 @main.command("report")

@@ -3,11 +3,12 @@ import pytest
 
 from steanedec import analysis
 from steanedec.analysis import (CorrelationReport, HookSignatureSet,
-                                attribution_correlations,
+                                MonitorRow, attribution_correlations,
                                 derive_hook_signatures, fit_infidelity,
-                                fit_scaling, ft_monitor, hook_excess,
-                                infidelity_model, logical_error_rate,
-                                prepare_monitor, wilson_interval)
+                                fit_scaling, ft_contract, ft_monitor,
+                                hook_excess, infidelity_model,
+                                logical_error_rate, prepare_monitor,
+                                wilson_interval)
 from steanedec.circuits import FX, FZ, SX, SZ
 from steanedec.seqlut import SeqLutDecoder
 from steanedec.sim import (AlwaysFlipDecoder, IdentityDecoder, NoiseModel,
@@ -269,3 +270,63 @@ class TestFtMonitor:
         # repr round-trips every float and prints NaN tracks equal
         assert repr(got) == repr(expect)
         assert not np.isnan(got[0].hook_mean)
+
+
+# DEP reaches zero at epoch 5 and b settles from epoch 4; the hook gap
+# over the 0.1 baseline rises from 0 to 0.4 before epoch 5
+LEARNS = dict(dep=[0.3, 0.2, 0.1, 0.05, 0.01, 0.0, 0.0, 0.0],
+              b=[1.0, 1.2, 1.5, 1.7, 1.9, 2.0, 2.05, 1.95],
+              hook=[0.1, 0.1, 0.15, 0.3, 0.5, 0.6, 0.6, 0.6])
+
+
+def planted_rows(**change):
+    """Monitor rows for epochs 0..7: LEARNS with ``change`` applied."""
+    run = dict(LEARNS, **change)
+    return [MonitorRow(epoch, d, {}, b, h, 0.1) for epoch, (d, b, h)
+            in enumerate(zip(run["dep"], run["b"], run["hook"]))]
+
+
+@pytest.mark.filterwarnings("error")
+class TestFtContract:
+    def test_held(self):
+        c = ft_contract(planted_rows())
+        assert (c.verdict, c.reasons) == ("HELD", [])
+        assert (c.dep_zero_epoch, c.settled_b_epoch) == (5, 4)
+        assert c.gap_early == 0.0  # the first third of epochs 0..4
+        # the largest gap before FT, not the mean (0.13)
+        assert c.gap_max == pytest.approx(0.4)
+
+    def test_onsets_three_epochs_apart_hold(self):
+        c = ft_contract(planted_rows(b=[1.0, 1.2] + [2.0] * 6))
+        assert (c.verdict, c.dep_zero_epoch, c.settled_b_epoch) == \
+            ("HELD", 5, 2)
+
+    @pytest.mark.parametrize("change,reason", [
+        (dict(dep=[0.01] * 8), "DEP failure never reached zero"),
+        (dict(b=[2.0] * 7 + [2.5]), "b never settled in [1.8, 2.2]"),
+        (dict(b=[2.0] * 7 + [float("nan")]),
+         "b never settled in [1.8, 2.2]"),
+        (dict(b=[2.0] * 8, dep=[0.01] * 7 + [0.0]),
+         "FT and scaling onsets do not co-occur"),
+        (dict(dep=[0.0] * 8, b=[2.0] * 8),
+         "DEP failure was zero at the first scored epoch: no earlier "
+         "epoch to compare the attribution curves against"),
+        (dict(hook=[0.2] * 8),
+         "hook/baseline curves did not diverge before the FT epoch"),
+        (dict(hook=[float("nan")] * 8),
+         "hook/baseline curves did not diverge before the FT epoch"),
+    ])
+    def test_each_failed_branch(self, change, reason):
+        c = ft_contract(planted_rows(**change))
+        assert (c.verdict, c.reasons) == ("FAILED", [reason])
+        if c.dep_zero_epoch == 0:
+            assert (c.gap_early, c.gap_max) == (None, None)
+
+    def test_divergence_threshold_scales_with_early_gap(self):
+        # early gap 0.1 needs a max above 2 * 0.1 + 0.05 = 0.25
+        hook = [0.2, 0.3, 0.3, 0.3, 0.34, 0.6, 0.6, 0.6]
+        c = ft_contract(planted_rows(hook=hook))
+        assert (c.gap_early, c.gap_max) == pytest.approx((0.1, 0.24))
+        assert c.verdict == "FAILED"
+        hook[3] = 0.36
+        assert ft_contract(planted_rows(hook=hook)).verdict == "HELD"
