@@ -59,14 +59,13 @@ def wilson_interval(k: int, n: int, z2: float = 1.0) -> WilsonResult:
 class FitResult:
     params: tuple[float, ...]
     residual: float
-    cov: np.ndarray | None = None
 
 
 def infidelity_model(t, p_l, t0):
     return 0.5 - 0.5 * (1.0 - 2.0 * p_l) ** (np.asarray(t, dtype=float) - t0)
 
 
-def fit_infidelity(t, infid, sigma=None) -> FitResult:
+def fit_infidelity(t, infid) -> FitResult:
     """Least-squares fit of the per-round logical flip model.
 
     Returns (p_L, t0). A flat-zero series short-circuits to p_L = 0.
@@ -79,11 +78,11 @@ def fit_infidelity(t, infid, sigma=None) -> FitResult:
         return FitResult((0.0, 0.0), 0.0)
     slope = max((infid[-1] - infid[0]) / (t[-1] - t[0]), 1e-9)
     p0 = (min(slope, 0.49), 0.0)
-    popt, pcov = curve_fit(infidelity_model, t, infid, p0=p0, sigma=sigma,
-                           bounds=([0.0, -10.0], [0.5, 10.0]), maxfev=20000,
-                           xtol=1e-14, ftol=1e-14, gtol=1e-14)
+    popt, _ = curve_fit(infidelity_model, t, infid, p0=p0,
+                        bounds=([0.0, -10.0], [0.5, 10.0]), maxfev=20000,
+                        xtol=1e-14, ftol=1e-14, gtol=1e-14)
     resid = float(np.sqrt(np.mean((infidelity_model(t, *popt) - infid) ** 2)))
-    return FitResult(tuple(popt), resid, pcov)
+    return FitResult(tuple(popt), resid)
 
 
 def fit_scaling(p_ph, p_l) -> FitResult:
@@ -151,8 +150,7 @@ def _score_rounds(decoder, batches: list[MemoryBatch]) -> ErrorRateResult:
         w = wilson_interval(k, len(batch))
         infid[i] = w.p_hat
         sig[i] = max(w.sigma, 1e-12)
-    fit = fit_infidelity(rounds, infid, sigma=None) if len(batches) >= 2 \
-        else None
+    fit = fit_infidelity(rounds, infid) if len(batches) >= 2 else None
     return ErrorRateResult(rounds, infid, sig, fit)
 
 

@@ -67,6 +67,19 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _rate(v, name: str) -> float:
+    """``v`` as a float. A numeric string is read as a number, since YAML
+    1.1 reads exponent floats without a dot (5e-3) as strings; anything
+    else exits 1, YAML's true/false included (float() reads them as 1 and
+    0)."""
+    if not isinstance(v, bool):
+        try:
+            return float(v)
+        except (TypeError, ValueError):
+            pass
+    fail(1, f"{name} must be a number, got {v!r}")
+
+
 def _merge(cfg, updates):
     """Apply ``updates`` to ``cfg``; a mapping updates a section key by
     key."""
@@ -111,25 +124,19 @@ def load_config(path, overrides) -> dict:
             v = cfg[section].get(key)
             if not _is_int(v) or v < 1:
                 fail(1, f"{section}.{key} must be a positive integer")
-    # YAML 1.1 reads exponent floats without a dot (5e-3) as strings
-    try:
-        cfg["pph_sweep"] = [float(p) for p in cfg["pph_sweep"]]
-    except (TypeError, ValueError):
+    if not isinstance(cfg["pph_sweep"], list):
         fail(1, "pph_sweep must be a list of error rates")
+    cfg["pph_sweep"] = [_rate(p, "pph_sweep rate") for p in cfg["pph_sweep"]]
     if not cfg["pph_sweep"]:
         fail(1, "pph_sweep must name at least one error rate")
     if any(not 0 <= p < 1 for p in cfg["pph_sweep"]):
         fail(1, "pph_sweep rates must lie in [0, 1)")
-    try:
-        cfg["p_ph"] = float(cfg["p_ph"])
-    except (TypeError, ValueError):
-        fail(1, "p_ph must be an error rate")
+    cfg["p_ph"] = _rate(cfg["p_ph"], "p_ph")
     if not 0 <= cfg["p_ph"] < 1:
         fail(1, "p_ph must lie in [0, 1)")
-    try:
-        cfg["train"]["lr"] = float(cfg["train"]["lr"])
-    except (TypeError, ValueError):
-        fail(1, "train.lr must be a number")
+    cfg["train"]["lr"] = _rate(cfg["train"]["lr"], "train.lr")
+    if not 0 < cfg["train"]["lr"] < np.inf:
+        fail(1, "train.lr must be a positive finite number")
     cfg["hash"] = config_hash({k: v for k, v in sorted(cfg.items())
                                if k != "hash"})
     return cfg

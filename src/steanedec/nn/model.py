@@ -13,8 +13,10 @@ from .layers import Dense, Dropout, Lstm, Masking
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Declarative layer list; the same description is hashed into every
-    artifact so weights and configs cannot be mixed up."""
+    """Declarative layer list. It is not hashed itself: artifacts carry
+    the hash of the run's config, whose ``decoder`` names the spec
+    (`spec_by_id`), and a checkpoint that does not fit the spec's
+    weight names and shapes fails to load."""
 
     spec_id: str
     input_dim: int

@@ -226,18 +226,6 @@ class SeqLutDecoder:
             est, cum, signal = self._step(est, cum, signal, delta, flag)
         return self._readout(est, cum, signal, final_syndrome)
 
-    def decode(self, volume: np.ndarray, final_syndrome_z: int | None = None,
-               final_syndrome_x: int | None = None,
-               prep_row: np.ndarray | None = None) -> tuple[int, int]:
-        """(bit-flip, phase-flip) predictions for one volume.
-
-        The final half syndromes default to the accumulated measured
-        syndromes when a perfect readout is only available in one basis.
-        """
-        x_flip = self.decode_basis(volume, "Z", final_syndrome_z, prep_row)
-        z_flip = self.decode_basis(volume, "X", final_syndrome_x, prep_row)
-        return x_flip, z_flip
-
     def predict_flips_batch(self, batch: MemoryBatch) -> np.ndarray:
         """Logical-flip predictions for every shot, by the compiled tables
         (equal to `decode_basis` shot by shot)."""

@@ -144,12 +144,6 @@ class CodeDefinition:
             return parity(residual.z_mask & self.logical_mask)
         raise ValueError(f"basis must be 'X' or 'Z', got {basis!r}")
 
-    def logical_x(self) -> PauliString:
-        return PauliString(x_mask=self.logical_mask)
-
-    def logical_z(self) -> PauliString:
-        return PauliString(z_mask=self.logical_mask)
-
 
 def steane_code() -> CodeDefinition:
     return CodeDefinition(

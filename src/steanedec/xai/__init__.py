@@ -3,11 +3,9 @@ multiplier backpropagation (DeepSHAP) through the network stack."""
 
 from .shapley import (Game, exact_shapley, exact_shapley_batch,
                       feature_exclusion_game)
-from .deepshap import (Attribution, deepshap, deepshap_batch,
-                       relevance_conservation_check)
+from .deepshap import deepshap_batch, relevance_conservation_check
 
 __all__ = [
     "Game", "exact_shapley", "exact_shapley_batch", "feature_exclusion_game",
-    "Attribution", "deepshap", "deepshap_batch",
-    "relevance_conservation_check",
+    "deepshap_batch", "relevance_conservation_check",
 ]

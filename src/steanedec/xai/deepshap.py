@@ -1,15 +1,16 @@
-"""Multiplier backpropagation relative to a background dataset.
+"""DeepSHAP: DeepLIFT multipliers averaged over a background dataset.
 
 Each attribution compares a forward pass on the input with one on a
 background sample and pushes finite-difference multipliers back through
-the stack. Both passes are ordinary ``Model.forward`` calls; the caches
-they leave on the layers are the traces the multipliers read. The rules
-are the linear rule on affine ops, the rescale rule Delta-out / Delta-in
-on sigmoids, tanh and relu, and a symmetric bilinear rule on elementwise
-products (for y = u*v the multipliers are m_u = (v+vbar)/2 and
-m_v = (u+ubar)/2, which makes the decomposition of Delta-y exact).
-Averaging over the background gives per-input-bit scores whose sum
-equals f(x) minus the mean background output.
+the stack (DeepLIFT's rescale rule, Shrikumar et al. 2017). Both passes
+are ordinary ``Model.forward`` calls; the caches they leave on the
+layers are the traces the multipliers read. The rules are the linear
+rule on affine ops, the rescale rule Delta-out / Delta-in on sigmoids,
+tanh and relu, and a symmetric bilinear rule on elementwise products
+(for y = u*v the multipliers are m_u = (v+vbar)/2 and m_v = (u+ubar)/2,
+which makes the decomposition of Delta-y exact). Averaging over the
+background (DeepSHAP, Lundberg & Lee 2017) gives per-input-bit scores
+whose sum equals f(x) minus the mean background output.
 
 Syndrome and flag inputs repeat heavily, so the work runs on distinct
 rows only: each distinct input row is attributed once and its scores are
@@ -18,20 +19,24 @@ mean over the distinct background rows weighted by how often each
 occurs. Both give the same values as the all-pairs average, up to float
 summation order.
 
-When a round is padded on the input side, the background pass is forced
-onto the same padding mask (the ``mask`` argument of ``Model.forward``)
-so the gating stays an affine op; padded rounds then receive exactly
-zero attribution. The background pass therefore depends only on the
-padding pattern: the distinct inputs are grouped by pattern, the
-distinct background rows are traced once per pattern, each chunk of
-inputs is traced once, and the multipliers of every (input, background)
-pair are formed on a (inputs, background, ..) grid by broadcasting the
-two traces against each other.
+A padded round of an input (every channel at the masking value) is
+dropped before tracing and gets exactly zero attribution. The distinct
+inputs are grouped by padding pattern, and each group's padded rounds
+are dropped from its inputs and from the distinct background. Both
+passes then count every remaining round as an input, a background row's
+-1 rounds included, so no trace carries a mask. This is the same,
+bit for bit, as tracing every round with the background forced onto the
+input's padding mask: there a masked round leaves the LSTM state
+unchanged and gets a zero multiplier. The background is traced once
+per group and each chunk of inputs once, and the multipliers of every
+(input, background) pair are formed on an (inputs, background, ..) grid
+by broadcasting the two traces against each other. An input whose
+rounds are all padding gets zero scores, and its baseline is the
+weighted background mean of the model's output on it, which is that
+output up to rounding.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,15 +44,6 @@ from ..nn.layers import Dense, Dropout, Lstm, Masking
 from .shapley import _distinct_rows
 
 GUARD = 1e-12
-
-
-@dataclass
-class Attribution:
-    """Per-input-bit scores phi (shaped like the explained input) and
-    the baseline value phi0 (mean model output on the background)."""
-
-    phi: np.ndarray
-    phi0: float
 
 
 def _rescale(d_out, d_in, local):
@@ -66,11 +62,11 @@ def _padding(model, x):
     return None
 
 
-def _forward_trace(model, x, mask):
-    """``model.forward`` with the padding mask forced to ``mask``, so that
-    two passes share one padding pattern, and the caches it leaves on
-    the layers."""
-    out = model.forward(x, mask=mask)
+def _forward_trace(model, x):
+    """``model.forward`` with every round of ``x`` counted as an input (an
+    all-ones padding mask, which a network without a masking layer
+    ignores), and the caches it leaves on the layers."""
+    out = model.forward(x, mask=np.ones(x.shape[:2]))
     return out, [layer.cache for layer in model.layers]
 
 
@@ -102,82 +98,61 @@ def _lstm_multipliers(layer, cx, cr, m_out, lx, lr):
     mc = np.zeros(lead + (n,))
     for t in reversed(range(T)):
         sx, sr = cx["steps"][t], cr["steps"][t]
-        # both passes share the padding mask
-        m = None if sx["m"] is None else lx(sx["m"])
         if layer.return_sequences:
-            mh = mh + (m_out[:, :, t] if m is None else m * m_out[:, :, t])
-        mh_cand = mh if m is None else m * mh
+            mh = mh + m_out[:, :, t]
         ax, ar = lx(sx["a"]), lr(sr["a"])
         ox, fx, ix, ccx = layer.gates(ax)
         or_, fr, ir, ccr = layer.gates(ar)
         tcx, tcr = lx(sx["tc"]), lr(sr["tc"])
         mz = np.empty(lead + (4 * n,))
         mo, mf, mi, mcc = layer.gates(mz)
-        # h_cand = o * tanh(c_cand): bilinear split
-        half = mh_cand * 0.5
+        # h = o * tanh(c): bilinear split
+        half = mh * 0.5
         np.multiply(half, tcx + tcr, out=mo)
         mtc = half * (ox + or_)
         mc_cand = mtc * _rescale(
             tcx - tcr, lx(sx["c"]) - lr(sr["c"]), 1.0 - tcx ** 2)
-        mc_cand += mc if m is None else m * mc
-        # c_cand = c_prev * f + cc * i: bilinear splits
+        mc_cand += mc
+        # c = c_prev * f + cc * i: bilinear splits
         half = mc_cand * 0.5
         np.multiply(half, lx(sx["c_prev"]) + lr(sr["c_prev"]), out=mf)
         np.multiply(half, ccx + ccr, out=mi)
         np.multiply(half, ix + ir, out=mcc)
-        mc_prev = half * (fx + fr)
+        mc = half * (fx + fr)
         # gate nonlinearities: rescale to the pre-activations, one fused
         # product per pass
         zx = lx((sx["x"] @ wx + sx["h_prev"] @ wh) + b)
         zr = lr((sr["x"] @ wx + sr["h_prev"] @ wh) + b)
         mz *= _rescale(ax - ar, zx - zr, layer.slopes(ax))
         mx_in[:, :, t] = _matmul(mz, wx.T)
-        mh_prev = _matmul(mz, wh.T)
-        if m is not None:
-            # a masked pair passes its state multipliers straight through
-            mh_prev += (1.0 - m) * mh
-            mc_prev += (1.0 - m) * mc
-        mh, mc = mh_prev, mc_prev
+        mh = _matmul(mz, wh.T)
     return mx_in
 
 
-def _multiplier_backward(model, traces_x, traces_r, m_out, axis_r):
-    """Multipliers of (input, background) pairs from the two passes'
-    traces. Input-pass rows index the first axis of the pair grid;
-    background rows index the second (``axis_r`` 0: every input against
-    every background row) or align with the inputs (``axis_r`` 1)."""
+def _multiplier_backward(model, traces_x, traces_r, m_out):
+    """Multipliers of every (input, background) pair from the two passes'
+    traces: input-pass rows index the first axis of the pair grid and
+    background rows the second."""
     def lx(a):
-        return np.expand_dims(a, 1)
+        return a[:, None]
 
     def lr(a):
-        return np.expand_dims(a, axis_r)
+        return a[None]
 
     m = m_out
     for layer, cx, cr in zip(reversed(model.layers), reversed(traces_x),
                              reversed(traces_r)):
-        if isinstance(layer, Masking):
-            m = m * lx(cx["mask"])[..., None]
-        elif isinstance(layer, Dense):
+        if isinstance(layer, Dense):
             mz = m * _rescale(lx(cx["a"]) - lr(cr["a"]),
                               lx(cx["z"]) - lr(cr["z"]),
                               lx(_dense_local(layer, cx)))
             m = _matmul(mz, layer.weights["W"].T)
         elif isinstance(layer, Lstm):
             m = _lstm_multipliers(layer, cx, cr, m, lx, lr)
-        elif not isinstance(layer, Dropout):  # eval-mode dropout: identity
+        elif not isinstance(layer, (Masking, Dropout)):
+            # an all-ones mask and eval-mode dropout are identities
             raise ValueError(f"unsupported layer {type(layer).__name__}")
     return m
-
-
-def _pairs_attribution(model, x_rep, refs, head):
-    """Multipliers for aligned (input, background) row pairs."""
-    mask = _padding(model, x_rep)
-    out_x, tx = _forward_trace(model, x_rep, mask)
-    out_r, tr = _forward_trace(model, refs, mask)
-    m_out = np.zeros((out_x.shape[0], 1, out_x.shape[1]))
-    m_out[..., head] = 1.0
-    mult = _multiplier_backward(model, tx, tr, m_out, axis_r=1)[:, 0]
-    return mult * (x_rep - refs), out_r[:, head]
 
 
 def deepshap_batch(model, xs, background, head: int = 0,
@@ -192,38 +167,39 @@ def deepshap_batch(model, xs, background, head: int = 0,
     refs, _, counts = _distinct_rows(np.asarray(background, dtype=float))
     weights = counts / counts.sum()
     n, nb = ux.shape[0], refs.shape[0]
-    phi = np.empty_like(ux)
+    phi = np.zeros_like(ux)
     phi0 = np.empty(n)
     per_chunk = max(1, max_rows // nb)
     masks = _padding(model, ux)
     if masks is None:
-        groups = [(None, np.arange(n))]
+        groups = [(slice(None), np.arange(n))]
     else:
         patterns, which = np.unique(masks, axis=0, return_inverse=True)
-        groups = [(p[None], np.flatnonzero(which.reshape(-1) == k))
+        groups = [(np.flatnonzero(p), np.flatnonzero(which.reshape(-1) == k))
                   for k, p in enumerate(patterns)]
-    for mask, rows in groups:
-        # the background pass depends only on the padding pattern
-        out_r, tr = _forward_trace(model, refs, mask)
+    for keep, rows in groups:
+        # the group's inputs and the background on its unpadded rounds
+        xg, rg = ux[rows][:, keep], refs[:, keep]
+        if xg.shape[1] == 0:
+            # every round is padding: each pair's output is f(x), and
+            # nothing is attributed
+            out_r = np.repeat(model.forward(ux[rows[:1]]), nb, axis=0)
+            phi0[rows] = out_r[:, head] @ weights
+            continue
+        out_r, tr = _forward_trace(model, rg)
         phi0[rows] = out_r[:, head] @ weights
+        phi_g = np.zeros((len(rows),) + ux.shape[1:])
         for lo in range(0, len(rows), per_chunk):
-            idx = rows[lo:lo + per_chunk]
-            xb = ux[idx]
-            out_x, tx = _forward_trace(model, xb, mask)
-            m_out = np.zeros((len(idx), nb, out_x.shape[1]))
+            xb = xg[lo:lo + per_chunk]
+            out_x, tx = _forward_trace(model, xb)
+            m_out = np.zeros((len(xb), nb, out_x.shape[1]))
             m_out[..., head] = 1.0
-            mult = _multiplier_backward(model, tx, tr, m_out, axis_r=0)
-            contrib = mult * (xb[:, None] - refs[None])
-            phi[idx] = (weights @ contrib.reshape(len(idx), nb, -1)
-                        ).reshape(xb.shape)
+            mult = _multiplier_backward(model, tx, tr, m_out)
+            contrib = mult * (xb[:, None] - rg[None])
+            phi_g[lo:lo + per_chunk, keep] = (
+                weights @ contrib.reshape(len(xb), nb, -1)).reshape(xb.shape)
+        phi[rows] = phi_g
     return phi[inverse], phi0[inverse]
-
-
-def deepshap(model, x, background, head: int = 0) -> Attribution:
-    """Attribution for a single input volume."""
-    x = np.asarray(x, dtype=float)
-    phi, phi0 = deepshap_batch(model, x[None], background, head=head)
-    return Attribution(phi=phi[0], phi0=float(phi0[0]))
 
 
 def relevance_conservation_check(model, x, background, head: int = 0):

@@ -279,8 +279,12 @@ class TestCli:
             r = self.run(stage, "--config", str(exp))
             assert r.exit_code == 0, (stage, r.output)
 
-    @pytest.mark.parametrize("line", ["p_ph: often\n", "p_ph: 2.0\n",
-                                      "train: {lr: fast}\n"])
+    @pytest.mark.parametrize("line", [
+        "p_ph: often\n", "p_ph: 2.0\n", "train: {lr: fast}\n",
+        "train: {lr: 0}\n", "train: {lr: -1.0e-3}\n", "train: {lr: .nan}\n",
+        "train: {lr: .inf}\n", "train: {lr: true}\n", "p_ph: false\n",
+        "pph_sweep: [false, 0.001]\n", "pph_sweep: '0'\n",
+        "pph_sweep: {0.001: 1}\n"])
     def test_bad_rate_exit_1(self, tmp_path, line):
         bad = tmp_path / "bad.yaml"
         bad.write_text(line)

@@ -107,7 +107,8 @@ def sorted_hook_syns(code, k):
 class TestDecode:
     def test_all_zero(self, decoder):
         vol = np.zeros((4, 12), dtype=np.uint8)
-        assert decoder.decode(vol) == (0, 0)
+        for basis in ("Z", "X"):
+            assert decoder.decode_basis(vol, basis) == 0
 
     def test_hook_signature_volume(self, code, decoder):
         # F_X1 and S_Z increment 010 in the same round select X3X4
@@ -132,7 +133,9 @@ class TestDecode:
         for i in range(len(batch)):
             vol = batch.volumes[i]
             padded = np.vstack([vol, np.zeros((2, 12), dtype=np.uint8)])
-            assert decoder.decode(vol) == decoder.decode(padded)
+            for basis in ("Z", "X"):
+                assert (decoder.decode_basis(vol, basis)
+                        == decoder.decode_basis(padded, basis))
 
     def test_single_measurement_fault_run(self, code, decoder):
         gates = build_qec_cycle(code, cycles=2)

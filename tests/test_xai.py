@@ -9,10 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from steanedec.nn import Lstm, Model, NetworkSpec, build_model, dnn2_spec
-from steanedec.xai import (Game, deepshap, deepshap_batch, exact_shapley,
+from steanedec.xai import (Game, deepshap_batch, exact_shapley,
                            exact_shapley_batch, feature_exclusion_game,
                            relevance_conservation_check)
-from steanedec.xai.deepshap import _pairs_attribution
+from steanedec.xai.deepshap import (_forward_trace, _multiplier_backward,
+                                    _padding)
 
 
 def linear_model(beta, beta0=0.0):
@@ -50,14 +51,27 @@ def repeated_bits(rng, n, shape, distinct):
 
 
 def all_pairs_deepshap(model, xs, bg, head=0):
-    """Reference: every (input, background) pair in one batch, averaged
-    with a plain mean over the background."""
-    n, nb = xs.shape[0], bg.shape[0]
-    x_rep = np.repeat(xs, nb, axis=0)
-    r_rep = np.tile(bg, (n,) + (1,) * (bg.ndim - 1))
-    contrib, base = _pairs_attribution(model, x_rep, r_rep, head)
-    return (contrib.reshape((n, nb) + xs.shape[1:]).mean(axis=1),
-            base.reshape(n, nb).mean(axis=1))
+    """Reference: each input on its own against every background row,
+    with no deduplication, averaged with a plain mean over the
+    background. The input's padded rounds are dropped from both before
+    tracing; an input with no unpadded round scores 0 against f(x)."""
+    phi = np.zeros_like(xs)
+    phi0 = np.empty(xs.shape[0])
+    masks = _padding(model, xs)
+    for i, x in enumerate(xs):
+        keep = slice(None) if masks is None else masks[i].astype(bool)
+        xk, rk = x[None][:, keep], bg[:, keep]
+        if xk.shape[1] == 0:
+            phi0[i] = model.forward(x[None])[0, head]
+            continue
+        out_x, tx = _forward_trace(model, xk)
+        out_r, tr = _forward_trace(model, rk)
+        m_out = np.zeros((1, len(bg), out_x.shape[1]))
+        m_out[..., head] = 1.0
+        mult = _multiplier_backward(model, tx, tr, m_out)[0]
+        phi[i][keep] = (mult * (xk - rk)).mean(axis=0)
+        phi0[i] = out_r[:, head].mean()
+    return phi, phi0
 
 
 def random_game(rng, n):
@@ -162,10 +176,10 @@ class TestDeepShap:
             model = linear_model(beta, beta0=float(rng.normal()))
             x = rng.normal(size=d)
             bg = rng.normal(size=(25, d))
-            attr = deepshap(model, x, bg)
+            phi, phi0 = deepshap_batch(model, x[None], bg)
             exact = beta * (x - bg.mean(axis=0))
-            assert np.max(np.abs(attr.phi - exact)) < 1e-9
-            assert abs(attr.phi0 - model.forward(bg)[:, 0].mean()) < 1e-12
+            assert np.max(np.abs(phi[0] - exact)) < 1e-9
+            assert abs(phi0[0] - model.forward(bg)[:, 0].mean()) < 1e-12
 
     def test_sum_to_delta_recurrent(self):
         model = small_recurrent_model(seed=11)
@@ -197,9 +211,9 @@ class TestDeepShap:
         x = rng.integers(0, 2, size=(1, 6, 4)).astype(float)
         x[0, 4:] = -1.0
         bg = rng.integers(0, 2, size=(5, 6, 4)).astype(float)
-        attr = deepshap(model, x[0], bg)
-        assert np.all(attr.phi[4:] == 0.0)
-        assert np.any(attr.phi[:4] != 0.0)
+        phi, _ = deepshap_batch(model, x, bg)
+        assert np.all(phi[0, 4:] == 0.0)
+        assert np.any(phi[0, :4] != 0.0)
 
     def test_dense_close_to_exact_shapley(self):
         # not an identity for nonlinear nets, but the approximation
@@ -212,17 +226,6 @@ class TestDeepShap:
         phi_ex = exact_shapley_batch(model, xs, bg)
         corr = np.corrcoef(phi_ds.ravel(), phi_ex.ravel())[0, 1]
         assert corr > 0.95
-
-    def test_batch_matches_single(self):
-        model = small_recurrent_model(seed=17)
-        rng = np.random.default_rng(11)
-        xs = rng.integers(0, 2, size=(4, 3, 4)).astype(float)
-        bg = rng.integers(0, 2, size=(6, 3, 4)).astype(float)
-        phis, phi0s = deepshap_batch(model, xs, bg, max_rows=7)
-        for i in range(4):
-            a = deepshap(model, xs[i], bg)
-            assert np.allclose(a.phi, phis[i], atol=1e-12)
-            assert abs(a.phi0 - phi0s[i]) < 1e-12
 
 
 class TestDeepShapDistinctRows:
@@ -335,3 +338,37 @@ class TestDeepShapBackgroundTrace:
         assert np.max(np.abs(phi0 - ref_phi0)) < 1e-12
         assert np.all(phi[xs == -1.0] == 0.0)
 
+
+class TestDeepShapRoundDropping:
+    """Each padding group's padded rounds are dropped before tracing;
+    the background keeps its own -1 rounds as inputs on the rounds that
+    stay."""
+
+    def inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        xs, _ = padded_lengths(rng, 24, (6, 4), distinct=16)
+        xs[0] = -1.0          # all padding
+        xs[1, 2] = -1.0       # an interior padded round
+        xs[2, :3] = -1.0      # leading padding
+        bg, _ = padded_lengths(rng, 10, (6, 4), distinct=7)
+        return xs, bg
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tail_interior_and_all_padded_match_reference(self, seed):
+        model = small_recurrent_model(seed=41 + seed)
+        xs, bg = self.inputs(seed)
+        phi, phi0 = deepshap_batch(model, xs, bg, max_rows=20)
+        ref_phi, ref_phi0 = all_pairs_deepshap(model, xs, bg)
+        assert np.max(np.abs(phi - ref_phi)) < 1e-12
+        assert np.max(np.abs(phi0 - ref_phi0)) < 1e-12
+        assert np.all(phi[xs == -1.0] == 0.0)
+        assert np.max(relevance_conservation_check(model, xs, bg)) < 1e-10
+
+    def test_all_padded_input(self):
+        model = small_recurrent_model(seed=43)
+        xs, bg = self.inputs(3)
+        phi, phi0 = deepshap_batch(model, xs[:1], bg)
+        assert np.all(phi == 0.0)
+        # f(x) against every background row, under the weighted mean
+        assert model.forward(xs[:1])[0, 0] == 0.5
+        assert abs(phi0[0] - 0.5) < 1e-15
