@@ -16,9 +16,10 @@ Prints one JSON line:
     decoder (12 -> 36 -> 36 units) at T = 8, for batches of 64 rows (one
     training minibatch) and 1,500 rows (one evaluation point);
   * ``deepshap_pairs_per_s``: (input, background) pairs per second of
-    `deepshap_batch` on the srnn decoder, 60 inputs against 100 background
-    rows of 8 rounds, in one chunk as ``steanedec explain`` runs it (the
-    sizes of the ``srnn-pipeline`` benchmark's explain stage).
+    `NnDecoder.attributions` (one `deepshap_batch` call) on the srnn
+    decoder, 60 inputs against 100 background rows of 8 rounds, in one
+    chunk as ``steanedec explain`` runs it (the sizes of the
+    ``srnn-pipeline`` benchmark's explain stage).
 
 Each figure is the best of several repeats, so that a quiet moment of a
 shared machine is what is reported; ``<key>_median`` and
@@ -34,11 +35,11 @@ import time
 
 import numpy as np
 
+from steanedec.decoders import NnDecoder
 from steanedec.nn import build_model, srnn_spec
 from steanedec.seqlut import SeqLutDecoder
 from steanedec.sim import NoiseModel, sample_memory_batch
 from steanedec.steane import steane_code
-from steanedec.xai import deepshap_batch
 
 T = 8
 REPEATS = 7
@@ -114,8 +115,8 @@ def main():
         out.update(lstm_rates(model, rng, rows, calls))
     xs = (rng.random((60, T, 12)) < 0.1).astype(float)
     bg = (rng.random((100, T, 12)) < 0.1).astype(float)
-    sec = repeat_seconds(lambda: deepshap_batch(model, xs, bg,
-                                                max_rows=200_000), 1)
+    decoder = NnDecoder(model)
+    sec = repeat_seconds(lambda: decoder.attributions(xs, bg), 1)
     out.update(rate_figures("deepshap_pairs_per_s", 60 * 100, sec))
     print(json.dumps(out, sort_keys=True))
 

@@ -27,8 +27,9 @@ class WilsonResult:
     sigma: float
 
 
-def wilson_interval(k: int, n: int, z2: float = 1.0) -> WilsonResult:
-    """Wilson score interval with fringe cutoffs and symmetrized sigma.
+def wilson_interval(k: int, n: int) -> WilsonResult:
+    """Wilson score interval at z = 1 (one standard deviation) with
+    fringe cutoffs and symmetrized sigma.
 
     Bounds within 2 counts of the edge (3 for n > 40) are pinned to
     0 resp. 1; sigma is twice the larger deviation of the bounds from
@@ -37,10 +38,9 @@ def wilson_interval(k: int, n: int, z2: float = 1.0) -> WilsonResult:
     if n < 1 or not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, n >= 1; got k={k}, n={n}")
     p_hat = k / n
-    z = np.sqrt(z2)
-    denom = 1.0 + z2 / n
-    center = p_hat + z2 / (2 * n)
-    half = z * np.sqrt(p_hat * (1 - p_hat) / n + z2 / (4 * n * n))
+    denom = 1.0 + 1.0 / n
+    center = p_hat + 1.0 / (2 * n)
+    half = np.sqrt(p_hat * (1 - p_hat) / n + 1.0 / (4 * n * n))
     p_min = (center - half) / denom
     p_max = (center + half) / denom
     edge = 3 if n > 40 else 2
@@ -97,6 +97,14 @@ def fit_scaling(p_ph, p_l) -> FitResult:
     pred = np.exp(log_a) * p_ph ** b
     resid = float(np.sqrt(np.mean((np.log(pred) - np.log(p_l)) ** 2)))
     return FitResult((float(np.exp(log_a)), float(b)), resid)
+
+
+def scaling_exponent(p_ph, p_l) -> float:
+    """The exponent b of `fit_scaling`; NaN unless there are at least 2
+    points and every rate is positive."""
+    if len(p_l) < 2 or min(min(p_ph), min(p_l)) <= 0:
+        return float("nan")
+    return fit_scaling(p_ph, p_l).params[1]
 
 
 # --- Monte-Carlo logical error rate ----------------------------------------
@@ -291,10 +299,7 @@ class PreparedMonitor:
                    ^ self.faults.m_L).sum()) / len(self.faults)
         p_ls = {p_ph: _score_rounds(decoder, batches).p_l
                 for p_ph, batches in self.points.items()}
-        if len(p_ls) >= 2 and all(v > 0 for v in p_ls.values()):
-            b = fit_scaling(list(p_ls), list(p_ls.values())).params[1]
-        else:
-            b = float("nan")
+        b = scaling_exponent(list(p_ls), list(p_ls.values()))
         hook_mean = baseline_mean = float("nan")
         if self.attribution_fn is not None:
             attr = self.attribution_fn(decoder)

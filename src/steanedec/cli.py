@@ -14,23 +14,23 @@ from __future__ import annotations
 import json
 import os
 import sys
+import time
 
 import click
 import numpy as np
 import yaml
 
 from . import dataset as dsmod
-from .analysis import (fit_scaling, ft_contract, ft_monitor,
-                       logical_error_rate)
+from .analysis import (ft_contract, ft_monitor, logical_error_rate,
+                       scaling_exponent)
 from .circuits import enumerate_single_faults
-from .decoders import DNN2_CHANNELS, NnDecoder, dnn2_inputs, rnn_inputs
+from .decoders import NnDecoder
 from .nn import (TrainConfig, build_model, config_hash, load_checkpoint,
                  train)
 from .nn.model import spec_by_id
 from .seqlut import SeqLutDecoder
 from .sim import NoiseModel, dep_failure_fraction, sample_memory_batch
 from .steane import steane_code
-from .xai import deepshap_batch
 
 DEFAULTS = {
     "seed": 0,
@@ -227,6 +227,11 @@ def checkpoint_decoder(cfg, path: str, basis: str):
     return ckpt.epoch, NnDecoder(model, basis=basis)
 
 
+def require_network(cfg):
+    if cfg["decoder"] == "lut":
+        fail(1, "the look-up-table decoder has no network")
+
+
 def load_decoder(cfg, basis: str):
     if cfg["decoder"] == "lut":
         return SeqLutDecoder(steane_code())
@@ -293,26 +298,15 @@ def cmd_gen_data(**kw):
         click.echo(f"wrote {path} ({per} samples)")
 
 
-def _training_arrays(cfg):
-    """Stack the train-split datasets into network inputs and labels."""
-    decoder = cfg["decoder"]
-    bases = decoder_bases(decoder)
-    rounds = dataset_rounds(cfg)
+def _training_arrays(cfg, model):
+    """Stack the train-split datasets into ``model``'s inputs and labels."""
     xs, ys = [], []
-    for basis in bases:
-        for t in rounds:
+    for basis in decoder_bases(cfg["decoder"]):
+        decoder = NnDecoder(model, basis)
+        for t in dataset_rounds(cfg):
             ds = require_dataset(cfg, "train", basis, t)
-            if decoder == "dnn2":
-                xs.append(dnn2_inputs(ds.volumes, basis))
-            else:
-                xs.append(rnn_inputs(ds.volumes, t_max=cfg["rounds"]))
-            label = ds.m_L.astype(float)
-            if decoder == "drnn":
-                y = np.full((len(ds), 2), -1.0)
-                y[:, 0 if basis == "Z" else 1] = label
-            else:
-                y = label[:, None]
-            ys.append(y)
+            xs.append(decoder.inputs(ds.volumes, t_max=cfg["rounds"]))
+            ys.append(decoder.targets(ds.m_L))
     return np.concatenate(xs), np.concatenate(ys)
 
 
@@ -321,10 +315,9 @@ def _training_arrays(cfg):
 def cmd_train(**kw):
     """Train the configured network; one checkpoint per epoch."""
     cfg = build_cfg(**kw)
-    if cfg["decoder"] == "lut":
-        fail(1, "the look-up-table decoder is not trainable")
-    x, y = _training_arrays(cfg)
+    require_network(cfg)
     model = build_model(spec_by_id(cfg["decoder"]), seed=cfg["seed"])
+    x, y = _training_arrays(cfg, model)
     ckdir = checkpoint_dir(cfg)
     os.makedirs(ckdir, exist_ok=True)
     tc = TrainConfig(epochs=cfg["train"]["epochs"],
@@ -366,11 +359,10 @@ def cmd_eval(**kw):
     payload = {"config_hash": cfg["hash"], "decoder": cfg["decoder"],
                "rows": rows}
     for basis in decoder_bases(cfg["decoder"]):
-        pts = [(r["p_ph"], r["p_l"]) for r in rows
-               if r["basis"] == basis and r["p_l"] > 0]
-        if len(pts) >= 2:
-            fit = fit_scaling([p for p, _ in pts], [v for _, v in pts])
-            payload[f"scaling_b_{basis}"] = fit.params[1]
+        b = scaling_exponent(cfg["pph_sweep"], [r["p_l"] for r in rows
+                                                if r["basis"] == basis])
+        if not np.isnan(b):
+            payload[f"scaling_b_{basis}"] = b
     _write_json(os.path.join(cfg["out"], f"eval_{cfg['decoder']}.json"),
                 payload)
 
@@ -380,8 +372,7 @@ def cmd_eval(**kw):
 def cmd_explain(**kw):
     """Attributions of the trained decoder on validation samples."""
     cfg = build_cfg(**kw)
-    if cfg["decoder"] == "lut":
-        fail(1, "attributions require a network decoder")
+    require_network(cfg)
     basis = decoder_bases(cfg["decoder"])[0]
     t = dataset_rounds(cfg)[-1]
     val = require_dataset(cfg, "val", basis, t)
@@ -389,10 +380,7 @@ def cmd_explain(**kw):
     decoder = load_decoder(cfg, basis)
     n = min(cfg["explain"]["samples"], len(val))
     nb = min(cfg["explain"]["background"], len(bg_ds))
-    xs = decoder.inputs(val.volumes[:n])
-    bg = decoder.inputs(bg_ds.volumes[:nb])
-    phi, phi0 = deepshap_batch(decoder.model, xs, bg, head=decoder.head,
-                               max_rows=200_000)
+    phi, phi0 = decoder.attributions(val.volumes[:n], bg_ds.volumes[:nb])
     out_path = os.path.join(cfg["out"], f"attributions_{cfg['decoder']}.txt")
     with open(out_path, "w") as fh:
         fh.write(f"# config={cfg['hash']} decoder={cfg['decoder']} "
@@ -435,9 +423,9 @@ def cmd_dep(**kw):
 @common_options
 def cmd_monitor(**kw):
     """FT-learning tracks for every checkpoint of a training run."""
+    start = time.monotonic()
     cfg = build_cfg(**kw)
-    if cfg["decoder"] == "lut":
-        fail(1, "monitoring requires a trained run")
+    require_network(cfg)
     code = steane_code()
     basis = decoder_bases(cfg["decoder"])[0]
     paths = checkpoint_paths(cfg)
@@ -445,22 +433,17 @@ def cmd_monitor(**kw):
     val = require_dataset(cfg, "val", basis, t)
     bg_ds = require_dataset(cfg, "train", basis, t)
 
-    n = min(2000, len(val))
-    nb = min(200, len(bg_ds))
-
     def attribution_fn(decoder):
-        xs = decoder.inputs(val.volumes[:n])
-        bg = decoder.inputs(bg_ds.volumes[:nb])
-        phi, _ = deepshap_batch(decoder.model, xs, bg, head=decoder.head,
-                                max_rows=100_000)
-        if decoder.model.spec.recurrent:
-            return phi
-        full = np.zeros((n, val.T, 12))
-        full[:, :, list(DNN2_CHANNELS[basis])] = phi.reshape(n, val.T, 6)
-        return full
+        return decoder.attributions(val.volumes[:2000],
+                                    bg_ds.volumes[:200])[0]
 
-    decoders = (checkpoint_decoder(cfg, path, basis) for path in paths)
-    rows = ft_monitor(decoders, code, cfg["pph_sweep"], basis,
+    def decoders():
+        for i, path in enumerate(paths, 1):
+            click.echo(f"checkpoint {i}/{len(paths)} {path} "
+                       f"{time.monotonic() - start:.1f} s")
+            yield checkpoint_decoder(cfg, path, basis)
+
+    rows = ft_monitor(decoders(), code, cfg["pph_sweep"], basis,
                       rounds=eval_rounds(cfg),
                       shots_per_point=cfg["eval"]["shots_per_point"],
                       seed=cfg["seed"], attribution_fn=attribution_fn)

@@ -1,35 +1,17 @@
-"""Neural decoder wrapper: turns measurement volumes into network
-inputs and thresholds the output probabilities into flip predictions."""
+"""Neural decoder wrapper: the one place that maps (samples, rounds, 12)
+volumes onto a network's inputs and labels, and its scores back."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .circuits import FX, FZ, SX, SZ
+from .circuits import FX, FZ, N_CHANNELS, SX, SZ
+from .nn.losses import MASKED
+from .xai import deepshap_batch
 
 # dense two-cycle decoder sees only the decoding basis's syndrome and
 # flag channels, flattened over the two rounds
 DNN2_CHANNELS = {"Z": SZ + FX, "X": SX + FZ}
-
-
-def dnn2_inputs(volumes, basis: str = "Z") -> np.ndarray:
-    volumes = np.asarray(volumes, dtype=float)
-    chans = list(DNN2_CHANNELS[basis])
-    sel = volumes[:, :, chans]
-    return sel.reshape(volumes.shape[0], -1)
-
-
-def rnn_inputs(volumes, t_max: int | None = None) -> np.ndarray:
-    """Float volumes, padded with the mask value -1.0 up to t_max.
-    Longer volumes pass through unchanged: the recurrent networks take
-    any number of rounds."""
-    volumes = np.asarray(volumes, dtype=float)
-    if t_max is None or volumes.shape[1] >= t_max:
-        return volumes
-    n, t, c = volumes.shape
-    out = np.full((n, t_max, c), -1.0)
-    out[:, :t, :] = volumes
-    return out
 
 
 class NnDecoder:
@@ -42,16 +24,49 @@ class NnDecoder:
 
     def __init__(self, model, basis: str = "Z"):
         self.model = model
-        self.basis = basis
         if model.spec.spec_id == "drnn":
             self.head = {"Z": 0, "X": 1}[basis]
         else:
             self.head = 0
+        self.channels = None if model.spec.recurrent \
+            else list(DNN2_CHANNELS[basis])
 
-    def inputs(self, volumes) -> np.ndarray:
-        if self.model.spec.recurrent:
-            return rnn_inputs(volumes)
-        return dnn2_inputs(volumes, self.basis)
+    def inputs(self, volumes, t_max: int | None = None) -> np.ndarray:
+        """The flattened `DNN2_CHANNELS` for a dense network; for a
+        recurrent one, which takes any number of rounds, the float volumes
+        padded with the mask value -1.0 up to ``t_max``."""
+        volumes = np.asarray(volumes, dtype=float)
+        n, t, c = volumes.shape
+        if self.channels is not None:
+            return volumes[:, :, self.channels].reshape(n, -1)
+        if t_max is None or t >= t_max:
+            return volumes
+        out = np.full((n, t_max, c), -1.0)
+        out[:, :t, :] = volumes
+        return out
+
+    def targets(self, m_L) -> np.ndarray:
+        """Labels: m_L on this basis's head, MASKED on every other head."""
+        y = np.full((len(m_L), self.model.spec.layers[-1]["units"]), MASKED)
+        y[:, self.head] = m_L
+        return y
+
+    def grid(self, scores) -> np.ndarray:
+        """Input-shaped ``scores`` on the (samples, rounds, 12) volume grid,
+        zero on the channels the network does not read."""
+        if self.channels is None:
+            return scores
+        n, k = len(scores), len(self.channels)
+        full = np.zeros((n, scores.shape[1] // k, N_CHANNELS))
+        full[:, :, self.channels] = scores.reshape(n, -1, k)
+        return full
+
+    def attributions(self, volumes, background):
+        """(`grid` of DeepSHAP scores against ``background``, phi0)."""
+        phi, phi0 = deepshap_batch(self.model, self.inputs(volumes),
+                                   self.inputs(background), head=self.head,
+                                   max_rows=100_000)  # ~1.4 GB, srnn, T=8
+        return self.grid(phi), phi0
 
     def predict_flips(self, volumes) -> np.ndarray:
         q = self.model.forward(self.inputs(volumes))[:, self.head]

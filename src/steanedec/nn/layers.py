@@ -155,13 +155,6 @@ class Lstm(Layer):
         tc = np.tanh(c)
         return o * tc, c, tc
 
-    def step(self, x_t, h_prev, c_prev):
-        """One recurrence step; returns (h, c) and the gate block."""
-        wx, wh, b = (self.weights[k] for k in ("W_x", "W_h", "b"))
-        a = x_t @ wx
-        h, c, _ = self._round(a, h_prev, c_prev, wh, b, np.empty_like(a))
-        return h, c, a
-
     def forward(self, x, mask=None, train=False, rng=None):
         B, T, _ = x.shape
         wx, wh, b = (self.weights[k] for k in ("W_x", "W_h", "b"))

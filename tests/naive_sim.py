@@ -7,12 +7,31 @@ representation with the packed production engine.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from steanedec.circuits import (ANC, FLAG, N_CHANNELS, FaultInjection,
                                 PAULI_1Q, TWO_QUBIT_PAULIS, build_qec_cycle)
-from steanedec.sim import MemorySample, NoiseModel
 from steanedec.steane import CodeDefinition
+
+
+@dataclass
+class NaiveSample:
+    """One oracle run, with the fields of the package's memory sample:
+    the (T, 12) volume, the readout basis, the logical input and output,
+    the final half syndrome and the preparation round's 12 outcomes."""
+
+    volume: np.ndarray
+    basis: str
+    m_in: int
+    m_out: int
+    final_syndrome: int
+    prep_row: np.ndarray
+
+    @property
+    def m_L(self) -> int:
+        return self.m_in ^ self.m_out
 
 
 class NaiveQubit:
@@ -32,7 +51,7 @@ class NaiveQubit:
 
 def naive_run(code: CodeDefinition, noise, T, basis, m_in=0, rng=None,
               fault: FaultInjection | None = None,
-              fault_in_prep: bool = False) -> MemorySample:
+              fault_in_prep: bool = False) -> NaiveSample:
     """One memory experiment. ``fault.loc`` counts the locations of the T
     QEC cycles, or with ``fault_in_prep`` those of the preparation cycle
     (the two are numbered separately)."""
@@ -111,6 +130,6 @@ def naive_run(code: CodeDefinition, noise, T, basis, m_in=0, rng=None,
     syn = code._half_syndrome_int(err)
     residual = err ^ code.pure_error_mask(syn)
     flip = bin(residual & code.logical_mask).count("1") & 1
-    return MemorySample(volume=volume, basis=basis, m_in=m_in,
-                        m_out=m_in ^ flip, final_syndrome=syn,
-                        prep_row=prep_row)
+    return NaiveSample(volume=volume, basis=basis, m_in=m_in,
+                       m_out=m_in ^ flip, final_syndrome=syn,
+                       prep_row=prep_row)

@@ -15,7 +15,7 @@ from steanedec.analysis import (attribution_correlations,
                                 fit_scaling, infidelity_model,
                                 logical_error_rate, wilson_interval)
 from steanedec.circuits import ANC
-from steanedec.decoders import DNN2_CHANNELS, dnn2_inputs
+from steanedec.decoders import NnDecoder
 from steanedec.nn import (NetworkSpec, TrainConfig, bce_loss, bce_loss_grad,
                           build_model, dnn2_spec, srnn_spec, train)
 from steanedec.seqlut import SeqLutDecoder, hook_correction_table
@@ -63,13 +63,14 @@ def trained_dnn(code):
     single-fault benchmark, the training inputs, and the fault set. One
     retry with a fresh seed is allowed before giving up.
     """
+    layout = NnDecoder(build_model(dnn2_spec()), basis="Z")
     faults = single_fault_batch(code, "Z", 2)
-    dep_x = dnn2_inputs(faults.volumes, "Z")
+    dep_x = layout.inputs(faults.volumes)
     dep_y = faults.m_L
 
     batch = sample_memory_batch(code, NoiseModel(5e-3), T=2, basis="Z",
                                 shots=100_000, seed=123)
-    x = dnn2_inputs(batch.volumes, "Z")
+    x = layout.inputs(batch.volumes)
     y = batch.m_L.astype(float)
 
     def dep_fails(m):
@@ -108,21 +109,17 @@ def dnn_attributions(code, trained_dnn):
     """Backpropagated and exact attribution values on 14k validation
     samples, against a 1000-sample training background."""
     model = trained_dnn["model"]
+    decoder = NnDecoder(model, basis="Z")
     val = sample_memory_batch(code, NoiseModel(5e-3), T=2, basis="Z",
                               shots=14_000, seed=777)
-    xv = dnn2_inputs(val.volumes, "Z")
+    xv = decoder.inputs(val.volumes)
     bg = trained_dnn["train_x"][:1000]
     phi_ds, _ = deepshap_batch(model, xv, bg, max_rows=200_000)
     phi_ex = exact_shapley_batch(model, xv, bg, chunk=256)
-    chans = list(DNN2_CHANNELS["Z"])
-
-    def scatter(phi):
-        full = np.zeros((phi.shape[0], 2, 12))
-        full[:, :, chans] = phi.reshape(-1, 2, 6)
-        return full
-
-    return {"ds": attribution_correlations(scatter(phi_ds), lag=0).matrix,
-            "ex": attribution_correlations(scatter(phi_ex), lag=0).matrix,
+    return {"ds": attribution_correlations(decoder.grid(phi_ds),
+                                           lag=0).matrix,
+            "ex": attribution_correlations(decoder.grid(phi_ex),
+                                           lag=0).matrix,
             "sig": derive_hook_signatures(code, "Z")}
 
 

@@ -57,18 +57,20 @@ class TestLstmStep:
             assert sorted(lstm.weights) == ["W_h", "W_x", "b"]
 
     def test_zero_weight_step(self):
-        # all weights zero keeps only the biases: f=sigmoid(1), i=o=1/2,
-        # candidate cell 0, so c halves nothing and h = tanh(c)/2
+        # zero weights keep only the biases: f = sigmoid(1), i = o = 1/2
+        # and candidate cell tanh(0.8), whatever the input and h, so
+        # c_1 = tanh(0.8)/2, c_2 = f c_1 + tanh(0.8)/2 and h_t = tanh(c_t)/2
         lstm = Lstm(3, 2, return_sequences=True)
         for w in lstm.weights.values():
             w[:] = 0.0
         gate_params(lstm, "f")[2][:] = 1.0
-        x = np.ones((1, 2))
-        c_prev = np.full((1, 3), 0.8)
-        h, c, _ = lstm.step(x, np.zeros((1, 3)), c_prev)
+        gate_params(lstm, "c")[2][:] = 0.8
+        h = lstm.forward(np.ones((1, 2, 2)))
+        c = np.stack([s["c"] for s in lstm.cache["steps"]], axis=1)
         f = 1.0 / (1.0 + math.exp(-1.0))
-        assert np.allclose(c, 0.8 * f)
-        assert np.allclose(h, 0.5 * np.tanh(0.8 * f))
+        c1 = 0.5 * math.tanh(0.8)
+        assert np.allclose(c, [[[c1] * 3, [f * c1 + c1] * 3]])
+        assert np.allclose(h, 0.5 * np.tanh(c))
 
     def test_scalar_loop_oracle(self):
         # batched forward must equal a plain per-step python recurrence

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from click.testing import CliRunner
 
 from steanedec import dataset as dsmod
 from steanedec.cli import build_cfg, dataset_plan, load_config, main
-from steanedec.decoders import DNN2_CHANNELS, NnDecoder, dnn2_inputs, \
-    rnn_inputs
+from steanedec.decoders import DNN2_CHANNELS, NnDecoder
 from steanedec.nn import (Checkpoint, build_model, dnn2_spec, drnn_spec,
                           save_checkpoint, srnn_spec)
+from steanedec.nn.losses import MASKED
 from steanedec.sim import NoiseModel, sample_memory_batch
 from steanedec.steane import steane_code
 
@@ -130,7 +131,8 @@ class TestDatasetSeeds:
 
 class TestDecoderWrapper:
     def test_dnn2_input_channels(self, batch):
-        x = dnn2_inputs(batch.volumes, "Z")
+        dec = NnDecoder(build_model(dnn2_spec(), seed=1), basis="Z")
+        x = dec.inputs(batch.volumes, t_max=5)  # t_max: recurrent only
         assert x.shape == (len(batch), 12)
         chans = list(DNN2_CHANNELS["Z"])
         assert np.array_equal(
@@ -138,15 +140,46 @@ class TestDecoderWrapper:
             batch.volumes[:, :, chans].astype(float))
 
     def test_rnn_padding(self, batch):
-        x = rnn_inputs(batch.volumes, t_max=5)
+        dec = NnDecoder(build_model(srnn_spec("Z"), seed=3), basis="Z")
+        x = dec.inputs(batch.volumes, t_max=5)
         assert x.shape == (len(batch), 5, 12)
         assert np.all(x[:, 2:, :] == -1.0)
         assert np.array_equal(x[:, :2, :], batch.volumes.astype(float))
+        assert np.array_equal(dec.inputs(batch.volumes, t_max=1),
+                              batch.volumes.astype(float))
+
+    def test_drnn_targets(self, batch):
+        # the label on the decoding basis's head, no loss on the other
+        model = build_model(drnn_spec(), seed=2)
+        for basis, head in (("Z", 0), ("X", 1)):
+            y = NnDecoder(model, basis=basis).targets(batch.m_L)
+            assert y.shape == (len(batch), 2)
+            assert np.array_equal(y[:, head], batch.m_L.astype(float))
+            assert np.all(y[:, 1 - head] == MASKED)
+        y = NnDecoder(build_model(srnn_spec("X"), seed=3),
+                      basis="X").targets(batch.m_L)
+        assert np.array_equal(y, batch.m_L.astype(float)[:, None])
+
+    def test_grid(self, batch):
+        # dnn2 scores land on their volume channels, zeros elsewhere;
+        # recurrent scores are the grid already
+        dec = NnDecoder(build_model(dnn2_spec(), seed=1), basis="Z")
+        scores = np.arange(len(batch) * 12, dtype=float).reshape(-1, 12)
+        full = dec.grid(scores)
+        chans = list(DNN2_CHANNELS["Z"])
+        assert full.shape == (len(batch), 2, 12)
+        assert np.array_equal(full[:, :, chans], scores.reshape(-1, 2, 6))
+        others = [c for c in range(12) if c not in chans]
+        assert not full[:, :, others].any()
+        rnn = NnDecoder(build_model(srnn_spec("Z"), seed=3), basis="Z")
+        grid = np.ones((3, 4, 12))
+        assert rnn.grid(grid) is grid
 
     def test_predict_matches_forward(self, batch):
         model = build_model(dnn2_spec(), seed=1)
         dec = NnDecoder(model, basis="Z")
-        q = model.forward(dnn2_inputs(batch.volumes, "Z"))[:, 0]
+        x = batch.volumes[:, :, list(DNN2_CHANNELS["Z"])].reshape(-1, 12)
+        q = model.forward(x.astype(float))[:, 0]
         assert np.array_equal(dec.predict_flips_batch(batch),
                               (q > 0.5).astype(np.uint8))
 
@@ -155,7 +188,7 @@ class TestDecoderWrapper:
         z = NnDecoder(model, basis="Z")
         x = NnDecoder(model, basis="X")
         assert (z.head, x.head) == (0, 1)
-        q = model.forward(rnn_inputs(batch.volumes, 2))
+        q = model.forward(batch.volumes.astype(float))
         assert np.array_equal(z.predict_flips_batch(batch),
                               (q[:, 0] > 0.5).astype(np.uint8))
         assert np.array_equal(x.predict_flips_batch(batch),
@@ -174,7 +207,7 @@ class TestDecoderWrapper:
             vols = sample_memory_batch(steane_code(), NoiseModel(0.02),
                                        T=t, basis="Z", shots=30,
                                        seed=t).volumes
-            padded = model.forward(rnn_inputs(vols, t_max=8))
+            padded = model.forward(dec.inputs(vols, t_max=8))
             assert np.array_equal(model.forward(dec.inputs(vols)), padded)
             assert np.array_equal(dec.predict_flips(vols),
                                   (padded[:, 0] > 0.5).astype(np.uint8))
@@ -222,6 +255,12 @@ class TestCli:
         assert r.exit_code == 0, r.output
         lines = (out / "attributions_dnn2.txt").read_text().splitlines()
         assert len(lines) == 101
+        # index, T, basis, phi0, the (2, 12) grid, the volume bits
+        assert len(lines[1].split()) == 4 + 24 + 1
+        phi = np.load(out / "attributions_dnn2.npy")
+        assert phi.shape == (100, 2, 12)
+        others = [c for c in range(12) if c not in DNN2_CHANNELS["Z"]]
+        assert not phi[:, :, others].any()
         r = self.run("report", "--config", cfg_path)
         assert r.exit_code == 0, r.output
         assert "dnn2" in r.output
@@ -389,6 +428,18 @@ class TestCli:
                              .read_text())
         assert len(payload["rows"][0]["infidelity"]) == 3
         assert (tmp_path / "run" / "monitor_srnn-z.txt").exists()
+        # one progress line per checkpoint as it loads, in epoch order,
+        # before the table is written
+        lines = r.output.splitlines()
+        at = [i for i, line in enumerate(lines)
+              if line.startswith("checkpoint ")]
+        fields = [lines[i].split() for i in at]
+        assert [f[1] for f in fields] == ["1/2", "2/2"]
+        assert [os.path.basename(f[2]) for f in fields] == \
+            ["epoch_0000.ckpt", "epoch_0001.ckpt"]
+        assert all(f[4] == "s" and float(f[3]) >= 0 for f in fields)
+        assert at[-1] < lines.index(f"wrote {tmp_path / 'run'}"
+                                    "/monitor_srnn-z.txt")
         # the FT contract is a result, echoed and recorded, exit 0 either
         # way
         monitor = json.loads((tmp_path / "run" / "monitor_srnn-z.json")
@@ -396,6 +447,29 @@ class TestCli:
         verdict = monitor["contract"]["verdict"]
         assert verdict in ("HELD", "FAILED")
         assert f"contract {verdict}" in r.output.splitlines()
+
+    def test_lut_eval_omits_b_unless_every_rate_is_positive(
+            self, cfg_path, tmp_path):
+        # no shot fails at p_ph = 0, so the sweep has no exponent; the
+        # two positive points alone do not make one
+        sweep = tmp_path / "sweep.yaml"
+        sweep.write_text(open(cfg_path).read().replace(
+            "pph_sweep: [0.005]", "pph_sweep: [0, 0.01, 0.02]"))
+        for stage in ("eval", "report"):
+            r = self.run(stage, "--config", str(sweep), "--decoder", "lut")
+            assert r.exit_code == 0, r.output
+        payload = json.loads((tmp_path / "run" / "eval_lut.json")
+                             .read_text())
+        assert [row["p_l"] > 0 for row in payload["rows"]
+                if row["basis"] == "Z"] == [False, True, True]
+        assert not any(k.startswith("scaling_b_") for k in payload)
+        assert r.output.splitlines()[1] == "lut Z 0 0 nan"
+
+    @pytest.mark.parametrize("stage", ["train", "explain", "monitor"])
+    def test_lut_has_no_network_exit_1(self, cfg_path, stage):
+        r = self.run(stage, "--config", cfg_path, "--decoder", "lut")
+        assert r.exit_code == 1, r.output
+        assert "has no network" in r.output
 
     def test_negative_seed_exit_1(self, cfg_path):
         r = self.run("gen-data", "--config", cfg_path, "--seed", "-1")
