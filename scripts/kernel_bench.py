@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Layer-by-layer timing of the simulator, the look-up-table decoder and
-the recurrent decoder's hot kernels.
+the recurrent decoder's hot kernels, and of the command line's import.
 
 Prints one JSON line:
 
@@ -20,6 +20,9 @@ Prints one JSON line:
     decoder, 60 inputs against 100 background rows of 8 rounds, in one
     chunk as ``steanedec explain`` runs it (the sizes of the
     ``srnn-pipeline`` benchmark's explain stage).
+  * ``import_cli_s``: seconds of ``python -c "import steanedec.cli"``
+    in a fresh interpreter, interpreter start-up included; every CLI
+    stage pays it before its own work.
 
 Each figure is the best of several repeats, so that a quiet moment of a
 shared machine is what is reported; ``<key>_median`` and
@@ -31,6 +34,8 @@ seed. Run from the root of a checkout:
 """
 
 import json
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -118,6 +123,12 @@ def main():
     decoder = NnDecoder(model)
     sec = repeat_seconds(lambda: decoder.attributions(xs, bg), 1)
     out.update(rate_figures("deepshap_pairs_per_s", 60 * 100, sec))
+    sec = repeat_seconds(lambda: subprocess.run(
+        [sys.executable, "-c", "import steanedec.cli"], check=True), 1)
+    out.update({"import_cli_s": round(sec.min(), 3),
+                "import_cli_s_median": round(float(np.median(sec)), 3),
+                "import_cli_s_range": [round(sec.max(), 3),
+                                       round(sec.min(), 3)]})
     print(json.dumps(out, sort_keys=True))
 
 

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .circuits import ANC, FX, FZ, SX, SZ, FaultInjection, build_qec_cycle
 from .sim import (MemoryBatch, NoiseModel, _fault_batch, sample_memory_batch,
@@ -65,8 +64,39 @@ def infidelity_model(t, p_l, t0):
     return 0.5 - 0.5 * (1.0 - 2.0 * p_l) ** (np.asarray(t, dtype=float) - t0)
 
 
+# p_L of the first profile scan: 0, then the p_L whose q = 1 - 2 p_L is
+# exp(-s) for s geometric from 1e-12 to 34, which steps small rates and
+# small q alike by about 8%; q stays above 1.7e-15, where 1 - 2 p_L
+# still resolves it.
+_P_SCAN = np.concatenate(
+    ([0.0], -0.5 * np.expm1(-np.geomspace(1e-12, 34.0, 400))))
+
+
+def _profile(p_l, t, z):
+    """For each candidate p_L, the best t0 in [-10, 10] and the sum of
+    squared residuals of z = 1 - 2 infid = q**(t - t0), q = 1 - 2 p_L.
+
+    At fixed q the model is c * q**(t - min t), linear in
+    c = q**(min t - t0); the least-squares c is <u, z> / <u, u> with
+    u = q**(t - min t), and since t0 is monotone in c, clipping t0 to its
+    bounds clips c to its own. At q = 1 the model is 1 whatever t0, which
+    is reported as 0."""
+    q = 1.0 - 2.0 * p_l[:, None]
+    t_min = t.min()
+    u = q ** (t - t_min)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t0 = t_min - (np.log(np.maximum(u @ z / (u * u).sum(1), 0.0))
+                      / np.log(q[:, 0]))
+    t0 = np.where(q[:, 0] < 1.0, np.clip(t0, -10.0, 10.0), 0.0)
+    return t0, ((q ** (t - t0[:, None]) - z) ** 2).sum(1)
+
+
 def fit_infidelity(t, infid) -> FitResult:
-    """Least-squares fit of the per-round logical flip model.
+    """Least-squares fit of the per-round logical flip model, bounded to
+    0 <= p_L <= 0.5 and -10 <= t0 <= 10, by variable projection: t0 is
+    solved in closed form at each p_L (`_profile`), which leaves a 1-D
+    search over p_L. A scan of `_P_SCAN` brackets the best p_L, and each
+    of 12 zoom scans narrows the bracket 16-fold, to float resolution.
 
     Returns (p_L, t0). A flat-zero series short-circuits to p_L = 0.
     """
@@ -76,13 +106,16 @@ def fit_infidelity(t, infid) -> FitResult:
         raise ValueError("need at least 2 points")
     if not infid.any():
         return FitResult((0.0, 0.0), 0.0)
-    slope = max((infid[-1] - infid[0]) / (t[-1] - t[0]), 1e-9)
-    p0 = (min(slope, 0.49), 0.0)
-    popt, _ = curve_fit(infidelity_model, t, infid, p0=p0,
-                        bounds=([0.0, -10.0], [0.5, 10.0]), maxfev=20000,
-                        xtol=1e-14, ftol=1e-14, gtol=1e-14)
-    resid = float(np.sqrt(np.mean((infidelity_model(t, *popt) - infid) ** 2)))
-    return FitResult(tuple(popt), resid)
+    z = 1.0 - 2.0 * infid
+    p_l = _P_SCAN
+    for _ in range(13):
+        t0, sse = _profile(p_l, t, z)
+        i = int(np.argmin(sse))
+        best = (float(p_l[i]), float(t0[i]))
+        p_l = np.linspace(p_l[max(i - 1, 0)], p_l[min(i + 1, len(p_l) - 1)],
+                          33)
+    resid = float(np.sqrt(np.mean((infidelity_model(t, *best) - infid) ** 2)))
+    return FitResult(best, resid)
 
 
 def fit_scaling(p_ph, p_l) -> FitResult:

@@ -131,6 +131,9 @@ def load_config(path, overrides) -> dict:
         fail(1, "pph_sweep must name at least one error rate")
     if any(not 0 <= p < 1 for p in cfg["pph_sweep"]):
         fail(1, "pph_sweep rates must lie in [0, 1)")
+    if len(set(cfg["pph_sweep"])) < len(cfg["pph_sweep"]):
+        # eval fits b per listed rate, the monitor per distinct rate
+        fail(1, "pph_sweep rates must not repeat")
     cfg["p_ph"] = _rate(cfg["p_ph"], "p_ph")
     if not 0 <= cfg["p_ph"] < 1:
         fail(1, "p_ph must lie in [0, 1)")

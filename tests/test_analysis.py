@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -82,6 +88,70 @@ class TestFits:
         fit = fit_infidelity(t, y)
         sigma = max(wilson_interval(int(y[0] * shots), shots).sigma, 1e-4)
         assert abs(fit.params[0] - p_true) < 5 * sigma
+
+    @pytest.mark.parametrize("p,t0", [
+        (0.01, 0.5), (1e-4, -3.0), (1e-7, 0.0), (0.3, 2.0), (0.45, 0.0),
+        (0.2, 10.0), (0.05, -10.0)])
+    def test_infidelity_planted_recovery_to_1e_9(self, p, t0):
+        t = np.arange(1, 11)
+        fit = fit_infidelity(t, infidelity_model(t, p, t0))
+        assert abs(fit.params[0] - p) < 1e-9 * p
+        assert abs(fit.params[1] - t0) < 1e-9
+
+    def test_infidelity_at_half(self):
+        # the best fit is the limit p_L -> 0.5 that meets the first point
+        # and is 0.5 after it; curve_fit ran out of evaluations here
+        t = np.arange(1, 9)
+        y = np.array([0.45, 0.52, 0.49, 0.51, 0.5, 0.48, 0.5, 0.51])
+        fit = fit_infidelity(t, y)
+        assert 0.5 - 1e-14 < fit.params[0] <= 0.5
+        sse = np.sum((infidelity_model(t, *fit.params) - y) ** 2)
+        assert sse == pytest.approx(np.sum((0.5 - y[1:]) ** 2), rel=1e-9)
+
+    def test_infidelity_sse_at_most_curve_fit(self):
+        """On seeded binomial series the fit's sum of squared residuals
+        is never above that of the bounded `curve_fit` it replaced:
+        p_L 1e-4..3e-2 at 1e3..3e5 shots, planted t0 beyond +/-10, and
+        infidelity near 0.5."""
+        curve_fit = pytest.importorskip("scipy.optimize").curve_fit
+        rng = np.random.default_rng(14)
+        t = np.arange(1.0, 9.0)
+        compared, t0_at_bound, near_half = 0, 0, 0
+        for kind in ["low"] * 120 + ["t0 bound"] * 60 + ["half"] * 60:
+            if kind == "low":
+                p = 10 ** rng.uniform(-4, np.log10(3e-2))
+                shots = int(10 ** rng.uniform(3, np.log10(3e5)))
+                t0 = rng.uniform(-1, 1)
+            elif kind == "t0 bound":
+                p = 10 ** rng.uniform(-3, -1)
+                shots = int(10 ** rng.uniform(3, 5))
+                t0 = rng.choice([-1, 1]) * rng.uniform(12, 30)
+            else:
+                p = rng.uniform(0.15, 0.3)
+                shots = int(10 ** rng.uniform(2, 4))
+                t0 = rng.uniform(-1, 1)
+            with np.errstate(over="ignore"):
+                rate = np.clip(infidelity_model(t, p, t0), 0.0, 1.0)
+            y = rng.binomial(shots, rate) / shots
+            new = fit_infidelity(t, y).params
+            slope = max((y[-1] - y[0]) / (t[-1] - t[0]), 1e-9)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    old, _ = curve_fit(
+                        infidelity_model, t, y, p0=(min(slope, 0.49), 0.0),
+                        bounds=([0.0, -10.0], [0.5, 10.0]), maxfev=20000,
+                        xtol=1e-14, ftol=1e-14, gtol=1e-14)
+                except RuntimeError:  # curve_fit found no optimum
+                    continue
+            sse_new = np.sum((infidelity_model(t, *new) - y) ** 2)
+            sse_old = np.sum((infidelity_model(t, *old) - y) ** 2)
+            assert sse_new <= sse_old * (1 + 1e-9), (kind, p, shots, t0)
+            compared += 1
+            t0_at_bound += abs(new[1]) == 10.0
+            near_half += y.max() > 0.45
+        assert compared >= 200
+        assert t0_at_bound >= 10 and near_half >= 10
 
     def test_scaling_exact_quadratic(self):
         p = np.array([1e-3, 2e-3, 5e-3])
@@ -330,3 +400,15 @@ class TestFtContract:
         assert c.verdict == "FAILED"
         hook[3] = 0.36
         assert ft_contract(planted_rows(hook=hook)).verdict == "HELD"
+
+
+def test_import_loads_no_scipy():
+    """The package runs on numpy alone: importing the command line (and
+    with it every stage) loads no scipy module."""
+    src = Path(analysis.__file__).resolve().parents[1]
+    code = ("import sys, steanedec.cli, steanedec.analysis; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"

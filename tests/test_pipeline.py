@@ -330,6 +330,17 @@ class TestCli:
         r = self.run("gen-data", "--config", str(bad))
         assert r.exit_code == 1, r.output
 
+    @pytest.mark.parametrize("sweep", ["[0.005, 0.005]",
+                                       "[0.001, 5e-3, 0.005]"])
+    def test_repeated_sweep_rate_exit_1(self, tmp_path, sweep):
+        # eval would fit b through two points at one rate, while the
+        # monitor keys p_L by rate and reports NaN
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(f"pph_sweep: {sweep}\n")
+        r = self.run("eval", "--config", str(bad), "--decoder", "lut")
+        assert r.exit_code == 1, r.output
+        assert "pph_sweep rates must not repeat" in r.output
+
     @pytest.mark.parametrize("value", [0, -5, 2.5])
     @pytest.mark.parametrize("field", [
         "shots.train", "shots.val", "shots.test", "train.epochs",
