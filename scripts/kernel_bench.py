@@ -14,7 +14,14 @@ Prints one JSON line:
   * ``lstm_forward_rows_steps_per_s`` / ``lstm_backward_rows_steps_per_s``:
     rows x rounds per second through the two LSTM layers of the srnn
     decoder (12 -> 36 -> 36 units) at T = 8, for batches of 64 rows (one
-    training minibatch) and 1,500 rows (one evaluation point);
+    training minibatch) and 1,500 rows (one evaluation point); the
+    forward keeps the caches its backward reads (``trace=True``);
+  * ``srnn_train_step_s_mixed``: seconds of one training step of the srnn
+    decoder (forward, backward, Adam) on 64 rows that mix T = 1..8 in
+    equal shares, padded to 8 rounds as ``steanedec train`` pads them;
+  * ``srnn_eval_sweep_s``: seconds of `NnDecoder.predict_flips` on the
+    srnn decoder over T = 1..8, 1,500 rows each (one p_ph point of the
+    ``srnn-pipeline`` benchmark's eval stage);
   * ``deepshap_pairs_per_s``: (input, background) pairs per second of
     `NnDecoder.attributions` (one `deepshap_batch` call) on the srnn
     decoder, 60 inputs against 100 background rows of 8 rounds, in one
@@ -41,7 +48,8 @@ import time
 import numpy as np
 
 from steanedec.decoders import NnDecoder
-from steanedec.nn import build_model, srnn_spec
+from steanedec.nn import (AdamState, bce_loss_grad, build_model,
+                          srnn_spec)
 from steanedec.seqlut import SeqLutDecoder
 from steanedec.sim import NoiseModel, sample_memory_batch
 from steanedec.steane import steane_code
@@ -71,6 +79,15 @@ def rate_figures(key: str, work: float, seconds: np.ndarray) -> dict:
             f"{key}_range": [round(rates.min()), round(rates.max())]}
 
 
+def second_figures(key: str, seconds: np.ndarray) -> dict:
+    """Seconds over the repeats: the best under ``key``, the median and
+    the (slowest, fastest) range."""
+    return {key: round(seconds.min(), 6),
+            f"{key}_median": round(float(np.median(seconds)), 6),
+            f"{key}_range": [round(seconds.max(), 6),
+                             round(seconds.min(), 6)]}
+
+
 def lstm_rates(model, rng, rows: int, calls: int) -> dict:
     lstms = model.layers[1:3]
     x = (rng.random((rows, T, 12)) < 0.1).astype(float)
@@ -78,7 +95,7 @@ def lstm_rates(model, rng, rows: int, calls: int) -> dict:
     def forward():
         h = x
         for layer in lstms:
-            h = layer.forward(h)
+            h = layer.forward(h, trace=True)
         return h
 
     dout = rng.normal(size=forward().shape)
@@ -92,6 +109,40 @@ def lstm_rates(model, rng, rows: int, calls: int) -> dict:
                            rows * T, repeat_seconds(forward, calls)),
             **rate_figures(f"lstm_backward_rows_steps_per_s_b{rows}",
                            rows * T, repeat_seconds(backward, calls))}
+
+
+def srnn_train_step() -> dict:
+    rng = np.random.default_rng(1)
+    model = build_model(srnn_spec("Z"), seed=0)
+    decoder = NnDecoder(model)
+    x = np.concatenate([decoder.inputs(
+        (rng.random((8, t, 12)) < 0.1).astype(float), t_max=T)
+        for t in range(1, T + 1)])
+    y = decoder.targets(rng.integers(0, 2, len(x)))
+    adam = AdamState()
+    weights = model.weights_flat()
+
+    def step():
+        q = model.forward(x, train=True, rng=rng)
+        model.zero_grads()
+        model.backward(bce_loss_grad(y, q))
+        adam.update(weights, model.grads_flat())
+
+    return second_figures("srnn_train_step_s_mixed",
+                          repeat_seconds(step, 40))
+
+
+def srnn_eval_sweep(model) -> dict:
+    rng = np.random.default_rng(2)
+    decoder = NnDecoder(model)
+    volumes = [(rng.random((1500, t, 12)) < 0.1).astype(np.uint8)
+               for t in range(1, T + 1)]
+
+    def sweep():
+        for v in volumes:
+            decoder.predict_flips(v)
+
+    return second_figures("srnn_eval_sweep_s", repeat_seconds(sweep, 1))
 
 
 def sampler_and_lut_rates() -> dict:
@@ -118,17 +169,16 @@ def main():
     out = sampler_and_lut_rates()
     for rows, calls in ((64, 40), (1500, 3)):
         out.update(lstm_rates(model, rng, rows, calls))
+    out.update(srnn_train_step())
+    out.update(srnn_eval_sweep(model))
     xs = (rng.random((60, T, 12)) < 0.1).astype(float)
     bg = (rng.random((100, T, 12)) < 0.1).astype(float)
     decoder = NnDecoder(model)
     sec = repeat_seconds(lambda: decoder.attributions(xs, bg), 1)
     out.update(rate_figures("deepshap_pairs_per_s", 60 * 100, sec))
-    sec = repeat_seconds(lambda: subprocess.run(
-        [sys.executable, "-c", "import steanedec.cli"], check=True), 1)
-    out.update({"import_cli_s": round(sec.min(), 3),
-                "import_cli_s_median": round(float(np.median(sec)), 3),
-                "import_cli_s_range": [round(sec.max(), 3),
-                                       round(sec.min(), 3)]})
+    out.update(second_figures("import_cli_s", repeat_seconds(
+        lambda: subprocess.run([sys.executable, "-c",
+                                "import steanedec.cli"], check=True), 1)))
     print(json.dumps(out, sort_keys=True))
 
 

@@ -26,7 +26,7 @@ from .analysis import (ft_contract, ft_monitor, logical_error_rate,
 from .circuits import enumerate_single_faults
 from .decoders import NnDecoder
 from .nn import (TrainConfig, build_model, config_hash, load_checkpoint,
-                 train)
+                 restore, train)
 from .nn.model import spec_by_id
 from .seqlut import SeqLutDecoder
 from .sim import NoiseModel, dep_failure_fraction, sample_memory_batch
@@ -203,30 +203,40 @@ def checkpoint_dir(cfg) -> str:
     return os.path.join(cfg["out"], "checkpoints", cfg["decoder"])
 
 
-def checkpoint_paths(cfg) -> list[str]:
-    """The run's epoch checkpoints in epoch order; exit 2 if none."""
+def checkpoint_paths(cfg, required: bool = True) -> list[str]:
+    """The run's epoch checkpoints in epoch order; exit 2 if none and
+    ``required``."""
     d = checkpoint_dir(cfg)
     names = sorted(os.listdir(d)) if os.path.isdir(d) else []
     paths = [os.path.join(d, n) for n in names if n.endswith(".ckpt")]
-    if not paths:
+    if required and not paths:
         fail(2, f"no checkpoints under {d}; run train first")
     return paths
 
 
-def checkpoint_decoder(cfg, path: str, basis: str):
-    """(epoch, NnDecoder) of the network checkpoint at ``path``."""
+def read_checkpoint(cfg, path: str, model=None):
+    """The checkpoint at ``path``, checked against the config hash and,
+    with ``model``, loaded into it (weights only); exit 1 if it cannot
+    be."""
     try:
         ckpt = load_checkpoint(path)
         if ckpt.config_hash != cfg["hash"]:
             fail(1, "config hash mismatch between config and checkpoint "
                  f"{path}")
-        model = build_model(spec_by_id(cfg["decoder"]), seed=cfg["seed"])
-        model.set_weights_flat({k: v for k, v in ckpt.weights.items()
-                                if not k.startswith("adam.")})
+        if model is not None:
+            model.set_weights_flat({k: v for k, v in ckpt.weights.items()
+                                    if not k.startswith("adam.")})
     except ValueError as exc:
         # a truncated file, or tensors of another network layout
         fail(1, f"cannot load checkpoint {path} into the {cfg['decoder']} "
              f"network: {exc}")
+    return ckpt
+
+
+def checkpoint_decoder(cfg, path: str, basis: str):
+    """(epoch, NnDecoder) of the network checkpoint at ``path``."""
+    model = build_model(spec_by_id(cfg["decoder"]), seed=cfg["seed"])
+    ckpt = read_checkpoint(cfg, path, model)
     return ckpt.epoch, NnDecoder(model, basis=basis)
 
 
@@ -315,7 +325,9 @@ def _training_arrays(cfg, model):
 
 @main.command("train")
 @common_options
-def cmd_train(**kw):
+@click.option("--resume", is_flag=True,
+              help="Continue from the run's last checkpoint.")
+def cmd_train(resume, **kw):
     """Train the configured network; one checkpoint per epoch."""
     cfg = build_cfg(**kw)
     require_network(cfg)
@@ -326,14 +338,29 @@ def cmd_train(**kw):
     tc = TrainConfig(epochs=cfg["train"]["epochs"],
                      batch_size=cfg["train"]["batch_size"],
                      lr=cfg["train"]["lr"], seed=cfg["seed"])
+    history, start, adam = [], 0, None
+    paths = checkpoint_paths(cfg, required=False) if resume else []
+    if paths:
+        read_checkpoint(cfg, paths[-1], model)  # exit 1 on another layout
+        # the earlier epochs' records, as each checkpoint stored its own
+        for path in paths:
+            ckpt = read_checkpoint(cfg, path)
+            if "metrics" not in ckpt.extra:
+                fail(1, f"checkpoint {path} holds no epoch record to resume "
+                     "from")
+            history.append({**ckpt.extra["metrics"], "epoch": ckpt.epoch})
+        adam = restore(model, paths[-1])
+        start = history[-1]["epoch"] + 1
+        click.echo(f"resuming after epoch {start - 1} from {paths[-1]}")
 
     def echo(rec) -> bool:
         # called as each epoch ends (after its checkpoint); never stops
         click.echo(f"epoch {rec['epoch']:4d} loss {rec['loss']:.6f}")
         return False
 
-    history = train(model, x, y, tc, config_hash=cfg["hash"],
-                    checkpoint_dir=ckdir, stop_fn=echo)
+    history += train(model, x, y, tc, config_hash=cfg["hash"],
+                     checkpoint_dir=ckdir, start_epoch=start, adam=adam,
+                     stop_fn=echo)
     _write_json(os.path.join(cfg["out"], f"train_{cfg['decoder']}.json"),
                 {"config_hash": cfg["hash"], "history": history})
 

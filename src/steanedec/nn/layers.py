@@ -1,5 +1,11 @@
-"""Network layers with explicit forward caches and hand-written backward
-passes. Everything is double precision; batch axis first."""
+"""Network layers with hand-written backward passes. Everything is double
+precision; batch axis first.
+
+A layer keeps the caches its ``backward`` reads only when its forward is
+asked to: a training forward (``train``) or a traced one (``trace``, which
+DeepSHAP reads). Any other forward sets ``cache`` to None and computes
+what its output needs, in place where it can, so a ``backward`` after it
+raises instead of reading another call's cache."""
 
 from __future__ import annotations
 
@@ -28,8 +34,8 @@ def glorot_uniform(rng, fan_in, fan_out):
 class Layer:
     """Common parameter bookkeeping: subclasses register tensors in
     self.weights (name -> array) and matching self.grads. A layer that
-    caches its forward pass puts a new dict in self.cache on every call,
-    so a reference to one call's cache stays valid."""
+    caches its forward pass puts a new dict in self.cache on every such
+    call, so a reference to one call's cache stays valid."""
 
     def __init__(self):
         self.weights: dict[str, np.ndarray] = {}
@@ -40,11 +46,19 @@ class Layer:
         self.weights[name] = value
         self.grads[name] = np.zeros_like(value)
 
+    def saved(self) -> dict:
+        """The cache of the last forward, which ``backward`` reads."""
+        if self.cache is None:
+            raise ValueError(
+                f"{type(self).__name__}.backward needs the cache of a "
+                "forward run with train=True or trace=True")
+        return self.cache
+
     def zero_grads(self):
         for g in self.grads.values():
             g[:] = 0.0
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, trace=False):
         raise NotImplementedError
 
     def backward(self, dout):
@@ -63,21 +77,16 @@ class Masking(Layer):
         """(rows, T) float mask of the non-padded rounds of ``x``."""
         return (~np.all(x == self.mask_value, axis=2)).astype(float)
 
-    @property
-    def mask(self):
-        """The mask of the last ``forward``."""
-        return self.cache["mask"]
-
-    def forward(self, x, mask=None, train=False, rng=None):
+    def forward(self, x, mask=None, train=False, rng=None, trace=False):
         """``mask``, when given, replaces the padding mask of ``x``."""
         if mask is None:
             mask = self.padding(x)
-        self.cache = dict(mask=mask)
+        self.cache = dict(mask=mask) if train or trace else None
         # padded rounds carry no information downstream
         return x * mask[:, :, None]
 
     def backward(self, dout):
-        return dout * self.mask[:, :, None]
+        return dout * self.saved()["mask"][:, :, None]
 
 
 class Lstm(Layer):
@@ -87,7 +96,11 @@ class Lstm(Layer):
 
     The parameters are three fused gate blocks, W_x (d, 4n), W_h (n, 4n)
     and b (4n,), each with one n-column block per gate in FUSED order,
-    which puts the three logistic gates next to each other."""
+    which puts the three logistic gates next to each other.
+
+    A round runs only on the rows whose mask is 1: the others keep their
+    state, output 0 in the sequence and pass their state gradients
+    straight through."""
 
     # per-gate Glorot draw order: changing it changes every trained number
     GATES = ("f", "i", "c", "o")
@@ -142,82 +155,130 @@ class Lstm(Layer):
         np.tanh(z[..., 3 * n:], out=z[..., 3 * n:])
         return z
 
-    def _round(self, a, h_prev, c_prev, wh, b, hw):
-        """One recurrence step: ``a`` holds x_t W_x on entry and the gate
-        activations on return (``hw`` is scratch for h_prev W_h). Returns
-        the candidate output, memory and tanh(memory)."""
-        np.matmul(h_prev, wh, out=hw)
-        a += hw  # (x W_x + h W_h) + b
+    @staticmethod
+    def _active(mask, t):
+        """(rows, live) of round ``t``: rows None when every row holds the
+        round; otherwise the indices of the rows it runs on, whose first
+        ``live`` hold it. numpy multiplies a lone row by gemv, which rounds
+        its sums unlike the gemm of two or more rows, so a lone row runs
+        beside one idle row whose results are dropped: every row then
+        gets the bits of an unmasked forward."""
+        if mask is None or np.all(mask[:, t] == 1.0):
+            return None, 0
+        rows = np.flatnonzero(mask[:, t])
+        live = len(rows)
+        if live == 1:  # then some other row is masked
+            rows = np.append(rows, 1 if rows[0] == 0 else 0)
+        return rows, live
+
+    def _round(self, xt, h_prev, c_prev, scratch):
+        """One recurrence step on the rows of ``xt``. Returns the gate
+        activations, memory, tanh(memory) and output. With ``scratch``
+        (the layer's round buffers) it writes into them and updates
+        ``h_prev`` and ``c_prev`` in place; with None it allocates every
+        array, so that a cache can keep them."""
+        wx, wh, b = (self.weights[k] for k in ("W_x", "W_h", "b"))
+        s_a = s_hw = s_tc = s_ci = s_c = s_h = None
+        if scratch is not None:
+            s_a, s_hw, s_tc, s_ci = (s[:len(xt)] for s in scratch)
+            s_c, s_h = c_prev, h_prev
+        a = np.matmul(xt, wx, out=s_a)
+        a += np.matmul(h_prev, wh, out=s_hw)  # (x W_x + h W_h) + b
         a += b
         o, f, i, cc = self.gates(self._activate(a))
-        c = c_prev * f
-        c += cc * i
-        tc = np.tanh(c)
-        return o * tc, c, tc
+        c = np.multiply(c_prev, f, out=s_c)
+        c += np.multiply(cc, i, out=s_ci)
+        tc = np.tanh(c, out=s_tc)
+        return a, c, tc, np.multiply(o, tc, out=s_h)
 
-    def forward(self, x, mask=None, train=False, rng=None):
+    def forward(self, x, mask=None, train=False, rng=None, trace=False):
+        keep = train or trace
         B, T, _ = x.shape
-        wx, wh, b = (self.weights[k] for k in ("W_x", "W_h", "b"))
-        h = np.zeros((B, self.n))
-        c = np.zeros((B, self.n))
-        hw = np.empty((B, 4 * self.n))
+        n = self.n
+        h = np.zeros((B, n))
+        c = np.zeros((B, n))
+        seq = np.zeros((B, T, n)) if self.return_sequences else None
+        # a forward without a cache reuses one set of round buffers
+        scratch = None if keep else (np.empty((B, 4 * n)),
+                                     np.empty((B, 4 * n)),
+                                     np.empty((B, n)), np.empty((B, n)))
         steps = []
-        outs = []  # the rounds' outputs, zero where masked
         for t in range(T):
-            # one input product per round keeps every product's shape
-            # independent of T, so padding cannot change a result bit
-            a = x[:, t] @ wx
-            h_cand, c_cand, tc = self._round(a, h, c, wh, b, hw)
-            m = None if mask is None else mask[:, t:t + 1]
-            if m is not None and np.all(m == 1.0):
-                m = None  # exact: 1 * a + 0 * b == a
-            steps.append(dict(x=x[:, t], h_prev=h, c_prev=c, a=a, c=c_cand,
-                              tc=tc, m=m))
-            if m is None:
-                h, c = h_cand, c_cand
+            rows, live = self._active(mask, t)
+            if rows is None:
+                # one input product per round keeps every product's shape
+                # independent of T, so padding cannot change a result bit
+                xt, hp, cp = x[:, t], h, c
+            elif live == 0:
+                steps.append(None)
+                continue
             else:
-                h = m * h_cand + (1.0 - m) * h
-                c = m * c_cand + (1.0 - m) * c
-            if self.return_sequences:
-                outs.append(h if m is None else m * h)
-        self.cache = dict(steps=steps, B=B, T=T)
-        return np.stack(outs, axis=1) if self.return_sequences else h
+                xt, hp, cp = x[rows, t], h[rows], c[rows]
+            a, c_new, tc, h_new = self._round(xt, hp, cp, scratch)
+            if keep:
+                steps.append(dict(x=xt, h_prev=hp, c_prev=cp, a=a, c=c_new,
+                                  tc=tc, rows=rows, live=live))
+            if rows is None:
+                h, c = h_new, c_new
+                if seq is not None:
+                    seq[:, t] = h
+                continue
+            if keep:
+                # the cache holds the previous state arrays
+                h, c = h.copy(), c.copy()
+            real = rows[:live]
+            h[real] = h_new[:live]
+            c[real] = c_new[:live]
+            if seq is not None:
+                seq[real, t] = h_new[:live]
+        self.cache = dict(steps=steps, B=B, T=T) if keep else None
+        return h if seq is None else seq
 
     def backward(self, dout):
-        steps, B, T = (self.cache[k] for k in ("steps", "B", "T"))
+        steps, B, T = (self.saved()[k] for k in ("steps", "B", "T"))
         n = self.n
         wx, wh = self.weights["W_x"], self.weights["W_h"]
         gwx, gwh, gb = (self.grads[k] for k in ("W_x", "W_h", "b"))
-        dx = np.empty((B, T, self.d))
-        dh_next = np.zeros((B, n)) if self.return_sequences else dout
+        dx = np.zeros((B, T, self.d))
+        dh_next = np.zeros((B, n)) if self.return_sequences else dout.copy()
         dc_next = np.zeros((B, n))
         for t in reversed(range(T)):
             s = steps[t]
-            m, a, tc = s["m"], s["a"], s["tc"]
+            if s is None:
+                continue  # no row holds the round: all pass straight through
+            rows, live, a, tc = (s[k] for k in ("rows", "live", "a", "tc"))
             o, f, i, cc = self.gates(a)
-            dh = dh_next
-            if self.return_sequences:
-                dh = dh + (dout[:, t] if m is None else m * dout[:, t])
-            dh_cand = dh if m is None else m * dh
-            dc = dc_next + dh_cand * o * (1.0 - tc * tc)
-            dc_cand = dc if m is None else m * dc
+            if rows is None:
+                dh = dh_next
+                if self.return_sequences:
+                    dh = dh + dout[:, t]
+                dc = dc_next
+            else:
+                dh, dc = dh_next[rows], dc_next[rows]
+                if self.return_sequences:
+                    dh += dout[rows, t]
+                dh[live:] = 0.0  # an idle row adds nothing
+                dc[live:] = 0.0
+            dc = dc + dh * o * (1.0 - tc * tc)
             # dz = (gradient at the gate's output) * (its slope)
             dz = self.slopes(a)
             dz_o, dz_f, dz_i, dz_c = self.gates(dz)
-            dz_o *= dh_cand * tc
-            dz_f *= dc_cand * s["c_prev"]
-            dz_i *= dc_cand * cc
-            dz_c *= dc_cand * i
+            dz_o *= dh * tc
+            dz_f *= dc * s["c_prev"]
+            dz_i *= dc * cc
+            dz_c *= dc * i
             gwx += s["x"].T @ dz
             gwh += s["h_prev"].T @ dz
             gb += dz.sum(axis=0)
-            np.matmul(dz, wx.T, out=dx[:, t])
-            dh_next = dz @ wh.T
-            dc_next = dc_cand * f
-            if m is not None:
-                # a masked row passes its state gradients straight through
-                dh_next += (1.0 - m) * dh
-                dc_next += (1.0 - m) * dc
+            if rows is None:
+                np.matmul(dz, wx.T, out=dx[:, t])
+                dh_next = dz @ wh.T
+                dc_next = dc * f
+                continue
+            real = rows[:live]
+            dx[real, t] = (dz @ wx.T)[:live]
+            dh_next[real] = (dz @ wh.T)[:live]
+            dc_next[real] = (dc * f)[:live]
         return dx
 
 
@@ -234,26 +295,31 @@ class Dense(Layer):
         self._register("W", glorot_uniform(rng, input_dim, units))
         self._register("b", np.zeros(units))
 
-    def forward(self, x, train=False, rng=None):
-        z = x @ self.weights["W"] + self.weights["b"]
+    def forward(self, x, train=False, rng=None, trace=False):
+        keep = train or trace
+        z = x @ self.weights["W"]
+        z += self.weights["b"]
+        # without a cache the activation overwrites z
+        out = None if keep else z
         if self.activation == "relu":
-            a = np.maximum(z, 0.0)
+            a = np.maximum(z, 0.0, out=out)
         elif self.activation == "sigmoid":
-            a = sigmoid(z)
+            a = sigmoid(z, out=out)
         else:
             a = z
-        self.cache = dict(x=x, z=z, a=a)
+        self.cache = dict(x=x, z=z, a=a) if keep else None
         return a
 
     def backward(self, dout):
-        z, a = self.cache["z"], self.cache["a"]
+        cache = self.saved()
+        z, a = cache["z"], cache["a"]
         if self.activation == "relu":
             dz = dout * (z > 0)
         elif self.activation == "sigmoid":
             dz = dout * a * (1.0 - a)
         else:
             dz = dout
-        self.grads["W"] += self.cache["x"].T @ dz
+        self.grads["W"] += cache["x"].T @ dz
         self.grads["b"] += dz.sum(axis=0)
         return dz @ self.weights["W"].T
 
@@ -264,18 +330,17 @@ class Dropout(Layer):
         if not 0.0 <= rate < 1.0:
             raise ValueError("rate must be in [0, 1)")
         self.rate = rate
-        self.keep_mask = None
 
-    def forward(self, x, train=False, rng=None):
-        if not train or self.rate == 0.0:
-            self.keep_mask = None
-            return x
-        if rng is None:
-            raise ValueError("training-mode dropout needs an rng")
-        self.keep_mask = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
-        return x * self.keep_mask
+    def forward(self, x, train=False, rng=None, trace=False):
+        keep_mask = None
+        if train and self.rate > 0.0:
+            if rng is None:
+                raise ValueError("training-mode dropout needs an rng")
+            keep_mask = (rng.random(x.shape) >= self.rate) \
+                / (1.0 - self.rate)
+        self.cache = dict(keep_mask=keep_mask) if train or trace else None
+        return x if keep_mask is None else x * keep_mask
 
     def backward(self, dout):
-        if self.keep_mask is None:
-            return dout
-        return dout * self.keep_mask
+        keep_mask = self.saved()["keep_mask"]
+        return dout if keep_mask is None else dout * keep_mask

@@ -102,6 +102,11 @@ def config_hash(*parts) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+# rows per block of a forward without caches: each LSTM round's
+# (rows, 4 units) gate block then stays inside a core's L2 cache
+ROW_BLOCK = 500
+
+
 class Model:
     """Sequential network; orchestrates mask propagation between the
     masking layer and the recurrent layers."""
@@ -128,22 +133,44 @@ class Model:
             else:
                 raise ValueError(f"unknown layer kind {kind!r}")
 
-    def forward(self, x, train: bool = False, rng=None,
-                mask=None) -> np.ndarray:
+    def forward(self, x, train: bool = False, rng=None, mask=None,
+                trace: bool = False) -> np.ndarray:
         """Run the layers in order. ``mask``, when given, replaces the
-        padding mask the masking layer computes from ``x``."""
+        padding mask the masking layer computes from ``x``.
+
+        The layers keep the caches that `backward` and DeepSHAP read only
+        for a training forward (``train``) or a traced one (``trace``).
+        Any other forward keeps none and runs the rows in near-equal
+        blocks of at most `ROW_BLOCK`. Blocking changes no arithmetic, but
+        BLAS may round a product of many thousand rows differently from
+        one of a few hundred, in the last bit."""
         x = np.asarray(x, dtype=float)
+        if mask is not None:
+            mask = np.broadcast_to(mask, x.shape[:2])
+        if train or trace or len(x) <= ROW_BLOCK:
+            return self._forward(x, train, rng, mask, trace)
+        k = -(-len(x) // ROW_BLOCK)
+        # near-equal blocks, so that none holds a lone row, which numpy
+        # would multiply by gemv (see Lstm._active)
+        edges = [len(x) * j // k for j in range(k + 1)]
+        return np.concatenate([
+            self._forward(x[lo:hi], False, None,
+                          None if mask is None else mask[lo:hi], False)
+            for lo, hi in zip(edges, edges[1:])])
+
+    def _forward(self, x, train, rng, mask, trace):
         cur = None
         for layer in self.layers:
             if isinstance(layer, Masking):
-                x = layer.forward(x, mask=mask)
-                cur = layer.mask
+                cur = layer.padding(x) if mask is None else mask
+                x = layer.forward(x, mask=cur, train=train, trace=trace)
             elif isinstance(layer, Lstm):
-                x = layer.forward(x, mask=cur, train=train, rng=rng)
+                x = layer.forward(x, mask=cur, train=train, rng=rng,
+                                  trace=trace)
                 if not layer.return_sequences:
                     cur = None
             else:
-                x = layer.forward(x, train=train, rng=rng)
+                x = layer.forward(x, train=train, rng=rng, trace=trace)
         return x
 
     def backward(self, dout) -> np.ndarray:

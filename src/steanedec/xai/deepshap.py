@@ -3,8 +3,8 @@
 Each attribution compares a forward pass on the input with one on a
 background sample and pushes finite-difference multipliers back through
 the stack (DeepLIFT's rescale rule, Shrikumar et al. 2017). Both passes
-are ordinary ``Model.forward`` calls; the caches they leave on the
-layers are the traces the multipliers read. The rules are the linear
+are ``Model.forward`` calls with ``trace=True``; the caches they leave on
+the layers are the traces the multipliers read. The rules are the linear
 rule on affine ops, the rescale rule Delta-out / Delta-in on sigmoids,
 tanh and relu, and a symmetric bilinear rule on elementwise products
 (for y = u*v the multipliers are m_u = (v+vbar)/2 and m_v = (u+ubar)/2,
@@ -66,7 +66,7 @@ def _forward_trace(model, x):
     """``model.forward`` with every round of ``x`` counted as an input (an
     all-ones padding mask, which a network without a masking layer
     ignores), and the caches it leaves on the layers."""
-    out = model.forward(x, mask=np.ones(x.shape[:2]))
+    out = model.forward(x, mask=np.ones(x.shape[:2]), trace=True)
     return out, [layer.cache for layer in model.layers]
 
 

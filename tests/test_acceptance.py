@@ -279,7 +279,7 @@ def test_criterion_8_gradients_finite_difference():
     x = rng.integers(0, 2, size=(6, 5, 12)).astype(float)
     x[0, 3:] = -1.0
     y = rng.integers(0, 2, size=(6, 1)).astype(float)
-    q = model.forward(x)
+    q = model.forward(x, trace=True)
     model.zero_grads()
     model.backward(bce_loss_grad(y, q))
     grads = {k: v.copy() for k, v in model.grads_flat().items()}

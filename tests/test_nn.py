@@ -8,12 +8,16 @@ import os
 import numpy as np
 import pytest
 
+from steanedec.decoders import NnDecoder
 from steanedec.nn import (AdamState, Checkpoint, Dense, Dropout, Lstm,
                           Masking, Model, NetworkSpec, bce_loss,
                           bce_loss_grad, build_model, config_hash, dnn2_spec,
                           drnn_spec, load_checkpoint, restore,
                           save_checkpoint, srnn_spec, TrainConfig, train)
 from steanedec.nn.layers import sigmoid
+from steanedec.nn.model import ROW_BLOCK
+from steanedec.sim import NoiseModel, sample_memory_batch
+from steanedec.steane import steane_code
 
 
 def tiny_recurrent_spec(units=4, heads=1):
@@ -65,7 +69,7 @@ class TestLstmStep:
             w[:] = 0.0
         gate_params(lstm, "f")[2][:] = 1.0
         gate_params(lstm, "c")[2][:] = 0.8
-        h = lstm.forward(np.ones((1, 2, 2)))
+        h = lstm.forward(np.ones((1, 2, 2)), trace=True)
         c = np.stack([s["c"] for s in lstm.cache["steps"]], axis=1)
         f = 1.0 / (1.0 + math.exp(-1.0))
         c1 = 0.5 * math.tanh(0.8)
@@ -124,7 +128,7 @@ class TestLstmStep:
         for mask in (None, np.ones((7, 5))):
             lstm = Lstm(4, 3, return_sequences=seq,
                         rng=np.random.default_rng(2))
-            out = lstm.forward(x, mask=mask)
+            out = lstm.forward(x, mask=mask, trace=True)
             dx = lstm.backward(dout)
             runs.append([out, dx] + [lstm.grads[k] for k in sorted(
                 lstm.grads)])
@@ -150,6 +154,194 @@ class TestLstmStep:
         c = np.tanh(3.0) * i
         expect = np.maximum(np.array([-1.0, 0.5, 2.0]), 0.0) * np.tanh(c)
         assert np.allclose(h[0], expect)
+
+
+def blend_forward(self, x, mask=None, train=False, rng=None, trace=False):
+    """The masked-blend `Lstm.forward` the active-row one replaced, kept as
+    its reference: every row runs every round, and a masked row blends
+    its previous state back in. Always caches."""
+    B, T, _ = x.shape
+    wx, wh, b = (self.weights[k] for k in ("W_x", "W_h", "b"))
+    h = np.zeros((B, self.n))
+    c = np.zeros((B, self.n))
+    steps = []
+    outs = []
+    for t in range(T):
+        a = x[:, t] @ wx
+        h_prev, c_prev = h, c
+        a += h_prev @ wh
+        a += b
+        o, f, i, cc = self.gates(self._activate(a))
+        c_cand = c_prev * f
+        c_cand += cc * i
+        tc = np.tanh(c_cand)
+        h_cand = o * tc
+        m = None if mask is None else mask[:, t:t + 1]
+        if m is not None and np.all(m == 1.0):
+            m = None
+        steps.append(dict(x=x[:, t], h_prev=h, c_prev=c, a=a, c=c_cand,
+                          tc=tc, m=m))
+        if m is None:
+            h, c = h_cand, c_cand
+        else:
+            h = m * h_cand + (1.0 - m) * h
+            c = m * c_cand + (1.0 - m) * c
+        if self.return_sequences:
+            outs.append(h if m is None else m * h)
+    self.cache = dict(steps=steps, B=B, T=T)
+    return np.stack(outs, axis=1) if self.return_sequences else h
+
+
+def blend_backward(self, dout):
+    """The backward of `blend_forward`: a masked row passes its state
+    gradients straight through."""
+    steps, B, T = (self.cache[k] for k in ("steps", "B", "T"))
+    wx, wh = self.weights["W_x"], self.weights["W_h"]
+    gwx, gwh, gb = (self.grads[k] for k in ("W_x", "W_h", "b"))
+    dx = np.empty((B, T, self.d))
+    dh_next = np.zeros((B, self.n)) if self.return_sequences else dout
+    dc_next = np.zeros((B, self.n))
+    for t in reversed(range(T)):
+        s = steps[t]
+        m, a, tc = s["m"], s["a"], s["tc"]
+        o, f, i, cc = self.gates(a)
+        dh = dh_next
+        if self.return_sequences:
+            dh = dh + (dout[:, t] if m is None else m * dout[:, t])
+        dh_cand = dh if m is None else m * dh
+        dc = dc_next + dh_cand * o * (1.0 - tc * tc)
+        dc_cand = dc if m is None else m * dc
+        dz = self.slopes(a)
+        dz_o, dz_f, dz_i, dz_c = self.gates(dz)
+        dz_o *= dh_cand * tc
+        dz_f *= dc_cand * s["c_prev"]
+        dz_i *= dc_cand * cc
+        dz_c *= dc_cand * i
+        gwx += s["x"].T @ dz
+        gwh += s["h_prev"].T @ dz
+        gb += dz.sum(axis=0)
+        dx[:, t] = dz @ wx.T
+        dh_next = dz @ wh.T
+        dc_next = dc_cand * f
+        if m is not None:
+            dh_next += (1.0 - m) * dh
+            dc_next += (1.0 - m) * dc
+    return dx
+
+
+def same_bits(a, b) -> bool:
+    """Bit-equal arrays, up to the sign of zero (x + 0.0 maps -0.0 to
+    0.0): a masked output is 0 * h in the blend, and 0 here."""
+    a, b = np.asarray(a) + 0.0, np.asarray(b) + 0.0
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+def mask_of(kind, rng, B, T):
+    if kind == "tail":
+        lengths = rng.integers(1, T, size=B)
+        lengths[3] = T  # one row alone holds the last round
+        return (np.arange(T)[None, :] < lengths[:, None]).astype(float)
+    if kind == "interior":
+        return (rng.random((B, T)) < 0.6).astype(float)
+    return np.full((B, T), float(kind == "all_ones"))
+
+
+class TestActiveRowLstm:
+    """The layer runs a round only on the rows whose mask is 1; the
+    masked blend above is its reference."""
+
+    @pytest.mark.parametrize("seq", [True, False])
+    @pytest.mark.parametrize("kind", ["tail", "interior", "all_padded",
+                                      "all_ones"])
+    @pytest.mark.parametrize("B,T,d,n", [(9, 6, 3, 4), (64, 8, 12, 36)])
+    def test_matches_masked_blend(self, kind, seq, B, T, d, n):
+        rng = np.random.default_rng(B + T)
+        mask = mask_of(kind, rng, B, T)
+        x = rng.normal(size=(B, T, d)) * mask[:, :, None]
+        dout = rng.normal(size=(B, T, n) if seq else (B, n))
+        ref = Lstm(n, d, seq, rng=np.random.default_rng(5))
+        new = Lstm(n, d, seq, rng=np.random.default_rng(5))
+        out = blend_forward(ref, x, mask)
+        dx = blend_backward(ref, dout)
+        assert same_bits(new.forward(x, mask=mask), out)
+        assert same_bits(new.forward(x, mask=mask, trace=True), out)
+        assert np.abs(new.backward(dout) - dx).max() <= 1e-12
+        for k, g in ref.grads.items():
+            assert np.abs(new.grads[k] - g).max() <= 1e-12, k
+
+    def test_training_matches_masked_blend(self, monkeypatch):
+        # 2 epochs on the T = 1..8 equal-share mix padded to 8 rounds, as
+        # in the srnn-pipeline benchmark's train stage: the gradient sums
+        # skip the masked rows, so weights may move by float rounding
+        code, noise = steane_code(), NoiseModel(5e-3)
+        dec = NnDecoder(build_model(srnn_spec("Z"), seed=0))
+        xs, ys = [], []
+        for t in range(1, 9):
+            batch = sample_memory_batch(code, noise, T=t, basis="Z",
+                                        shots=600, seed=t)
+            xs.append(dec.inputs(batch.volumes, t_max=8))
+            ys.append(dec.targets(batch.m_L))
+        x, y = np.concatenate(xs), np.concatenate(ys)
+        cfg = TrainConfig(epochs=2, batch_size=64, lr=1e-3, seed=0)
+        new = build_model(srnn_spec("Z"), seed=0)
+        train(new, x, y, cfg)
+        monkeypatch.setattr(Lstm, "forward", blend_forward)
+        monkeypatch.setattr(Lstm, "backward", blend_backward)
+        ref = build_model(srnn_spec("Z"), seed=0)
+        train(ref, x, y, cfg)
+        for k, w in ref.weights_flat().items():
+            assert np.abs(new.weights_flat()[k] - w).max() <= 1e-12, k
+
+
+class TestCaches:
+    """Only a training or traced forward keeps caches; a backward after
+    any other forward raises instead of reading a stale cache."""
+
+    @pytest.mark.parametrize("layer,shape", [
+        (Masking(-1.0), (4, 3, 2)),
+        (Lstm(3, 2, return_sequences=True), (4, 3, 2)),
+        (Dense(3, 2, "relu"), (4, 2)),
+        (Dropout(0.5), (4, 2)),
+    ])
+    def test_backward_after_uncached_forward_raises(self, layer, shape):
+        x = np.random.default_rng(1).normal(size=shape)
+        rng = np.random.default_rng(2)
+        out = layer.forward(x, train=True, rng=rng)
+        layer.backward(np.ones_like(out))
+        layer.forward(x)
+        assert layer.cache is None
+        with pytest.raises(ValueError, match="train=True or trace=True"):
+            layer.backward(np.ones_like(out))
+
+    def test_model_forward_keeps_caches_only_when_asked(self):
+        model = build_model(srnn_spec("Z"), seed=0)
+        x = (np.random.default_rng(3).random((5, 4, 12)) < 0.2) * 1.0
+        q = model.forward(x, train=True, rng=np.random.default_rng(4))
+        model.backward(np.ones_like(q))
+        model.forward(x, trace=True)
+        model.backward(np.ones_like(q))
+        model.forward(x)
+        assert all(layer.cache is None for layer in model.layers)
+        with pytest.raises(ValueError, match="train=True or trace=True"):
+            model.backward(np.ones_like(q))
+
+    @pytest.mark.parametrize("spec,shape", [
+        (srnn_spec("Z"), (ROW_BLOCK + 1, 8, 12)),
+        (dnn2_spec(), (2 * ROW_BLOCK + 3, 12)),
+    ])
+    def test_row_blocks_match_one_cached_pass(self, spec, shape):
+        # the forward without caches runs near-equal row blocks, in place;
+        # each row's output is that of one cached pass, bit for bit
+        model = build_model(spec, seed=6)
+        rng = np.random.default_rng(7)
+        for w in model.weights_flat().values():
+            w += rng.normal(0.0, 0.3, w.shape)
+        x = (rng.random(shape) < 0.2).astype(float)
+        if x.ndim == 3:  # padded tails of every length
+            x[np.arange(8)[None, :] >= rng.integers(1, 9, len(x))[:, None]] \
+                = -1.0
+        assert np.array_equal(model.forward(x), model.forward(x, trace=True))
 
 
 def masked_sigmoid(z):
@@ -188,8 +380,9 @@ class TestMasking:
     def test_mask_flags_padded_rounds(self):
         m = Masking(-1.0)
         x = np.array([[[0.0, 1.0], [-1.0, -1.0], [-1.0, 0.0]]])
-        m.forward(x)
-        assert m.mask.tolist() == [[1.0, 0.0, 1.0]]
+        assert m.padding(x).tolist() == [[1.0, 0.0, 1.0]]
+        assert m.forward(x).tolist() == [[[0.0, 1.0], [0.0, 0.0],
+                                          [-1.0, 0.0]]]
 
     def test_interior_padding_passes_state(self):
         # a masked round in the middle is skipped, not treated as zeros
@@ -226,7 +419,7 @@ class TestMasking:
 
 class TestGradients:
     def fd_check(self, model, x, y, h=1e-5, tol=1e-4):
-        q = model.forward(x)
+        q = model.forward(x, trace=True)
         model.zero_grads()
         model.backward(bce_loss_grad(y, q))
         grads = {k: v.copy() for k, v in model.grads_flat().items()}
@@ -294,7 +487,7 @@ class TestGradients:
         rng = np.random.default_rng(25)
         x = rng.normal(size=(3, 4))
         y = rng.integers(0, 2, size=(3, 1)).astype(float)
-        q = model.forward(x)
+        q = model.forward(x, trace=True)
         model.zero_grads()
         dx = model.backward(bce_loss_grad(y, q))
         h = 1e-6
@@ -326,7 +519,7 @@ class TestWeightWrites:
         x = rng.integers(0, 2, (6, 4, 3)).astype(float)
         y = rng.integers(0, 2, (6, 1)).astype(float)
         model = build_model(tiny_recurrent_spec(), seed=1)
-        before = model.forward(x)
+        before = model.forward(x, trace=True)
         model.zero_grads()
         model.backward(bce_loss_grad(y, before))
         AdamState(lr=0.05).update(model.weights_flat(), model.grads_flat())
@@ -546,7 +739,7 @@ class TestTraining:
              "activation": "sigmoid"},
         ))
         model = build_model(spec, seed=0)
-        q = model.forward(x)
+        q = model.forward(x, trace=True)
         model.zero_grads()
         model.backward(bce_loss_grad(y, q))
         head_w_grad = model.layers[-1].grads["W"]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from steanedec import cli
 from steanedec import dataset as dsmod
 from steanedec.cli import build_cfg, dataset_plan, load_config, main
 from steanedec.decoders import DNN2_CHANNELS, NnDecoder
@@ -283,6 +284,63 @@ class TestCli:
         assert isinstance(r.exception, RuntimeError)
         assert "epoch    0 loss " in r.output
         assert "epoch    1" not in r.output
+
+    def test_resume_after_crash_matches_uninterrupted(self, tmp_path,
+                                                      monkeypatch):
+        # a run that crashes as epoch 1 of 3 ends and is then resumed
+        # leaves the same checkpoints and history, byte for byte, as a run
+        # that never stopped (same relative out, so the same config hash)
+        real_train = cli.train
+
+        def crash_after_epoch_1(*args, stop_fn, **kwargs):
+            def stop(rec):
+                stop_fn(rec)
+                if rec["epoch"] == 1:
+                    raise RuntimeError("crash as epoch 1 ends")
+                return False
+            return real_train(*args, stop_fn=stop, **kwargs)
+
+        files = {}
+        for name in ("straight", "resumed"):
+            d = tmp_path / name
+            d.mkdir()
+            (d / "cfg.yaml").write_text(
+                "seed: 3\nout: run\ndecoder: dnn2\nrounds: 2\n"
+                "shots: {train: 1200, val: 100, test: 100}\n"
+                "train: {epochs: 3, batch_size: 64, lr: 0.001}\n")
+            monkeypatch.chdir(d)
+            assert self.run("gen-data", "--config", "cfg.yaml").exit_code == 0
+            if name == "resumed":
+                with monkeypatch.context() as m:
+                    m.setattr(cli, "train", crash_after_epoch_1)
+                    r = self.run("train", "--config", "cfg.yaml")
+                assert isinstance(r.exception, RuntimeError)
+                assert sorted(os.listdir(d / "run" / "checkpoints" / "dnn2")) \
+                    == ["epoch_0000.ckpt", "epoch_0001.ckpt"]
+                r = self.run("train", "--config", "cfg.yaml", "--resume")
+                assert "resuming after epoch 1" in r.output
+                assert "epoch    1" not in r.output
+                assert "epoch    2 loss " in r.output
+            else:  # with no checkpoint yet, --resume starts at epoch 0
+                r = self.run("train", "--config", "cfg.yaml", "--resume")
+            assert r.exit_code == 0, r.output
+            files[name] = {str(p.relative_to(d)): p.read_bytes()
+                           for p in (d / "run").rglob("*")
+                           if p.suffix in (".ckpt", ".json")}
+        assert len(files["straight"]) == 4  # three checkpoints, one history
+        assert files["resumed"] == files["straight"]
+
+    def test_resume_rejects_foreign_checkpoint_exit_1(self, cfg_path,
+                                                      tmp_path):
+        assert self.run("gen-data", "--config", cfg_path).exit_code == 0
+        weights = build_model(dnn2_spec(), seed=5).weights_flat()
+        path = tmp_path / "run" / "checkpoints" / "dnn2" / "epoch_0000.ckpt"
+        path.parent.mkdir(parents=True)
+        save_checkpoint(str(path), Checkpoint(epoch=0, weights=weights,
+                                              config_hash="other"))
+        r = self.run("train", "--config", cfg_path, "--resume")
+        assert r.exit_code == 1, r.output
+        assert "config hash mismatch" in r.output
 
     def test_dep_lut_passes(self, cfg_path):
         r = self.run("dep", "--config", cfg_path, "--decoder", "lut")
