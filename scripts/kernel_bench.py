@@ -20,8 +20,11 @@ Prints one JSON line:
     decoder (forward, backward, Adam) on 64 rows that mix T = 1..8 in
     equal shares, padded to 8 rounds as ``steanedec train`` pads them;
   * ``srnn_eval_sweep_s``: seconds of `NnDecoder.predict_flips` on the
-    srnn decoder over T = 1..8, 1,500 rows each (one p_ph point of the
-    ``srnn-pipeline`` benchmark's eval stage);
+    srnn decoder over T = 1..8, 1,500 Z-basis memory shots each, drawn by
+    `sample_memory_batch` at p_ph = 5e-3 with a fixed seed (one p_ph
+    point of the ``srnn-pipeline`` benchmark's eval stage);
+    ``srnn_eval_distinct_frac`` is the share of those volumes that are
+    distinct, the share of rows the network runs on;
   * ``deepshap_pairs_per_s``: (input, background) pairs per second of
     `NnDecoder.attributions` (one `deepshap_batch` call) on the srnn
     decoder, 60 inputs against 100 background rows of 8 rounds, in one
@@ -34,8 +37,9 @@ Prints one JSON line:
 Each figure is the best of several repeats, so that a quiet moment of a
 shared machine is what is reported; ``<key>_median`` and
 ``<key>_range`` (slowest, fastest) show the spread of the repeats,
-which can reach 30%. Network inputs are sparse random bits with a fixed
-seed. Run from the root of a checkout:
+which can reach 30%. The inputs of the LSTM layers and of DeepSHAP are
+sparse random bits (density 0.1) with a fixed seed. Run from the root of
+a checkout:
 
     PYTHONPATH=src python3 scripts/kernel_bench.py
 """
@@ -133,16 +137,19 @@ def srnn_train_step() -> dict:
 
 
 def srnn_eval_sweep(model) -> dict:
-    rng = np.random.default_rng(2)
     decoder = NnDecoder(model)
-    volumes = [(rng.random((1500, t, 12)) < 0.1).astype(np.uint8)
+    code, noise = steane_code(), NoiseModel(5e-3)
+    volumes = [sample_memory_batch(code, noise, t, "Z", 1500, seed=2).volumes
                for t in range(1, T + 1)]
+    distinct = sum(len(np.unique(v.reshape(len(v), -1), axis=0))
+                   for v in volumes)
 
     def sweep():
         for v in volumes:
             decoder.predict_flips(v)
 
-    return second_figures("srnn_eval_sweep_s", repeat_seconds(sweep, 1))
+    return {**second_figures("srnn_eval_sweep_s", repeat_seconds(sweep, 1)),
+            "srnn_eval_distinct_frac": round(distinct / (1500 * T), 4)}
 
 
 def sampler_and_lut_rates() -> dict:

@@ -38,7 +38,8 @@ class NnDecoder:
         volumes = np.asarray(volumes, dtype=float)
         n, t, c = volumes.shape
         if self.channels is not None:
-            return volumes[:, :, self.channels].reshape(n, -1)
+            return volumes[:, :, self.channels].reshape(
+                n, t * len(self.channels))
         if t_max is None or t >= t_max:
             return volumes
         out = np.full((n, t_max, c), -1.0)
@@ -69,8 +70,23 @@ class NnDecoder:
         return self.grid(phi), phi0
 
     def predict_flips(self, volumes) -> np.ndarray:
-        q = self.model.forward(self.inputs(volumes))[:, self.head]
-        return (q > 0.5).astype(np.uint8)
+        """The thresholded head on each volume. The network runs once per
+        distinct volume, keyed by the bytes of the channels it reads, and
+        each flip is copied back to every equal volume."""
+        volumes = np.asarray(volumes)
+        read = volumes if self.channels is None \
+            else volumes[:, :, self.channels]
+        n, t, c = read.shape
+        rows = np.ascontiguousarray(read).reshape(n, t * c)
+        keys = rows.view(np.dtype((np.void, rows.itemsize * t * c))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True,
+                                      return_inverse=True)
+        if len(first) == 1:
+            # a lone row would be multiplied by gemv (see Lstm._active):
+            # run it beside a copy of itself
+            first = np.repeat(first, 2)
+        q = self.model.forward(self.inputs(volumes[first]))[:, self.head]
+        return (q > 0.5).astype(np.uint8)[inverse]
 
     def predict_flips_batch(self, batch) -> np.ndarray:
         return self.predict_flips(batch.volumes)

@@ -1,8 +1,12 @@
 """Exact Shapley values by full coalition enumeration.
 
 Cost is 2^n characteristic-function evaluations, so this is restricted
-to small player sets; it serves as the ground truth the backpropagated
-approximation is validated against.
+to small player sets. The game solved here, `feature_exclusion_game`,
+replaces excluded features by the background *mean*. DeepSHAP
+approximates a different game, the background-*averaged* one
+(v(S) = mean over background rows b of f(x_S, b)). The two coincide only
+on affine models, so these values are an exact reference for DeepSHAP
+on affine models alone.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from steanedec.decoders import DNN2_CHANNELS, NnDecoder
 from steanedec.nn import (Checkpoint, build_model, dnn2_spec, drnn_spec,
                           save_checkpoint, srnn_spec)
 from steanedec.nn.losses import MASKED
+from steanedec.nn.model import spec_by_id
 from steanedec.sim import NoiseModel, sample_memory_batch
 from steanedec.steane import steane_code
 
@@ -130,6 +131,31 @@ class TestDatasetSeeds:
         assert len({seed for *_, seed in plan}) == len(plan)
 
 
+def perturbed_model(spec_id: str):
+    """Trained-looking weights: the init ones, perturbed."""
+    model = build_model(spec_by_id(spec_id), seed=3)
+    rng = np.random.default_rng(5)
+    for w in model.weights_flat().values():
+        w += rng.normal(0.0, 0.3, w.shape)
+    return model
+
+
+def forward_rows(model, monkeypatch) -> list:
+    """The row count of every later `model.forward` call."""
+    rows, forward = [], model.forward
+
+    def spy(x, *args, **kwargs):
+        rows.append(len(x))
+        return forward(x, *args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", spy)
+    return rows
+
+
+# (spec, basis): srnn, both drnn heads, dnn2
+NETWORKS = [("srnn-z", "Z"), ("drnn", "Z"), ("drnn", "X"), ("dnn2", "Z")]
+
+
 class TestDecoderWrapper:
     def test_dnn2_input_channels(self, batch):
         dec = NnDecoder(build_model(dnn2_spec(), seed=1), basis="Z")
@@ -198,11 +224,8 @@ class TestDecoderWrapper:
     def test_unpadded_rounds_match_padded_forward(self):
         # a batch has one round count, so the recurrent decoder runs it
         # unpadded; its outputs equal the width-8 padded forward bit for
-        # bit (trained-looking weights: the init ones, perturbed)
-        model = build_model(srnn_spec("Z"), seed=3)
-        rng = np.random.default_rng(5)
-        for w in model.weights_flat().values():
-            w += rng.normal(0.0, 0.3, w.shape)
+        # bit
+        model = perturbed_model("srnn-z")
         dec = NnDecoder(model, basis="Z")
         for t in range(1, 8):
             vols = sample_memory_batch(steane_code(), NoiseModel(0.02),
@@ -218,6 +241,82 @@ class TestDecoderWrapper:
         dec = NnDecoder(model, basis="Z")
         flips = dec.predict_flips_batch(batch)
         assert flips.shape == (len(batch),)
+
+
+class TestDistinctVolumeDecoding:
+    """`predict_flips` runs the network once per distinct volume."""
+
+    @staticmethod
+    def volumes(basis, p_ph, t):
+        return sample_memory_batch(steane_code(), NoiseModel(p_ph), T=t,
+                                   basis=basis, shots=600, seed=7).volumes
+
+    @staticmethod
+    def rounds(spec_id):
+        return (2,) if spec_id == "dnn2" else (1, 5)
+
+    @pytest.mark.parametrize("p_ph", [0.0, 1e-3, 5e-2])
+    @pytest.mark.parametrize("spec_id, basis", NETWORKS)
+    def test_matches_full_batch_forward(self, spec_id, basis, p_ph):
+        dec = NnDecoder(perturbed_model(spec_id), basis=basis)
+        for t in self.rounds(spec_id):
+            vols = self.volumes(basis, p_ph, t)
+            q = dec.model.forward(dec.inputs(vols))[:, dec.head]
+            flips = dec.predict_flips(vols)
+            assert flips.dtype == np.uint8
+            assert np.array_equal(flips, (q > 0.5).astype(np.uint8))
+
+    @pytest.mark.parametrize("p_ph", [0.0, 1e-3, 5e-2])
+    @pytest.mark.parametrize("spec_id, basis", NETWORKS)
+    def test_forward_sees_distinct_volumes_only(self, spec_id, basis, p_ph,
+                                                monkeypatch):
+        dec = NnDecoder(perturbed_model(spec_id), basis=basis)
+        rows = forward_rows(dec.model, monkeypatch)
+        for t in self.rounds(spec_id):
+            vols = self.volumes(basis, p_ph, t)
+            read = vols if dec.channels is None \
+                else vols[:, :, dec.channels]
+            distinct = len(np.unique(read.reshape(len(vols), -1), axis=0))
+            rows.clear()
+            dec.predict_flips(vols)
+            # a lone distinct volume runs beside a copy of itself
+            assert rows == [distinct if distinct > 1 else 2]
+            if p_ph == 0.0:
+                assert distinct == 1
+
+    @pytest.mark.parametrize("spec_id, basis", NETWORKS)
+    def test_permuted_volumes_permute_flips(self, spec_id, basis):
+        dec = NnDecoder(perturbed_model(spec_id), basis=basis)
+        order = np.random.default_rng(1).permutation(600)
+        for t in self.rounds(spec_id):
+            vols = self.volumes(basis, 5e-2, t)
+            assert np.array_equal(dec.predict_flips(vols[order]),
+                                  dec.predict_flips(vols)[order])
+
+    def test_dnn2_unread_channels_share_a_row(self, monkeypatch):
+        dec = NnDecoder(perturbed_model("dnn2"), basis="Z")
+        rows = forward_rows(dec.model, monkeypatch)
+        rng = np.random.default_rng(2)
+        base = (rng.random((3, 2, 12)) < 0.5).astype(np.uint8)
+        vols = base[rng.integers(0, 3, 90)]
+        vols[0:3] = base  # each base volume occurs
+        others = [c for c in range(12) if c not in DNN2_CHANNELS["Z"]]
+        vols[:, :, others] = rng.integers(0, 2, (90, 2, len(others)))
+        assert len(np.unique(vols.reshape(90, -1), axis=0)) > 3
+        flips = dec.predict_flips(vols)
+        assert rows == [3]
+        q = dec.model.forward(dec.inputs(vols))[:, 0]
+        assert np.array_equal(flips, (q > 0.5).astype(np.uint8))
+
+    @pytest.mark.parametrize("spec_id, basis", NETWORKS)
+    def test_empty_batch(self, spec_id, basis):
+        dec = NnDecoder(build_model(spec_by_id(spec_id), seed=0),
+                        basis=basis)
+        for t in self.rounds(spec_id):
+            flips = dec.predict_flips(np.zeros((0, t, 12), np.uint8))
+            assert flips.shape == (0,) and flips.dtype == np.uint8
+        if spec_id == "dnn2":
+            assert dec.inputs(np.zeros((0, 2, 12))).shape == (0, 12)
 
 
 class TestCli:
