@@ -26,10 +26,14 @@ Prints one JSON line:
     ``srnn_eval_distinct_frac`` is the share of those volumes that are
     distinct, the share of rows the network runs on;
   * ``deepshap_pairs_per_s``: (input, background) pairs per second of
-    `NnDecoder.attributions` (one `deepshap_batch` call) on the srnn
-    decoder, 60 inputs against 100 background rows of 8 rounds, in one
-    chunk as ``steanedec explain`` runs it (the sizes of the
-    ``srnn-pipeline`` benchmark's explain stage).
+    `NnDecoder.attributions` (one `deepshap_batch` call, in tiles of the
+    default size as ``steanedec explain`` runs it) on the srnn decoder,
+    60 inputs against 100 background rows of 8 rounds (the sizes of the
+    ``srnn-pipeline`` benchmark's explain stage);
+    ``deepshap_peak_mb`` is the `tracemalloc` peak of that call, in MB;
+  * ``deepshap_pairs_per_s_bg1000``: the same rate for 20 inputs against
+    1,000 background rows, the background size of ``explain``'s
+    defaults, where every tile holds one input (best of 3);
   * ``import_cli_s``: seconds of ``python -c "import steanedec.cli"``
     in a fresh interpreter, interpreter start-up included; every CLI
     stage pays it before its own work.
@@ -48,6 +52,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -63,10 +68,11 @@ REPEATS = 7
 SHOTS = 100_000
 
 
-def repeat_seconds(fn, calls: int) -> np.ndarray:
-    """Mean time per call of ``fn`` in each of REPEATS runs of ``calls``."""
-    seconds = np.empty(REPEATS)
-    for i in range(REPEATS):
+def repeat_seconds(fn, calls: int, repeats: int = REPEATS) -> np.ndarray:
+    """Mean time per call of ``fn`` in each of ``repeats`` runs of
+    ``calls``."""
+    seconds = np.empty(repeats)
+    for i in range(repeats):
         t0 = time.perf_counter()
         for _ in range(calls):
             fn()
@@ -152,6 +158,26 @@ def srnn_eval_sweep(model) -> dict:
             "srnn_eval_distinct_frac": round(distinct / (1500 * T), 4)}
 
 
+def deepshap_figures(model, rng) -> dict:
+    decoder = NnDecoder(model)
+    xs = (rng.random((60, T, 12)) < 0.1).astype(float)
+    bg = (rng.random((100, T, 12)) < 0.1).astype(float)
+    sec = repeat_seconds(lambda: decoder.attributions(xs, bg), 1)
+    out = rate_figures("deepshap_pairs_per_s", 60 * 100, sec)
+    tracemalloc.start()
+    try:
+        decoder.attributions(xs, bg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out["deepshap_peak_mb"] = round(peak / 1e6, 1)
+    bg = (rng.random((1000, T, 12)) < 0.1).astype(float)
+    sec = repeat_seconds(lambda: decoder.attributions(xs[:20], bg), 1,
+                         repeats=3)
+    out.update(rate_figures("deepshap_pairs_per_s_bg1000", 20 * 1000, sec))
+    return out
+
+
 def sampler_and_lut_rates() -> dict:
     code = steane_code()
     out = {}
@@ -178,11 +204,7 @@ def main():
         out.update(lstm_rates(model, rng, rows, calls))
     out.update(srnn_train_step())
     out.update(srnn_eval_sweep(model))
-    xs = (rng.random((60, T, 12)) < 0.1).astype(float)
-    bg = (rng.random((100, T, 12)) < 0.1).astype(float)
-    decoder = NnDecoder(model)
-    sec = repeat_seconds(lambda: decoder.attributions(xs, bg), 1)
-    out.update(rate_figures("deepshap_pairs_per_s", 60 * 100, sec))
+    out.update(deepshap_figures(model, rng))
     out.update(second_figures("import_cli_s", repeat_seconds(
         lambda: subprocess.run([sys.executable, "-c",
                                 "import steanedec.cli"], check=True), 1)))

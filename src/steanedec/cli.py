@@ -46,6 +46,8 @@ DEFAULTS = {
 }
 
 VALID_DECODERS = ("lut", "srnn-x", "srnn-z", "drnn", "dnn2")
+# seconds between two progress lines of a long stage
+PROGRESS_EVERY_S = 10.0
 
 
 def fail(code: int, msg: str):
@@ -410,7 +412,24 @@ def cmd_explain(**kw):
     decoder = load_decoder(cfg, basis)
     n = min(cfg["explain"]["samples"], len(val))
     nb = min(cfg["explain"]["background"], len(bg_ds))
-    phi, phi0 = decoder.attributions(val.volumes[:n], bg_ds.volumes[:nb])
+    start = time.monotonic()
+    last, pairs = start, 0
+
+    def progress(done, total):
+        nonlocal last, pairs
+        pairs = total
+        now = time.monotonic()
+        if done < total and now - last >= PROGRESS_EVERY_S:
+            last = now
+            click.echo(f"attributed {done}/{total} distinct pairs, "
+                       f"{now - start:.1f} s "
+                       f"({done / (now - start):.0f} pairs/s)")
+
+    phi, phi0 = decoder.attributions(val.volumes[:n], bg_ds.volumes[:nb],
+                                     progress=progress)
+    seconds = time.monotonic() - start
+    click.echo(f"attributed {pairs} distinct pairs in {seconds:.2f} s "
+               f"({pairs / max(seconds, 1e-9):.0f} pairs/s)")
     out_path = os.path.join(cfg["out"], f"attributions_{cfg['decoder']}.txt")
     with open(out_path, "w") as fh:
         fh.write(f"# config={cfg['hash']} decoder={cfg['decoder']} "

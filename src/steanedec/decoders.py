@@ -58,15 +58,17 @@ class NnDecoder:
         if self.channels is None:
             return scores
         n, k = len(scores), len(self.channels)
-        full = np.zeros((n, scores.shape[1] // k, N_CHANNELS))
-        full[:, :, self.channels] = scores.reshape(n, -1, k)
+        t = scores.shape[1] // k
+        full = np.zeros((n, t, N_CHANNELS))
+        full[:, :, self.channels] = scores.reshape(n, t, k)
         return full
 
-    def attributions(self, volumes, background):
-        """(`grid` of DeepSHAP scores against ``background``, phi0)."""
+    def attributions(self, volumes, background, progress=None):
+        """(`grid` of DeepSHAP scores against ``background``, phi0), in
+        tiles of the default size; ``progress`` is `deepshap_batch`'s."""
         phi, phi0 = deepshap_batch(self.model, self.inputs(volumes),
                                    self.inputs(background), head=self.head,
-                                   max_rows=100_000)  # ~1.4 GB, srnn, T=8
+                                   progress=progress)
         return self.grid(phi), phi0
 
     def predict_flips(self, volumes) -> np.ndarray:

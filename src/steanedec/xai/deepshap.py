@@ -27,13 +27,23 @@ passes then count every remaining round as an input, a background row's
 -1 rounds included, so no trace carries a mask. This is the same,
 bit for bit, as tracing every round with the background forced onto the
 input's padding mask: there a masked round leaves the LSTM state
-unchanged and gets a zero multiplier. The background is traced once
-per group and each chunk of inputs once, and the multipliers of every
-(input, background) pair are formed on an (inputs, background, ..) grid
-by broadcasting the two traces against each other. An input whose
-rounds are all padding gets zero scores, and its baseline is the
-weighted background mean of the model's output on it, which is that
-output up to rounding.
+unchanged and gets a zero multiplier. An input whose rounds are all
+padding gets zero scores, and its baseline is the weighted background
+mean of the model's output on it, which is that output up to rounding.
+
+The work runs in tiles: a tile holds max(1, max_rows // nb) distinct
+inputs against all nb distinct background rows, so about
+max(max_rows, nb) pairs, and its multipliers are formed on an
+(inputs, background, ..) grid by broadcasting the two traces against
+each other. Keeping the whole background in every tile keeps one
+summation order whatever the tile size. The background is traced once
+per group and each tile's inputs once, and each trace computes its
+per-round quantities (the LSTM gate pre-activations and the slopes the
+rescale rule falls back on) once for every tile it meets. The LSTM
+pass allocates its work grids once per tile and writes every round
+into them, with the same operations as allocating them anew. Memory
+is then the background trace plus one tile (about 10 KB a pair for the
+srnn decoder at 8 rounds), whatever the number of inputs.
 """
 
 from __future__ import annotations
@@ -44,13 +54,26 @@ from ..nn.layers import Dense, Dropout, Lstm, Masking
 from .shapley import _distinct_rows
 
 GUARD = 1e-12
+# default pair budget of a tile: on the srnn decoder at 8 rounds, pairs/s
+# is flat from 256 to 2048 pairs, while a tile's memory grows with it
+MAX_ROWS = 512
 
 
-def _rescale(d_out, d_in, local):
+def _rescale(a_x, a_r, d_in, local, out=None, tiny=None):
+    """The rescale rule's multiplier: the output difference a_x - a_r of
+    the two passes over their input difference ``d_in``, or ``local``
+    where |d_in| < GUARD. Writes into ``out`` and overwrites ``d_in``;
+    ``tiny`` is a bool work grid of the same shape."""
+    if out is None:
+        out, tiny = np.empty(d_in.shape), np.empty(d_in.shape, dtype=bool)
+    np.less(np.abs(d_in, out=out), GUARD, out=tiny)
     # where d_in is tiny the quotient is discarded; adding 1 there only
     # keeps the division finite
-    tiny = np.abs(d_in) < GUARD
-    return np.where(tiny, local, d_out / (d_in + tiny))
+    np.add(d_in, tiny, out=d_in)
+    np.subtract(a_x, a_r, out=out)
+    np.divide(out, d_in, out=out)
+    np.copyto(out, local, where=tiny)
+    return out
 
 
 def _padding(model, x):
@@ -62,12 +85,32 @@ def _padding(model, x):
     return None
 
 
-def _forward_trace(model, x):
+def _lstm_trace(layer, cache, local):
+    """``cache`` with each round's gate pre-activations ``z`` and, with
+    ``local``, the slopes the rescale rule falls back on: the gates'
+    (``slope``) and tanh's at the memory (``dtanh``). Each trace computes
+    them once for every tile it meets; only the input pass needs the
+    slopes."""
+    wx, wh, b = (layer.weights[k] for k in ("W_x", "W_h", "b"))
+    steps = []
+    for s in cache["steps"]:
+        step = dict(s, z=(s["x"] @ wx + s["h_prev"] @ wh) + b)
+        if local:
+            step.update(slope=layer.slopes(s["a"]),
+                        dtanh=1.0 - s["tc"] ** 2)
+        steps.append(step)
+    return dict(cache, steps=steps)
+
+
+def _forward_trace(model, x, local=True):
     """``model.forward`` with every round of ``x`` counted as an input (an
     all-ones padding mask, which a network without a masking layer
-    ignores), and the caches it leaves on the layers."""
+    ignores), and the caches it leaves on the layers, each LSTM's with
+    its per-trace quantities (`_lstm_trace`)."""
     out = model.forward(x, mask=np.ones(x.shape[:2]), trace=True)
-    return out, [layer.cache for layer in model.layers]
+    return out, [_lstm_trace(layer, layer.cache, local)
+                 if isinstance(layer, Lstm) else layer.cache
+                 for layer in model.layers]
 
 
 def _dense_local(layer, cache):
@@ -88,44 +131,51 @@ def _matmul(m, w):
 def _lstm_multipliers(layer, cx, cr, m_out, lx, lr):
     """Push (P, Q, ..) pair multipliers through one LSTM layer; ``lx`` and
     ``lr`` lift an input-pass or background-pass array onto the pair
-    grid."""
-    n = layer.n
-    wx, wh, b = (layer.weights[k] for k in ("W_x", "W_h", "b"))
-    T = cx["T"]
+    grid. The (P, Q, ..) work grids are allocated once, and every round
+    writes into them."""
+    n, d, T = layer.n, layer.d, cx["T"]
+    wx, wh = layer.weights["W_x"], layer.weights["W_h"]
     lead = m_out.shape[:2]
-    mx_in = np.empty(lead + (T, layer.d))
-    mh = np.zeros(lead + (n,)) if layer.return_sequences else m_out
+    rows = lead[0] * lead[1]
+    mx_in = np.empty(lead + (T, d))
+    mh = np.zeros(lead + (n,)) if layer.return_sequences else m_out.copy()
     mc = np.zeros(lead + (n,))
+    u, v, w = (np.empty(lead + (n,)) for _ in range(3))
+    tiny = np.empty(lead + (n,), dtype=bool)
+    mz, dz, rz = (np.empty(lead + (4 * n,)) for _ in range(3))
+    tiny_z = np.empty(lead + (4 * n,), dtype=bool)
+    mo, mf, mi, mcc = layer.gates(mz)
+    mz_rows, mh_rows = mz.reshape(rows, 4 * n), mh.reshape(rows, n)
+    mx_t = np.empty((rows, d))
     for t in reversed(range(T)):
         sx, sr = cx["steps"][t], cr["steps"][t]
         if layer.return_sequences:
-            mh = mh + m_out[:, :, t]
+            np.add(mh, m_out[:, :, t], out=mh)
         ax, ar = lx(sx["a"]), lr(sr["a"])
         ox, fx, ix, ccx = layer.gates(ax)
         or_, fr, ir, ccr = layer.gates(ar)
         tcx, tcr = lx(sx["tc"]), lr(sr["tc"])
-        mz = np.empty(lead + (4 * n,))
-        mo, mf, mi, mcc = layer.gates(mz)
         # h = o * tanh(c): bilinear split
-        half = mh * 0.5
-        np.multiply(half, tcx + tcr, out=mo)
-        mtc = half * (ox + or_)
-        mc_cand = mtc * _rescale(
-            tcx - tcr, lx(sx["c"]) - lr(sr["c"]), 1.0 - tcx ** 2)
+        half = np.multiply(mh, 0.5, out=u)
+        np.multiply(half, np.add(tcx, tcr, out=v), out=mo)
+        mtc = np.multiply(half, np.add(ox, or_, out=v), out=v)
+        d_in = np.subtract(lx(sx["c"]), lr(sr["c"]), out=u)
+        mc_cand = np.multiply(mtc, _rescale(tcx, tcr, d_in, lx(sx["dtanh"]),
+                                            w, tiny), out=v)
         mc_cand += mc
         # c = c_prev * f + cc * i: bilinear splits
-        half = mc_cand * 0.5
-        np.multiply(half, lx(sx["c_prev"]) + lr(sr["c_prev"]), out=mf)
-        np.multiply(half, ccx + ccr, out=mi)
-        np.multiply(half, ix + ir, out=mcc)
-        mc = half * (fx + fr)
-        # gate nonlinearities: rescale to the pre-activations, one fused
-        # product per pass
-        zx = lx((sx["x"] @ wx + sx["h_prev"] @ wh) + b)
-        zr = lr((sr["x"] @ wx + sr["h_prev"] @ wh) + b)
-        mz *= _rescale(ax - ar, zx - zr, layer.slopes(ax))
-        mx_in[:, :, t] = _matmul(mz, wx.T)
-        mh = _matmul(mz, wh.T)
+        half = np.multiply(mc_cand, 0.5, out=u)
+        np.multiply(half, np.add(lx(sx["c_prev"]), lr(sr["c_prev"]), out=w),
+                    out=mf)
+        np.multiply(half, np.add(ccx, ccr, out=w), out=mi)
+        np.multiply(half, np.add(ix, ir, out=w), out=mcc)
+        np.multiply(half, np.add(fx, fr, out=w), out=mc)
+        # gate nonlinearities: rescale to the pre-activations
+        d_in = np.subtract(lx(sx["z"]), lr(sr["z"]), out=dz)
+        mz *= _rescale(ax, ar, d_in, lx(sx["slope"]), rz, tiny_z)
+        mx_in[:, :, t] = np.matmul(mz_rows, wx.T, out=mx_t).reshape(
+            lead + (d,))
+        np.matmul(mz_rows, wh.T, out=mh_rows)
     return mx_in
 
 
@@ -143,7 +193,7 @@ def _multiplier_backward(model, traces_x, traces_r, m_out):
     for layer, cx, cr in zip(reversed(model.layers), reversed(traces_x),
                              reversed(traces_r)):
         if isinstance(layer, Dense):
-            mz = m * _rescale(lx(cx["a"]) - lr(cr["a"]),
+            mz = m * _rescale(lx(cx["a"]), lr(cr["a"]),
                               lx(cx["z"]) - lr(cr["z"]),
                               lx(_dense_local(layer, cx)))
             m = _matmul(mz, layer.weights["W"].T)
@@ -156,20 +206,35 @@ def _multiplier_backward(model, traces_x, traces_r, m_out):
 
 
 def deepshap_batch(model, xs, background, head: int = 0,
-                   max_rows: int = 4096):
+                   max_rows: int = MAX_ROWS, progress=None):
     """Attributions for a batch of inputs against a shared background.
 
     Returns (phi, phi0): per-sample scores shaped like the inputs and
-    per-sample baseline values.
+    per-sample baseline values. ``max_rows`` is the pair budget of a
+    tile: each tile holds max(1, max_rows // nb) distinct inputs against
+    all nb distinct background rows. ``progress``, when given, is called
+    as ``progress(done_pairs, total_pairs)`` after each tile, counting
+    distinct pairs; it does not change the result.
     """
     xs = np.asarray(xs, dtype=float)
+    background = np.asarray(background, dtype=float)
+    if len(background) == 0:
+        raise ValueError("deepshap_batch needs a non-empty background")
     ux, inverse, _ = _distinct_rows(xs)
-    refs, _, counts = _distinct_rows(np.asarray(background, dtype=float))
+    refs, _, counts = _distinct_rows(background)
     weights = counts / counts.sum()
     n, nb = ux.shape[0], refs.shape[0]
     phi = np.zeros_like(ux)
     phi0 = np.empty(n)
-    per_chunk = max(1, max_rows // nb)
+    per_tile = max(1, max_rows // nb)
+    done = 0
+
+    def tile_done(inputs):
+        nonlocal done
+        done += inputs * nb
+        if progress is not None:
+            progress(done, n * nb)
+
     masks = _padding(model, ux)
     if masks is None:
         groups = [(slice(None), np.arange(n))]
@@ -185,19 +250,21 @@ def deepshap_batch(model, xs, background, head: int = 0,
             # nothing is attributed
             out_r = np.repeat(model.forward(ux[rows[:1]]), nb, axis=0)
             phi0[rows] = out_r[:, head] @ weights
+            tile_done(len(rows))
             continue
-        out_r, tr = _forward_trace(model, rg)
+        out_r, tr = _forward_trace(model, rg, local=False)
         phi0[rows] = out_r[:, head] @ weights
         phi_g = np.zeros((len(rows),) + ux.shape[1:])
-        for lo in range(0, len(rows), per_chunk):
-            xb = xg[lo:lo + per_chunk]
+        for lo in range(0, len(rows), per_tile):
+            xb = xg[lo:lo + per_tile]
             out_x, tx = _forward_trace(model, xb)
             m_out = np.zeros((len(xb), nb, out_x.shape[1]))
             m_out[..., head] = 1.0
             mult = _multiplier_backward(model, tx, tr, m_out)
             contrib = mult * (xb[:, None] - rg[None])
-            phi_g[lo:lo + per_chunk, keep] = (
+            phi_g[lo:lo + per_tile, keep] = (
                 weights @ contrib.reshape(len(xb), nb, -1)).reshape(xb.shape)
+            tile_done(len(xb))
         phi[rows] = phi_g
     return phi[inverse], phi0[inverse]
 

@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from click.testing import CliRunner
 
 from steanedec import cli
 from steanedec import dataset as dsmod
+from steanedec import decoders
 from steanedec.cli import build_cfg, dataset_plan, load_config, main
 from steanedec.decoders import DNN2_CHANNELS, NnDecoder
 from steanedec.nn import (Checkpoint, build_model, dnn2_spec, drnn_spec,
@@ -202,6 +204,14 @@ class TestDecoderWrapper:
         grid = np.ones((3, 4, 12))
         assert rnn.grid(grid) is grid
 
+    @pytest.mark.parametrize("spec_id, t", [("srnn-z", 3), ("dnn2", 2)])
+    def test_attributions_of_no_volumes(self, spec_id, t):
+        dec = NnDecoder(build_model(spec_by_id(spec_id), seed=0), basis="Z")
+        bg = (np.random.default_rng(4).random((6, t, 12)) < 0.2)
+        phi, phi0 = dec.attributions(np.zeros((0, t, 12), np.uint8),
+                                     bg.astype(np.uint8))
+        assert phi.shape == (0, t, 12) and phi0.shape == (0,)
+
     def test_predict_matches_forward(self, batch):
         model = build_model(dnn2_spec(), seed=1)
         dec = NnDecoder(model, basis="Z")
@@ -339,7 +349,7 @@ class TestCli:
     def run(self, *args):
         return CliRunner().invoke(main, list(args))
 
-    def test_full_dnn2_pipeline(self, cfg_path, tmp_path):
+    def test_full_dnn2_pipeline(self, cfg_path, tmp_path, monkeypatch):
         out = tmp_path / "run"
         r = self.run("gen-data", "--config", cfg_path)
         assert r.exit_code == 0, r.output
@@ -361,9 +371,41 @@ class TestCli:
         assert phi.shape == (100, 2, 12)
         others = [c for c in range(12) if c not in DNN2_CHANNELS["Z"]]
         assert not phi[:, :, others].any()
+        closing = re.compile(r"attributed (\d+) distinct pairs in "
+                             r"\d+\.\d\d s \(\d+ pairs/s\)$")
+        pairs = int(closing.match(r.output.splitlines()[-2]).group(1))
+        self.check_explain_progress(out, phi, pairs, monkeypatch, cfg_path)
         r = self.run("report", "--config", cfg_path)
         assert r.exit_code == 0, r.output
         assert "dnn2" in r.output
+
+    def check_explain_progress(self, out, phi, pairs, monkeypatch,
+                               cfg_path):
+        # one-input tiles and no wait between progress lines: a line per
+        # tile but the last, then the closing line, and the same scores
+        distinct = []
+        real = decoders.deepshap_batch
+
+        def one_input_tiles(model, xs, background, **kwargs):
+            distinct.extend(len(np.unique(a, axis=0))
+                            for a in (xs, background))
+            return real(model, xs, background, **{**kwargs, "max_rows": 1})
+
+        monkeypatch.setattr(cli, "PROGRESS_EVERY_S", 0.0)
+        monkeypatch.setattr(decoders, "deepshap_batch", one_input_tiles)
+        r = self.run("explain", "--config", cfg_path)
+        assert r.exit_code == 0, r.output
+        n, nb = distinct
+        assert pairs == n * nb and n > 2
+        lines = r.output.splitlines()
+        assert lines[-2].startswith(f"attributed {pairs} distinct pairs in ")
+        step = [line.split() for line in lines[:-2]]
+        assert [f[1] for f in step] == [f"{k * nb}/{pairs}"
+                                        for k in range(1, n)]
+        assert all(f[2:4] == ["distinct", "pairs,"] and f[5] == "s"
+                   for f in step)
+        assert np.max(np.abs(np.load(out / "attributions_dnn2.npy") - phi)) \
+            <= 1e-13
 
     def test_train_echoes_each_epoch_as_it_ends(self, cfg_path,
                                                  monkeypatch):

@@ -3,17 +3,21 @@ defining axioms and hand-worked games, multiplier backpropagation
 against the exact values and its conservation property, and the
 forward traces it reads from ``Model.forward``."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from steanedec.nn import Lstm, Model, NetworkSpec, build_model, dnn2_spec
-from steanedec.xai import (Game, deepshap_batch, exact_shapley,
+from steanedec.decoders import NnDecoder
+from steanedec.nn import (Lstm, Model, NetworkSpec, build_model, dnn2_spec,
+                          drnn_spec, srnn_spec)
+from steanedec.xai import (Game, deepshap, deepshap_batch, exact_shapley,
                            exact_shapley_batch, feature_exclusion_game,
                            relevance_conservation_check)
-from steanedec.xai.deepshap import (_forward_trace, _multiplier_backward,
-                                    _padding)
+from steanedec.xai.deepshap import (GUARD, _forward_trace,
+                                    _multiplier_backward, _padding)
 
 
 def linear_model(beta, beta0=0.0):
@@ -372,3 +376,149 @@ class TestDeepShapRoundDropping:
         # f(x) against every background row, under the weighted mean
         assert model.forward(xs[:1])[0, 0] == 0.5
         assert abs(phi0[0] - 0.5) < 1e-15
+
+
+def per_round_rescale(d_out, d_in, local):
+    tiny = np.abs(d_in) < GUARD
+    return np.where(tiny, local, d_out / (d_in + tiny))
+
+
+def per_round_lstm_multipliers(layer, cx, cr, m_out, lx, lr):
+    """Oracle: the LSTM multiplier pass that allocates every grid anew in
+    every round and recomputes the per-trace quantities from the
+    forward caches; the tiled pass must give its values bit for bit."""
+    n = layer.n
+    wx, wh, b = (layer.weights[k] for k in ("W_x", "W_h", "b"))
+    T = cx["T"]
+    lead = m_out.shape[:2]
+    mx_in = np.empty(lead + (T, layer.d))
+    mh = np.zeros(lead + (n,)) if layer.return_sequences else m_out
+    mc = np.zeros(lead + (n,))
+    for t in reversed(range(T)):
+        sx, sr = cx["steps"][t], cr["steps"][t]
+        if layer.return_sequences:
+            mh = mh + m_out[:, :, t]
+        ax, ar = lx(sx["a"]), lr(sr["a"])
+        ox, fx, ix, ccx = layer.gates(ax)
+        or_, fr, ir, ccr = layer.gates(ar)
+        tcx, tcr = lx(sx["tc"]), lr(sr["tc"])
+        mz = np.empty(lead + (4 * n,))
+        mo, mf, mi, mcc = layer.gates(mz)
+        half = mh * 0.5
+        np.multiply(half, tcx + tcr, out=mo)
+        mtc = half * (ox + or_)
+        mc_cand = mtc * per_round_rescale(
+            tcx - tcr, lx(sx["c"]) - lr(sr["c"]), 1.0 - tcx ** 2)
+        mc_cand += mc
+        half = mc_cand * 0.5
+        np.multiply(half, lx(sx["c_prev"]) + lr(sr["c_prev"]), out=mf)
+        np.multiply(half, ccx + ccr, out=mi)
+        np.multiply(half, ix + ir, out=mcc)
+        mc = half * (fx + fr)
+        zx = lx((sx["x"] @ wx + sx["h_prev"] @ wh) + b)
+        zr = lr((sr["x"] @ wx + sr["h_prev"] @ wh) + b)
+        mz *= per_round_rescale(ax - ar, zx - zr, layer.slopes(ax))
+        mx_in[:, :, t] = (mz.reshape(-1, 4 * n) @ wx.T).reshape(
+            lead + (layer.d,))
+        mh = (mz.reshape(-1, 4 * n) @ wh.T).reshape(lead + (n,))
+    return mx_in
+
+
+# (model, head): srnn, drnn on both heads, and a small LSTM stack with
+# a relu output gate
+ORACLE_CASES = [
+    pytest.param(lambda: build_model(srnn_spec("Z"), seed=3), 0, id="srnn"),
+    pytest.param(lambda: build_model(drnn_spec(), seed=4), 0, id="drnn-z"),
+    pytest.param(lambda: build_model(drnn_spec(), seed=4), 1, id="drnn-x"),
+    pytest.param(lambda: small_recurrent_model(seed=45, input_dim=12,
+                                               gate="relu"), 0,
+                 id="relu-gate"),
+]
+
+
+def mixed_padding(seed, n, nb, t=5):
+    rng = np.random.default_rng(seed)
+    xs, _ = padded_lengths(rng, n, (t, 12), distinct=n // 2)
+    xs[1, 2] = -1.0       # an interior padded round
+    xs[2] = -1.0          # all padding
+    bg, _ = padded_lengths(rng, nb, (t, 12), distinct=nb - 2)
+    return xs, bg
+
+
+class TestDeepShapTiles:
+    """The tiled pass with reused work grids equals the allocate-per-round
+    oracle bit for bit at equal tiles, and any tiling agrees to rounding."""
+
+    @pytest.mark.parametrize("make, head", ORACLE_CASES)
+    @pytest.mark.parametrize("max_rows", [1, 40, 512])
+    def test_matches_per_round_oracle(self, make, head, max_rows,
+                                      monkeypatch):
+        model = make()
+        xs, bg = mixed_padding(23, 30, 14)
+        phi, phi0 = deepshap_batch(model, xs, bg, head=head,
+                                   max_rows=max_rows)
+        monkeypatch.setattr(deepshap, "_lstm_multipliers",
+                            per_round_lstm_multipliers)
+        ref_phi, ref_phi0 = deepshap_batch(model, xs, bg, head=head,
+                                           max_rows=max_rows)
+        assert np.array_equal(phi, ref_phi)
+        assert np.array_equal(phi0, ref_phi0)
+        assert np.any(phi != 0.0)
+
+    @pytest.mark.parametrize("make, head", ORACLE_CASES)
+    def test_tile_size_invariance(self, make, head):
+        model = make()
+        xs, bg = mixed_padding(24, 40, 16)
+        nb = len(np.unique(bg.reshape(len(bg), -1), axis=0))
+        out = model.forward(xs)[:, head]
+        runs = [deepshap_batch(model, xs, bg, head=head, max_rows=rows)
+                for rows in (1, nb - 1, nb, 3 * nb, 100_000)]
+        phi_ref, phi0_ref = runs[0]
+        scale = np.max(np.abs(phi_ref))
+        for phi, phi0 in runs:
+            assert np.max(np.abs(phi - phi_ref)) <= 1e-12 * scale
+            assert np.max(np.abs(phi0 - phi0_ref)) <= 1e-12
+            resid = np.abs(phi.reshape(len(xs), -1).sum(axis=1)
+                           - (out - phi0))
+            assert np.max(resid) <= 1e-12
+
+    def test_srnn_attributions_memory(self):
+        # one tile of work grids at a time, not every pair at once
+        rng = np.random.default_rng(26)
+        decoder = NnDecoder(build_model(srnn_spec("Z"), seed=0))
+        xs = (rng.random((60, 8, 12)) < 0.1).astype(float)
+        bg = (rng.random((100, 8, 12)) < 0.1).astype(float)
+        tracemalloc.start()
+        try:
+            decoder.attributions(xs, bg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25e6
+
+    def test_progress_counts_distinct_pairs(self):
+        model = small_recurrent_model(seed=47, input_dim=12)
+        xs, bg = mixed_padding(25, 30, 14)
+        n = len(np.unique(xs.reshape(len(xs), -1), axis=0))
+        nb = len(np.unique(bg.reshape(len(bg), -1), axis=0))
+        calls = []
+        phi, phi0 = deepshap_batch(model, xs, bg, max_rows=2 * nb,
+                                   progress=lambda *a: calls.append(a))
+        done = [d for d, _ in calls]
+        assert {total for _, total in calls} == {n * nb}
+        assert done == sorted(done) and done[-1] == n * nb
+        # one call per tile of at most two inputs, or per all-padded group
+        assert len(calls) >= n / 2
+        ref_phi, ref_phi0 = deepshap_batch(model, xs, bg, max_rows=2 * nb)
+        assert np.array_equal(phi, ref_phi)
+        assert np.array_equal(phi0, ref_phi0)
+
+    def test_empty_background_raises(self, monkeypatch):
+        model = small_recurrent_model(seed=49)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward before the background check")
+
+        monkeypatch.setattr(model, "forward", no_forward)
+        with pytest.raises(ValueError, match="empty background"):
+            deepshap_batch(model, np.zeros((3, 4, 4)), np.zeros((0, 4, 4)))
