@@ -8,6 +8,12 @@ Prints one JSON line:
     `sample_memory_batch` drawing 100,000 shots of a T-round Z-basis
     memory experiment, for T in {2, 8} and p_ph in {1e-3, 5e-3} (the
     fault table is built before timing);
+  * ``fault_tables_s``: seconds to build the fault tables of T = 1..8 in
+    both bases from an empty cache, the tables that the ``lut-memory``
+    benchmark's eval stage samples from;
+  * ``dep_batch_s_t8``: seconds of `single_fault_batch` at T = 8 in both
+    bases from an empty cache, the single-fault sets that ``steanedec
+    dep`` decodes;
   * ``lut_decodes_per_s_t8``: shots per second that
     `SeqLutDecoder.predict_flips_batch` decodes, on the 100,000 shots of
     T = 8 at p_ph = 5e-3;
@@ -60,7 +66,8 @@ from steanedec.decoders import NnDecoder
 from steanedec.nn import (AdamState, bce_loss_grad, build_model,
                           srnn_spec)
 from steanedec.seqlut import SeqLutDecoder
-from steanedec.sim import NoiseModel, sample_memory_batch
+from steanedec.sim import (_RESPONSES, _TABLES, NoiseModel,
+                           sample_memory_batch, single_fault_batch)
 from steanedec.steane import steane_code
 
 T = 8
@@ -196,10 +203,31 @@ def sampler_and_lut_rates() -> dict:
     return out
 
 
+def cold(fn):
+    """``fn`` run with empty fault-table and cycle-response caches."""
+    def run():
+        _TABLES.clear()
+        _RESPONSES.clear()
+        fn()
+    return run
+
+
+def fault_table_figures() -> dict:
+    code = steane_code()
+    tables = cold(lambda: [sample_memory_batch(code, NoiseModel(0.0), t,
+                                               basis, 1, seed=0)
+                           for t in range(1, T + 1) for basis in "ZX"])
+    dep = cold(lambda: [single_fault_batch(code, basis, T)
+                        for basis in "ZX"])
+    return {**second_figures("fault_tables_s", repeat_seconds(tables, 1)),
+            **second_figures(f"dep_batch_s_t{T}", repeat_seconds(dep, 1))}
+
+
 def main():
     rng = np.random.default_rng(0)
     model = build_model(srnn_spec("Z"), seed=0)
     out = sampler_and_lut_rates()
+    out.update(fault_table_figures())
     for rows, calls in ((64, 40), (1500, 3)):
         out.update(lstm_rates(model, rng, rows, calls))
     out.update(srnn_train_step())

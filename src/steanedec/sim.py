@@ -5,20 +5,28 @@ gates of a circuit (`build_qec_cycle`) to Pauli frames; it propagates
 many frames at once. Everything else is built on it:
 
 * noiseless runs with one injected fault per shot (`_fault_batch`):
-  single-fault ("DEP") certification (`single_fault_batch`, decoded as
-  one batch by `dep_failure_fraction`), the one-shot views
-  `run_memory_experiment` and `run_with_fault`, and the fault-table
-  builder;
-* a fault table per (code, T, basis), built on first use. Propagation
-  is linear over GF(2), so the record of a noisy shot (preparation
-  outcomes, syndrome-increment/flag volume, final half syndrome and
-  logical parity) is the XOR of the records of its single faults. The
-  table holds one bit-packed row per location and fault, and
-  `sample_memory_batch` reduces Monte-Carlo sampling to two stages.
+  the one-shot views `run_memory_experiment` and `run_with_fault`, and
+  the cycle response (`_cycle_response`), one run per (code, basis) of
+  every generator fault of the preparation cycle in a one-round
+  experiment;
+* a fault table per (code, T, basis), assembled on first use from the
+  cycle response (`_build_fault_table`): every cycle runs the same
+  gates, the ancilla and flag are re-prepared for each plaquette, and a
+  noiseless cycle leaves a data error as it is, so a fault's record
+  depends on its cycle only through where its rounds start.
+  Propagation is linear over GF(2), so the record of a noisy shot
+  (preparation outcomes, syndrome-increment/flag volume, final half
+  syndrome and logical parity) is the XOR of the records of its single
+  faults. The table holds one bit-packed row per location and fault,
+  and `sample_memory_batch` reduces Monte-Carlo sampling to two stages.
   The draw stage (`_fault_events`) lists the faults of the batch as
   (shot, table row) events; the apply stage (`_apply_fault_events`)
   XORs the events' rows into the shots' packed records, which are
-  unpacked once at the end.
+  unpacked once at the end;
+* single-fault ("DEP") certification: `single_fault_batch` is the rows
+  of a table after the preparation cycle's, one shot per row, put
+  through the apply stage; `dep_failure_fraction` decodes it as one
+  batch.
 
 Noise model (depolarizing circuit-level): after every two-qubit gate one
 of the 15 nontrivial two-qubit Paulis with probability p_ph/15 each;
@@ -46,8 +54,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuits import (N_CHANNELS, FaultInjection, Gate, PAULI_1Q,
-                       TWO_QUBIT_PAULIS, build_qec_cycle,
-                       enumerate_single_faults, error_set)
+                       TWO_QUBIT_PAULIS, build_qec_cycle, error_set)
 from .steane import CodeDefinition
 
 
@@ -159,6 +166,11 @@ class MemoryBatch:
                             prep_row=prep)
 
 
+def _check_basis(basis: str):
+    if basis not in ("Z", "X"):
+        raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
+
+
 def _run_frames(code: CodeDefinition, program: list[Gate], basis: str,
                 n: int, inject):
     """Propagate ``n`` Pauli frames through ``program`` (the preparation
@@ -169,6 +181,7 @@ def _run_frames(code: CodeDefinition, program: list[Gate], basis: str,
     the outcome flips (an array or 0) instead. Returns (volumes,
     prep_rows, final half syndromes, logical flips).
     """
+    _check_basis(basis)
     T = program[-1].cycle
     x = np.zeros(n, dtype=np.int64)
     z = np.zeros(n, dtype=np.int64)
@@ -254,7 +267,13 @@ class _FaultTable:
     15 rows in `TWO_QUBIT_PAULIS` order, a preparation or measurement
     one row (its flip). ``first_rows[cls]`` lists the first row of each
     location of fault class ``cls`` (`_TWO_QUBIT`, `_SPAM`), in program
-    order.
+    order. Every cycle owns the same number of rows, so the rows after
+    the preparation cycle's are the single faults of the T QEC cycles
+    in `enumerate_single_faults` order (`single_fault_batch`).
+
+    The rows of every T come from one cycle response per (code, basis);
+    `_build_fault_table` states the properties of the circuit that
+    make this exact.
     """
 
     rows: np.ndarray
@@ -264,39 +283,110 @@ class _FaultTable:
 
 def _fault_table(code: CodeDefinition, T: int, basis: str) -> _FaultTable:
     """The fault table of (code, T, basis), built on first use."""
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    _check_basis(basis)
     key = (code.support_masks, code.logical_mask, code.gate_order, T, basis)
     if key not in _TABLES:
         _TABLES[key] = _build_fault_table(code, T, basis)
     return _TABLES[key]
 
 
+@dataclass(frozen=True)
+class _CycleResponse:
+    """The records of every generator fault of one cycle, injected in the
+    preparation cycle of a one-round experiment.
+
+    Generator faults follow program order: X.I, Z.I, I.X, I.Z of a
+    two-qubit gate (`_GENERATORS`), the flip of a preparation or
+    measurement. ``rounds[f]`` holds fault f's 12 outcomes of its own
+    cycle, its volume row of the next round, and that row with the six
+    syndrome increments zeroed, the row of every later round.
+    ``syndrome`` and ``flip`` are the final half syndrome and logical
+    flip of the final readout.
+    """
+
+    two_qubit: np.ndarray  # (locations,) bool, the cycle's two-qubit gates
+    rounds: np.ndarray     # (generators, 3, 12) uint8
+    syndrome: np.ndarray   # (generators,) uint8, 3-bit ints
+    flip: np.ndarray       # (generators,) uint8
+
+
+# cycle responses, keyed by the code's definition and basis
+_RESPONSES: dict[tuple, _CycleResponse] = {}
+
+
+def _cycle_response(code: CodeDefinition, basis: str) -> _CycleResponse:
+    """The cycle response of (code, basis), computed on first use."""
+    key = (code.support_masks, code.logical_mask, code.gate_order, basis)
+    if key not in _RESPONSES:
+        cycle = build_qec_cycle(code, cycles=0, include_prep=True)
+        faults = []
+        for gate in cycle:
+            if gate.kind in ("cnot", "cz"):
+                faults += [FaultInjection(gate.loc, g) for g in _GENERATORS]
+            else:
+                faults += error_set(gate)
+        batch = _fault_batch(code, faults, basis, 1, fault_in_prep=True)
+        later = batch.volumes[:, 0].copy()
+        later[:, :6] = 0
+        rounds = np.stack([batch.prep_rows, batch.volumes[:, 0], later],
+                          axis=1)
+        two_qubit = np.array([g.kind in ("cnot", "cz") for g in cycle])
+        _RESPONSES[key] = _CycleResponse(two_qubit, rounds,
+                                         batch.final_syndrome, batch.m_out)
+    return _RESPONSES[key]
+
+
 def _build_fault_table(code: CodeDefinition, T: int,
                        basis: str) -> _FaultTable:
-    # one noiseless shot per generator fault, preparation cycle included
-    program = build_qec_cycle(code, cycles=T, include_prep=True)
-    faults = []
-    for gate in program:
-        if gate.kind in ("cnot", "cz"):
-            faults += [FaultInjection(gate.loc, g) for g in _GENERATORS]
-        else:
-            faults += error_set(gate)
-    batch = _fault_batch(code, faults, basis, T, fault_in_prep=True)
+    """The fault table of (code, T, basis), assembled from the cycle
+    response (`_cycle_response`) without running the T + 1 cycles.
+
+    Three properties of `build_qec_cycle` make a fault's record depend
+    only on the cycle c it sits in, not on T:
+
+    1. Every cycle, the preparation cycle included, runs the same gate
+       list.
+    2. The ancilla and flag are re-prepared before each plaquette, so a
+       fault's effect on them ends with its cycle.
+    3. A noiseless cycle never changes a data error: CNOT(anc -> data)
+       and CZ(data, anc) write nothing onto data from a clean ancilla.
+       Every later cycle therefore reads the same outcomes, and the
+       final readout sees the same residual error.
+
+    So generator fault f of cycle c (0..T) reads nothing before round c,
+    its own-cycle outcomes P_f in round c, its next-round row D1_f in
+    round c + 1 and the same row without syndrome increments, D2_f, in
+    every later round; its final half syndrome and logical flip are
+    those of the cycle response for every c. Round 0 is the
+    preparation row.
+    """
+    resp = _cycle_response(code, basis)
+    n_cycle = len(resp.flip)
+    # rounds c.. of a fault of cycle c: P_f, D1_f, then D2_f
+    from_own = resp.rounds[:, np.minimum(np.arange(T + 1), 2)].reshape(
+        n_cycle, -1)
+    nbits = N_CHANNELS * (T + 1)
+    rounds = np.zeros((T + 1, n_cycle, nbits), dtype=np.uint8)
+    for c in range(T + 1):
+        rounds[c, :, N_CHANNELS * c:] = from_own[:, :nbits - N_CHANNELS * c]
+    n_faults = n_cycle * (T + 1)
     # parity of the weight-1 correction of each syndrome with the logical
     pec = np.array([code.pure_error_mask(s) for s in range(8)])
     corr_par = _PAR[pec & code.logical_mask]
-    syn = batch.final_syndrome
+    syn = np.tile(resp.syndrome, T + 1)
     bits = np.concatenate([
-        batch.prep_rows,
-        batch.volumes.reshape(len(faults), N_CHANNELS * T),
+        rounds.reshape(n_faults, nbits),
         (syn[:, None] >> np.arange(3, dtype=np.uint8)) & 1,
-        (batch.m_out ^ corr_par[syn])[:, None],
+        (np.tile(resp.flip, T + 1) ^ corr_par[syn])[:, None],
     ], axis=1)
     words = -(-bits.shape[1] // 64)
-    packed = np.zeros((len(faults), 8 * words), dtype=np.uint8)
+    packed = np.zeros((n_faults, 8 * words), dtype=np.uint8)
     packed[:, :-(-bits.shape[1] // 8)] = np.packbits(bits, axis=1,
                                                      bitorder="little")
     gens = packed.view(_WORD)  # one row per fault, in program order
-    two_qubit = np.array([g.kind in ("cnot", "cz") for g in program])
+    two_qubit = np.tile(resp.two_qubit, T + 1)
     n_gen = np.where(two_qubit, 4, 1)
     first_gen = np.cumsum(n_gen) - n_gen
     # XOR each two-qubit location's generator rows into its 15 Paulis
@@ -373,13 +463,14 @@ def _fault_events(table: _FaultTable, noise: NoiseModel, shots: int,
     return np.concatenate(shot_parts), np.concatenate(row_parts)
 
 
-def _apply_fault_events(table: _FaultTable, T: int, basis: str, shots: int,
+def _apply_fault_events(table: _FaultTable, T: int, basis: str,
                         events: tuple[np.ndarray, np.ndarray],
-                        seed: int) -> MemoryBatch:
-    """The apply stage of `sample_memory_batch`: XOR the rows of the
-    (shot, row) ``events`` into the packed records of ``shots`` shots,
-    and unpack the records into a batch."""
-    n = shots
+                        m_in: np.ndarray, seed: int) -> MemoryBatch:
+    """The apply stage of `sample_memory_batch` and `single_fault_batch`:
+    XOR the rows of the (shot, row) ``events`` into the packed records of
+    ``len(m_in)`` shots with input labels ``m_in``, and unpack the
+    records into a batch."""
+    n = len(m_in)
     shot, row = events
     # XOR the rows of each shot's events together into its record
     order = np.argsort(shot, kind="stable")
@@ -402,7 +493,6 @@ def _apply_fault_events(table: _FaultTable, T: int, basis: str, shots: int,
             -1, T, N_CHANNELS)
         # the 4 tail bits never straddle a word: nbits is a multiple of 4
         tail[s:s + _UNPACK_SHOTS] = chunk[:, nbits // 64] >> (nbits % 64) & 15
-    m_in = (np.arange(n) & 1).astype(np.uint8)
     return MemoryBatch(volumes=volumes, basis=basis, m_in=m_in,
                        m_out=m_in ^ table.flip_of_tail[tail],
                        final_syndrome=tail & 7, seed=seed,
@@ -420,11 +510,14 @@ def sample_memory_batch(code: CodeDefinition, noise: NoiseModel, T: int,
     m_in alternates 0/1 so each input state obtains an equal share of
     samples; the label depends only on the accumulated errors.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) \
+            or shots < 0:
+        raise ValueError(f"shots must be a non-negative integer, got "
+                         f"{shots!r}")
     table = _fault_table(code, T, basis)
     events = _fault_events(table, noise, shots, seed)
-    return _apply_fault_events(table, T, basis, shots, events, seed)
+    m_in = (np.arange(shots) & 1).astype(np.uint8)
+    return _apply_fault_events(table, T, basis, events, m_in, seed)
 
 
 def _fault_batch(code: CodeDefinition, faults: list[FaultInjection],
@@ -479,9 +572,18 @@ def _fault_batch(code: CodeDefinition, faults: list[FaultInjection],
 def single_fault_batch(code: CodeDefinition, basis: str,
                        cycles: int = 2) -> MemoryBatch:
     """Every enumerated single fault of ``cycles`` QEC cycles as one
-    noiseless batch, in `enumerate_single_faults` order."""
-    return _fault_batch(code, enumerate_single_faults(code, cycles=cycles),
-                        basis, cycles)
+    noiseless batch, in `enumerate_single_faults` order (``m_in`` is 0).
+
+    These are the rows of the fault table of ``cycles`` rounds that
+    follow the preparation cycle's, one shot per row.
+    """
+    table = _fault_table(code, cycles, basis)
+    n_rows = len(table.rows)
+    first = n_rows // (cycles + 1)  # the rows of the preparation cycle
+    n = n_rows - first
+    return _apply_fault_events(table, cycles, basis,
+                               (np.arange(n), np.arange(first, n_rows)),
+                               np.zeros(n, dtype=np.uint8), seed=0)
 
 
 def run_memory_experiment(code: CodeDefinition, noise: NoiseModel | None,

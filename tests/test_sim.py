@@ -7,15 +7,17 @@ from scipy import stats
 
 from naive_sim import naive_run
 from steanedec.circuits import (SZ, FaultInjection, Gate, build_qec_cycle,
-                                enumerate_single_faults)
+                                enumerate_single_faults, error_set)
 from steanedec.seqlut import SeqLutDecoder
-from steanedec.sim import (_GAPS, _PAULIS, _PX1, _PX2, _PZ1, _PZ2, _SPAM,
-                           _TWO_QUBIT, AlwaysFlipDecoder, IdentityDecoder,
-                           MemoryBatch, MemorySample, NoiseModel,
-                           _class_rng, _fault_batch, _fault_cells,
-                           _fault_events, _fault_table, _run_frames, dep_failure_fraction,
-                           run_memory_experiment, run_with_fault,
-                           sample_memory_batch, single_fault_batch)
+from steanedec.sim import (_GAPS, _GENERATORS, _PAR, _PAULI_GENERATORS,
+                           _PAULIS, _PX1, _PX2, _PZ1, _PZ2, _RESPONSES, _SPAM,
+                           _TABLES, _TWO_QUBIT, _WORD, AlwaysFlipDecoder,
+                           IdentityDecoder, MemoryBatch, MemorySample,
+                           NoiseModel, _class_rng, _fault_batch, _fault_cells,
+                           _fault_events, _fault_table, _run_frames,
+                           dep_failure_fraction, run_memory_experiment,
+                           run_with_fault, sample_memory_batch,
+                           single_fault_batch)
 from steanedec.steane import steane_code
 
 
@@ -198,10 +200,161 @@ class TestFaultTableSampler:
             assert np.array_equal(a, b), name
         assert (got.basis, got.seed) == (basis, seed)
 
+    @pytest.mark.parametrize("shots", [-1, 2.5, True])
+    def test_rejects_bad_shot_counts(self, code, shots):
+        with pytest.raises(ValueError, match="shots"):
+            sample_memory_batch(code, NoiseModel(0.01), 2, "Z", shots,
+                                seed=1)
+
+    def test_accepts_numpy_shot_count(self, code):
+        batch = sample_memory_batch(code, NoiseModel(0.01), 2, "Z",
+                                    np.int64(5), seed=1)
+        assert len(batch) == 5
+
     def test_row_width(self, code):
         assert _fault_table(code, 1, "Z").rows.shape[1] == 1
         assert _fault_table(code, 8, "Z").rows.shape[1] == 2
         assert _fault_table(code, 12, "X").rows.shape[1] == 3
+
+
+def reference_fault_table(code, T: int, basis: str):
+    """The fault table built the direct way: every generator fault of
+    every one of the T + 1 cycles run through the whole program, one
+    noiseless shot each, then packed and XORed into the 15 Paulis of
+    each two-qubit location as `_build_fault_table` does."""
+    program = build_qec_cycle(code, cycles=T, include_prep=True)
+    faults = []
+    for gate in program:
+        if gate.kind in ("cnot", "cz"):
+            faults += [FaultInjection(gate.loc, g) for g in _GENERATORS]
+        else:
+            faults += error_set(gate)
+    batch = _fault_batch(code, faults, basis, T, fault_in_prep=True)
+    pec = np.array([code.pure_error_mask(s) for s in range(8)])
+    corr_par = _PAR[pec & code.logical_mask]
+    syn = batch.final_syndrome
+    bits = np.concatenate([
+        batch.prep_rows,
+        batch.volumes.reshape(len(faults), 12 * T),
+        (syn[:, None] >> np.arange(3, dtype=np.uint8)) & 1,
+        (batch.m_out ^ corr_par[syn])[:, None],
+    ], axis=1)
+    words = -(-bits.shape[1] // 64)
+    packed = np.zeros((len(faults), 8 * words), dtype=np.uint8)
+    packed[:, :-(-bits.shape[1] // 8)] = np.packbits(bits, axis=1,
+                                                     bitorder="little")
+    gens = packed.view(_WORD)
+    two_qubit = np.array([g.kind in ("cnot", "cz") for g in program])
+    n_gen = np.where(two_qubit, 4, 1)
+    first_gen = np.cumsum(n_gen) - n_gen
+    g2 = gens[first_gen[two_qubit, None] + np.arange(4)]
+    paulis = np.bitwise_xor.reduce(
+        np.where(_PAULI_GENERATORS[:, :, None], g2[:, None], 0), axis=2)
+    width = np.where(two_qubit, 15, 1)
+    first = np.cumsum(width) - width
+    rows = np.empty((width.sum(), words), dtype=_WORD)
+    rows[first[~two_qubit]] = gens[first_gen[~two_qubit]]
+    rows[first[two_qubit, None] + np.arange(15)] = paulis
+    tail = np.arange(16)
+    flip_of_tail = ((tail >> 3) ^ corr_par[tail & 7]).astype(np.uint8)
+    return rows, (first[two_qubit], first[~two_qubit]), flip_of_tail
+
+
+class TestCycleResponse:
+    """Every T's fault table comes from one cycle's response; these
+    tests hold it to the direct per-T frame run and check the
+    properties of the circuit that the derivation rests on."""
+
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    @pytest.mark.parametrize("T", range(1, 13))
+    def test_table_equals_per_t_frame_run(self, code, T, basis):
+        table = _fault_table(code, T, basis)
+        rows, first_rows, flip_of_tail = reference_fault_table(code, T,
+                                                               basis)
+        assert table.rows.dtype == rows.dtype
+        assert np.array_equal(table.rows, rows)
+        for got, ref in zip(table.first_rows, first_rows):
+            assert np.array_equal(got, ref)
+        assert np.array_equal(table.flip_of_tail, flip_of_tail)
+
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    @pytest.mark.parametrize("T", range(1, 13))
+    def test_single_fault_batch_equals_fault_runs(self, code, T, basis):
+        got = single_fault_batch(code, basis, T)
+        ref = _fault_batch(code, enumerate_single_faults(code, T), basis, T)
+        for name in ("volumes", "prep_rows", "m_in", "m_out",
+                     "final_syndrome"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert np.array_equal(a, b), name
+        assert (got.basis, got.seed) == (ref.basis, ref.seed)
+
+    def test_every_cycle_runs_the_same_gates(self, code):
+        # property 1
+        program = build_qec_cycle(code, cycles=3, include_prep=True)
+        cycles = [[(g.kind, g.qubits, g.channel) for g in program
+                   if g.cycle == c] for c in range(4)]
+        assert all(c == cycles[0] for c in cycles)
+
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    def test_noiseless_cycles_keep_every_data_error(self, code, basis):
+        # property 3: every static X/Z pattern on the 7 data qubits,
+        # injected at the first gate, goes through two noiseless cycles
+        # unchanged, raises no flag, and reads the same syndrome twice
+        patterns = np.arange(1 << 14)
+        xs, zs = patterns & 0x7F, patterns >> 7
+        program = build_qec_cycle(code, cycles=1, include_prep=True)
+        final = {}
+
+        def inject(gate, x, z):
+            if gate is program[0]:
+                x ^= xs
+                z ^= zs
+            if gate is program[-1]:
+                final["x"], final["z"] = x.copy(), z.copy()
+            return 0
+
+        volumes, prep_rows, _, _ = _run_frames(code, program, basis,
+                                               len(patterns), inject)
+        assert np.array_equal(final["x"] & 0x7F, xs)
+        assert np.array_equal(final["z"] & 0x7F, zs)
+        assert not prep_rows[:, 6:].any() and not volumes[:, :, 6:].any()
+        assert not volumes[:, 0, :6].any()  # no syndrome increment
+        # ... on a syndrome that is there to repeat
+        assert prep_rows[:, :6].any(axis=1).sum() > 0
+
+    def test_response_is_cached_per_basis(self, code):
+        for basis in ("Z", "X"):
+            _fault_table(code, 5, basis)
+        keys = [k for k in _RESPONSES if k[:3] == (
+            code.support_masks, code.logical_mask, code.gate_order)]
+        assert sorted(k[3] for k in keys) == ["X", "Z"]
+
+
+class TestBasisCheck:
+    """A basis other than "Z" or "X" is an error, not an X-basis run."""
+
+    @pytest.mark.parametrize("basis", ["z", "x", "Y", ""])
+    def test_sample_memory_batch_rejects(self, code, basis):
+        with pytest.raises(ValueError, match=repr(basis)):
+            sample_memory_batch(code, NoiseModel(0.01), 2, basis, 2000,
+                                seed=1)
+
+    @pytest.mark.parametrize("basis", ["z", "Y"])
+    def test_single_fault_batch_rejects(self, code, basis):
+        with pytest.raises(ValueError, match=repr(basis)):
+            single_fault_batch(code, basis, 2)
+
+    def test_noiseless_run_rejects(self, code):
+        with pytest.raises(ValueError, match="'Y'"):
+            run_memory_experiment(code, None, 2, "Y")
+
+    def test_no_cache_entry(self, code):
+        for basis in ("z", "Y"):
+            with pytest.raises(ValueError):
+                _fault_table(code, 2, basis)
+        assert all(k[-1] in ("Z", "X") for k in _TABLES)
+        assert all(k[-1] in ("Z", "X") for k in _RESPONSES)
 
 
 class TestFaultEvents:
