@@ -40,6 +40,13 @@ Prints one JSON line:
   * ``deepshap_pairs_per_s_bg1000``: the same rate for 20 inputs against
     1,000 background rows, the background size of ``explain``'s
     defaults, where every tile holds one input (best of 3);
+  * ``gen_data_peak_mb``: the `tracemalloc` peak, in MB, of writing one
+    90,000-shot T = 8 dataset as ``steanedec gen-data`` writes it
+    (`sample_memory_blocks` in blocks of `dataset.BLOCK_SHOTS`, streamed
+    into the dataset file and its text export by
+    `dataset.write_with_text`), the fault table built before;
+  * ``dataset_pack_s``: seconds to pack the records of those 90,000
+    shots into the bytes of a dataset file, in one block;
   * ``import_cli_s``: seconds of ``python -c "import steanedec.cli"``
     in a fresh interpreter, interpreter start-up included; every CLI
     stage pays it before its own work.
@@ -55,19 +62,23 @@ a checkout:
 """
 
 import json
+import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
 import numpy as np
 
+from steanedec import dataset as dsmod
 from steanedec.decoders import NnDecoder
 from steanedec.nn import (AdamState, bce_loss_grad, build_model,
                           srnn_spec)
 from steanedec.seqlut import SeqLutDecoder
 from steanedec.sim import (_RESPONSES, _TABLES, NoiseModel,
-                           sample_memory_batch, single_fault_batch)
+                           sample_memory_batch, sample_memory_blocks,
+                           single_fault_batch)
 from steanedec.steane import steane_code
 
 T = 8
@@ -223,11 +234,36 @@ def fault_table_figures() -> dict:
             **second_figures(f"dep_batch_s_t{T}", repeat_seconds(dep, 1))}
 
 
+def gen_data_figures() -> dict:
+    code, noise, shots = steane_code(), NoiseModel(5e-3), 90_000
+    head = dsmod.Header(dsmod.CODE_ID, 5e-3, T, "Z", 1, shots)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.sds")
+
+        def write():
+            dsmod.write_with_text(path, head, sample_memory_blocks(
+                code, noise, T, "Z", shots, seed=1, block=dsmod.BLOCK_SHOTS))
+
+        write()  # the fault table
+        tracemalloc.start()
+        try:
+            write()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    batch = sample_memory_batch(code, noise, T, "Z", shots, seed=1)
+    return {"gen_data_peak_mb": round(peak / 1e6, 2),
+            **second_figures("dataset_pack_s", repeat_seconds(
+                lambda: dsmod._records(batch.volumes, batch.m_in,
+                                       batch.m_out), 1))}
+
+
 def main():
     rng = np.random.default_rng(0)
     model = build_model(srnn_spec("Z"), seed=0)
     out = sampler_and_lut_rates()
     out.update(fault_table_figures())
+    out.update(gen_data_figures())
     for rows, calls in ((64, 40), (1500, 3)):
         out.update(lstm_rates(model, rng, rows, calls))
     out.update(srnn_train_step())

@@ -23,13 +23,12 @@ import yaml
 from . import dataset as dsmod
 from .analysis import (ft_contract, ft_monitor, logical_error_rate,
                        scaling_exponent)
-from .circuits import enumerate_single_faults
 from .decoders import NnDecoder
 from .nn import (TrainConfig, build_model, config_hash, load_checkpoint,
                  restore, train)
 from .nn.model import spec_by_id
 from .seqlut import SeqLutDecoder
-from .sim import NoiseModel, dep_failure_fraction, sample_memory_batch
+from .sim import NoiseModel, sample_memory_blocks, single_fault_batch
 from .steane import steane_code
 
 DEFAULTS = {
@@ -176,7 +175,7 @@ def dataset_plan(cfg):
     rounds = dataset_rounds(cfg)
     for si, split in enumerate(("train", "val", "test")):
         # equal share per (basis, T) family; initial states alternate
-        # inside sample_memory_batch
+        # inside sample_memory_blocks
         per = max(1, cfg["shots"][split] // (len(rounds) * len(bases)))
         for basis in bases:
             for t in rounds:
@@ -304,12 +303,12 @@ def cmd_gen_data(**kw):
     os.makedirs(os.path.join(cfg["out"], "data"), exist_ok=True)
     noise = NoiseModel(cfg["p_ph"])
     for split, basis, t, per, seed in dataset_plan(cfg):
-        batch = sample_memory_batch(code, noise, T=t, basis=basis,
-                                    shots=per, seed=seed)
-        ds = dsmod.from_batch(batch, cfg["p_ph"], cfg["hash"])
         path = dataset_path(cfg, split, basis, t)
-        dsmod.write_dataset(path, ds)
-        dsmod.export_text(path + ".txt", ds)
+        head = dsmod.Header(dsmod.CODE_ID, cfg["p_ph"], t, basis, seed, per,
+                            cfg["hash"])
+        dsmod.write_with_text(path, head, sample_memory_blocks(
+            code, noise, T=t, basis=basis, shots=per, seed=seed,
+            block=dsmod.BLOCK_SHOTS))
         click.echo(f"wrote {path} ({per} samples)")
 
 
@@ -450,18 +449,17 @@ def cmd_dep(**kw):
     cfg = build_cfg(**kw)
     code = steane_code()
     os.makedirs(cfg["out"], exist_ok=True)
-    n_faults = len(enumerate_single_faults(code, cycles=cfg["rounds"]))
     report = {"config_hash": cfg["hash"], "decoder": cfg["decoder"],
-              "cycles": cfg["rounds"], "n_faults": n_faults}
+              "cycles": cfg["rounds"]}
     worst = 0.0
     for basis in decoder_bases(cfg["decoder"]):
         decoder = load_decoder(cfg, basis)
-        frac = dep_failure_fraction(decoder, code, basis,
-                                    cycles=cfg["rounds"])
-        report[f"failure_fraction_{basis}"] = frac
-        worst = max(worst, frac)
-        click.echo(f"basis {basis}: {round(frac * n_faults)}/{n_faults} "
-                   "faults failed")
+        faults = single_fault_batch(code, basis, cfg["rounds"])
+        failed = int((decoder.predict_flips_batch(faults) ^ faults.m_L).sum())
+        report["n_faults"] = len(faults)
+        report[f"failure_fraction_{basis}"] = failed / len(faults)
+        worst = max(worst, failed)
+        click.echo(f"basis {basis}: {failed}/{len(faults)} faults failed")
     _write_json(os.path.join(cfg["out"], f"dep_{cfg['decoder']}.json"),
                 report)
     if worst > 0:

@@ -11,11 +11,14 @@ Then one record per sample:
   one byte with m_in (bit 0), m_out (bit 1), m_L (bit 2).
 
 A line-delimited text export of the same records is provided for
-debugging.
+debugging. Both writers take the header and then the records in
+blocks, so a dataset of any size is written one block at a time.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -26,6 +29,26 @@ from .circuits import N_CHANNELS
 MAGIC = b"SDDS"
 VERSION = 1
 CODE_ID = "steane-713"
+
+
+# shots that ``steanedec gen-data`` samples and writes at a time; the
+# files do not depend on it. Time per dataset is flat from 4,096 to
+# 16,384 and memory grows with the block (CHANGES.md has the sweep)
+BLOCK_SHOTS = 8192
+
+
+@dataclass(frozen=True)
+class Header:
+    """The fields of a dataset file before its records; ``shots`` is
+    the number of records that follow."""
+
+    code_id: str
+    p_ph: float
+    T: int
+    basis: str
+    seed: int
+    shots: int
+    config_hash: str = ""
 
 
 @dataclass
@@ -44,6 +67,10 @@ class DatasetFile:
     def m_L(self) -> np.ndarray:
         return self.m_in ^ self.m_out
 
+    @property
+    def shots(self) -> int:
+        return len(self)
+
     def __len__(self) -> int:
         return self.volumes.shape[0]
 
@@ -51,34 +78,119 @@ class DatasetFile:
 def from_batch(batch, p_ph: float, config_hash: str = "") -> DatasetFile:
     return DatasetFile(code_id=CODE_ID, p_ph=p_ph, T=batch.volumes.shape[1],
                        basis=batch.basis, seed=batch.seed,
-                       volumes=batch.volumes.astype(np.uint8),
+                       volumes=np.asarray(batch.volumes, dtype=np.uint8),
                        m_in=np.asarray(batch.m_in, dtype=np.uint8),
                        m_out=np.asarray(batch.m_out, dtype=np.uint8),
                        config_hash=config_hash)
 
 
-def write_dataset(path, ds: DatasetFile):
-    n, T, _ = ds.volumes.shape
-    packed = np.packbits(ds.volumes, axis=2, bitorder="little")
-    flags = (ds.m_in | (ds.m_out << 1) | (ds.m_L << 2)).astype(np.uint8)
+def _file_header(head) -> bytes:
+    cid = head.code_id.encode()
+    hb = head.config_hash.encode()
+    return b"".join([
+        MAGIC, struct.pack("<I", VERSION),
+        struct.pack("<I", len(cid)), cid,
+        struct.pack("<d", head.p_ph), struct.pack("<I", head.T),
+        head.basis.encode()[:1],
+        struct.pack("<Q", head.seed), struct.pack("<Q", head.shots),
+        struct.pack("<I", len(hb)), hb])
+
+
+def _records(volumes, m_in, m_out) -> np.ndarray:
+    """The (n, 2 T + 1) record bytes of n samples."""
+    n, T, _ = volumes.shape
+    # a round is its 12 channel bits and 4 zero bits, so one packbits
+    # over contiguous memory packs every round into 2 little-endian bytes
+    bits = np.zeros((n, T, 16), dtype=np.uint8)
+    bits[:, :, :N_CHANNELS] = volumes
+    body = np.empty((n, 2 * T + 1), dtype=np.uint8)
+    body[:, :2 * T] = np.packbits(bits, bitorder="little").reshape(n, 2 * T)
+    body[:, 2 * T] = m_in | (m_out << 1) | ((m_in ^ m_out) << 2)
+    return body
+
+
+def _text_header(head) -> bytes:
+    return (f"# {head.code_id} p_ph={head.p_ph} T={head.T} "
+            f"basis={head.basis} seed={head.seed} shots={head.shots} "
+            f"config={head.config_hash}\n").encode()
+
+
+def _text_lines(volumes, m_in, m_out) -> np.ndarray:
+    """The (n, 13 T + 6) text-export bytes of n samples."""
+    n, T, _ = volumes.shape
+    width = (N_CHANNELS + 1) * T
+    body = np.empty((n, width + 6), dtype=np.uint8)
+    # a round is 12 digits and a separator; the last round's separator is
+    # the space before the labels. Splitting the row axis gives a view.
+    rounds = body[:, :width].reshape(n, T, N_CHANNELS + 1)
+    np.add(volumes, ord("0"), out=rounds[:, :, :N_CHANNELS],
+           casting="unsafe")
+    rounds[:, :, N_CHANNELS] = ord("|")
+    body[:, width - 1:width + 4:2] = ord(" ")
+    body[:, width:width + 5:2] = np.stack([m_in, m_out, m_in ^ m_out],
+                                          axis=1) + ord("0")
+    body[:, -1] = ord("\n")
+    return body
+
+
+def _stream(sinks, head, blocks):
+    """Write to each (file, header format, records format) of ``sinks``
+    the header ``head``, then the records of every block of ``blocks``
+    in order. Raises `ValueError` if the blocks do not hold
+    ``head.shots`` samples of ``head.T`` rounds."""
+    mismatch = ValueError(f"the blocks are not the {head.shots} samples "
+                          f"of {head.T} rounds that the header declares")
+    for fh, header, _ in sinks:
+        fh.write(header(head))
+    n = 0
+    for block in blocks:
+        n += len(block.volumes)
+        if block.volumes.shape[1:] != (head.T, N_CHANNELS) or n > head.shots:
+            raise mismatch
+        m_in = np.asarray(block.m_in, dtype=np.uint8)
+        m_out = np.asarray(block.m_out, dtype=np.uint8)
+        for fh, _, records in sinks:
+            fh.write(records(block.volumes, m_in, m_out))
+    if n != head.shots:
+        raise mismatch
+
+
+def write_dataset(path, head, blocks=None):
+    """Write a dataset file: the header ``head`` (a `Header`, or a
+    `DatasetFile`), then the records of ``blocks``, each an object with
+    ``volumes``, ``m_in`` and ``m_out`` such as a `DatasetFile` or a
+    `MemoryBatch`; a `DatasetFile` alone is its own one block."""
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        cid = ds.code_id.encode()
-        fh.write(struct.pack("<I", len(cid)))
-        fh.write(cid)
-        fh.write(struct.pack("<d", ds.p_ph))
-        fh.write(struct.pack("<I", T))
-        fh.write(ds.basis.encode()[:1])
-        fh.write(struct.pack("<Q", ds.seed))
-        fh.write(struct.pack("<Q", n))
-        hb = ds.config_hash.encode()
-        fh.write(struct.pack("<I", len(hb)))
-        fh.write(hb)
-        body = np.empty((n, 2 * T + 1), dtype=np.uint8)
-        body[:, :2 * T] = packed.reshape(n, 2 * T)
-        body[:, 2 * T] = flags
-        fh.write(body.tobytes())
+        _stream([(fh, _file_header, _records)], head,
+                [head] if blocks is None else blocks)
+
+
+def write_with_text(path, head, blocks):
+    """Write the dataset file ``path`` and its text export ``path +
+    ".txt"`` (as `write_dataset` and `export_text` would) in one pass
+    over ``blocks``, holding one block at a time. Each file is written
+    under a temporary name in its directory and renamed to its own name
+    only when complete, so an interrupted write leaves no partial
+    file."""
+    text = f"{path}.txt"
+    with _replacing(path) as tmp, _replacing(text) as text_tmp, \
+            open(tmp, "wb") as fh, open(text_tmp, "wb") as text_fh:
+        _stream([(fh, _file_header, _records),
+                 (text_fh, _text_header, _text_lines)], head, blocks)
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """A temporary name beside ``path`` that replaces ``path`` when the
+    ``with`` block completes, and is removed if it raises."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _read_exact(fh, k: int) -> bytes:
@@ -106,6 +218,9 @@ def read_dataset(path) -> DatasetFile:
         chash = _read_exact(fh, hlen).decode()
         body = np.frombuffer(_read_exact(fh, n * (2 * T + 1)),
                              dtype=np.uint8).reshape(n, 2 * T + 1)
+        if fh.read(1):
+            raise ValueError(f"bytes past the {n} records the header "
+                             "declares")
     volumes = np.unpackbits(body[:, :2 * T].reshape(n, T, 2), axis=2,
                             count=N_CHANNELS, bitorder="little")
     flags = body[:, 2 * T]
@@ -118,24 +233,10 @@ def read_dataset(path) -> DatasetFile:
     return ds
 
 
-def export_text(path, ds: DatasetFile):
+def export_text(path, head, blocks=None):
     """One sample per line: per-round channel bits in the fixed order,
-    rounds separated by '|', then m_in m_out m_L."""
-    n, T, _ = ds.volumes.shape
-    width = (N_CHANNELS + 1) * T
-    body = np.empty((n, width + 6), dtype=np.uint8)
-    # a round is 12 digits and a separator; the last round's separator is
-    # the space before the labels. Splitting the row axis gives a view.
-    rounds = body[:, :width].reshape(n, T, N_CHANNELS + 1)
-    np.add(ds.volumes, ord("0"), out=rounds[:, :, :N_CHANNELS],
-           casting="unsafe")
-    rounds[:, :, N_CHANNELS] = ord("|")
-    body[:, width - 1:width + 4:2] = ord(" ")
-    body[:, width:width + 5:2] = np.stack([ds.m_in, ds.m_out, ds.m_L],
-                                          axis=1) + ord("0")
-    body[:, -1] = ord("\n")
+    rounds separated by '|', then m_in m_out m_L. ``head`` and
+    ``blocks`` are as in `write_dataset`."""
     with open(path, "wb") as fh:
-        fh.write(f"# {ds.code_id} p_ph={ds.p_ph} T={ds.T} "
-                 f"basis={ds.basis} seed={ds.seed} shots={len(ds)} "
-                 f"config={ds.config_hash}\n".encode())
-        fh.write(body.tobytes())
+        _stream([(fh, _text_header, _text_lines)], head,
+                [head] if blocks is None else blocks)

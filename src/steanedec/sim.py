@@ -18,8 +18,9 @@ many frames at once. Everything else is built on it:
   (preparation outcomes, syndrome-increment/flag volume, final half
   syndrome and logical parity) is the XOR of the records of its single
   faults. The table holds one bit-packed row per location and fault,
-  and `sample_memory_batch` reduces Monte-Carlo sampling to two stages.
-  The draw stage (`_fault_events`) lists the faults of the batch as
+  and `sample_memory_blocks` (of which `sample_memory_batch` is the
+  one-block case) reduces Monte-Carlo sampling to two stages. The draw
+  stage (`_fault_events`) lists the faults of a block of shots as
   (shot, table row) events; the apply stage (`_apply_fault_events`)
   XORs the events' rows into the shots' packed records, which are
   unpacked once at the end;
@@ -44,11 +45,14 @@ Philox stream keyed by (seed, class), and the Pauli of the i-th
 two-qubit fault is draw i of a second stream of that class. Sampling
 is therefore reproducible, and stable under growing the shot count:
 the faults of the first n shots do not depend on how many shots
-follow.
+follow. Both streams run on across the blocks of
+`sample_memory_blocks`, so the shots do not depend on the block size
+either.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -408,65 +412,88 @@ def _build_fault_table(code: CodeDefinition, T: int,
     return _FaultTable(rows, first_rows, flip_of_tail)
 
 
-def _fault_cells(rng: np.random.Generator, q: float,
-                 size: int) -> np.ndarray:
+def _fault_cells(rng: np.random.Generator, q: float, size: int,
+                 ends) -> Iterator[np.ndarray]:
     """The faulting cells, in increasing order, of a grid of ``size``
-    independent Bernoulli(``q``) cells.
+    independent Bernoulli(``q``) cells, read in consecutive ranges: for
+    each end in ``ends`` (increasing, at most ``size``), the cells below
+    it that an earlier end did not yield.
 
     The gaps between faulting cells are geometric; they are drawn from
-    ``rng`` in order, so the cells below any index do not depend on
-    ``size``.
+    ``rng`` in order, and cells drawn past an end are held for the next
+    one, so the cells below any index depend neither on ``size`` nor on
+    ``ends``.
     """
-    if q == 0.0 or size == 0:
-        return np.empty(0, dtype=np.int64)
-    parts = []
-    last = -1  # the last faulting cell so far
-    while True:
-        mean = (size - 1 - last) * q
-        gaps = rng.geometric(q, size=int(mean + 5 * mean ** 0.5 + 64))
-        # numpy returns 2**63 - 1 for a gap past the int64 range (tiny
-        # q), and two of those wrap the sum; a gap of size + 1 leaves the
-        # grid from any cell. Inversion gives a gap of 0 when its
-        # underlying draw is exactly 0, which would repeat a cell.
-        np.clip(gaps, 1, size + 1, out=gaps)
-        cells = np.cumsum(gaps, out=gaps)
-        cells += last
-        inside = int(np.searchsorted(cells, size))
-        parts.append(cells[:inside])
-        if inside < len(cells):
-            return np.concatenate(parts)
-        last = int(cells[-1])
+    last = -1  # the last cell drawn so far
+    ahead = np.empty(0, dtype=np.int64)  # drawn cells not yet yielded
+    for end in ends:
+        if q == 0.0 or size == 0:
+            yield ahead
+            continue
+        parts = []
+        cells = ahead
+        while True:
+            inside = int(np.searchsorted(cells, end))
+            parts.append(cells[:inside])
+            if inside < len(cells):
+                ahead = cells[inside:]
+                break
+            mean = (end - 1 - last) * q
+            gaps = rng.geometric(q, size=int(mean + 5 * mean ** 0.5 + 64))
+            # numpy returns 2**63 - 1 for a gap past the int64 range (tiny
+            # q), and two of those wrap the sum; a gap of size + 1 leaves
+            # the grid from any cell. Inversion gives a gap of 0 when its
+            # underlying draw is exactly 0, which would repeat a cell.
+            np.clip(gaps, 1, size + 1, out=gaps)
+            cells = np.cumsum(gaps, out=gaps)
+            cells += last
+            last = int(cells[-1])
+        yield np.concatenate(parts)
 
 
 def _fault_events(table: _FaultTable, noise: NoiseModel, shots: int,
-                  seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The draw stage of `sample_memory_batch`: every fault of ``shots``
-    shots as parallel arrays (shot, row of ``table``), the two-qubit
-    faults first, each class in shot-major order.
+                  seed: int, block: int
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The draw stage of `sample_memory_blocks`: for each block of
+    ``block`` consecutive shots of ``shots`` (at least one block; the
+    last one holds the rest), every fault of its shots as parallel arrays
+    (shot within the block, row of ``table``), the two-qubit faults
+    first, each class in shot-major order.
 
     The locations of a class form a grid of ``shots * L`` cells, cell
     ``shot * L + location``, each faulting independently at the class
     rate. A two-qubit fault takes its Pauli uniformly from the 15:
-    fault i gets draw i of the class's Pauli stream.
+    fault i gets draw i of the class's Pauli stream. Both streams of a
+    class run on from one block to the next, so the faults of a shot do
+    not depend on ``block``.
     """
-    shot_parts, row_parts = [], []
+    starts = range(0, max(shots, 1), block)
+    classes = []
     for cls, q in ((_TWO_QUBIT, noise.p_ph), (_SPAM, noise.spam_flip)):
         first = table.first_rows[cls]
+        ends = [min(start + block, shots) * len(first) for start in starts]
         cells = _fault_cells(_class_rng(seed, cls, _GAPS), q,
-                             shots * len(first))
-        shot, loc = np.divmod(cells, len(first))
-        row = first[loc]
-        if cls == _TWO_QUBIT:
-            row += _class_rng(seed, cls, _PAULIS).integers(15, size=len(row))
-        shot_parts.append(shot)
-        row_parts.append(row)
-    return np.concatenate(shot_parts), np.concatenate(row_parts)
+                             shots * len(first), ends)
+        paulis = _class_rng(seed, cls, _PAULIS) if cls == _TWO_QUBIT \
+            else None
+        classes.append((first, cells, paulis))
+    for start in starts:
+        shot_parts, row_parts = [], []
+        for first, cells, paulis in classes:
+            shot, loc = np.divmod(next(cells), len(first))
+            shot -= start
+            row = first[loc]
+            if paulis is not None:
+                row += paulis.integers(15, size=len(row))
+            shot_parts.append(shot)
+            row_parts.append(row)
+        yield np.concatenate(shot_parts), np.concatenate(row_parts)
 
 
 def _apply_fault_events(table: _FaultTable, T: int, basis: str,
                         events: tuple[np.ndarray, np.ndarray],
                         m_in: np.ndarray, seed: int) -> MemoryBatch:
-    """The apply stage of `sample_memory_batch` and `single_fault_batch`:
+    """The apply stage of `sample_memory_blocks` and `single_fault_batch`:
     XOR the rows of the (shot, row) ``events`` into the packed records of
     ``len(m_in)`` shots with input labels ``m_in``, and unpack the
     records into a batch."""
@@ -499,25 +526,44 @@ def _apply_fault_events(table: _FaultTable, T: int, basis: str,
                        prep_rows=prep_rows)
 
 
-def sample_memory_batch(code: CodeDefinition, noise: NoiseModel, T: int,
-                        basis: str, shots: int, seed: int) -> MemoryBatch:
-    """Sample `shots` memory experiments at once.
+def sample_memory_blocks(code: CodeDefinition, noise: NoiseModel, T: int,
+                         basis: str, shots: int, seed: int,
+                         block: int) -> Iterator[MemoryBatch]:
+    """`sample_memory_batch` in blocks of ``block`` shots: block k holds
+    shots [k block, (k + 1) block) of it, equal in every field, so that
+    a caller holds one block at a time. There is at least one block,
+    and the last one holds the remaining shots.
 
-    The draw stage (`_fault_events`) lists the faults of the batch as
+    The draw stage (`_fault_events`) lists each block's faults as
     (shot, fault-table row) events, and the apply stage
     (`_apply_fault_events`) XORs their rows into the shots' records.
-
-    m_in alternates 0/1 so each input state obtains an equal share of
-    samples; the label depends only on the accumulated errors.
     """
     if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) \
             or shots < 0:
         raise ValueError(f"shots must be a non-negative integer, got "
                          f"{shots!r}")
+    if block < 1:
+        raise ValueError(f"block must be positive, got {block!r}")
     table = _fault_table(code, T, basis)
-    events = _fault_events(table, noise, shots, seed)
-    m_in = (np.arange(shots) & 1).astype(np.uint8)
-    return _apply_fault_events(table, T, basis, events, m_in, seed)
+    events = _fault_events(table, noise, shots, seed, block)
+    for start in range(0, max(shots, 1), block):
+        # m_in of the shot's index in the whole run
+        m_in = (np.arange(start, min(start + block, shots)) & 1).astype(
+            np.uint8)
+        yield _apply_fault_events(table, T, basis, next(events), m_in, seed)
+
+
+def sample_memory_batch(code: CodeDefinition, noise: NoiseModel, T: int,
+                        basis: str, shots: int, seed: int) -> MemoryBatch:
+    """Sample `shots` memory experiments at once: the one block of
+    `sample_memory_blocks`. The result does not depend on the block
+    size, so the shots of a run sampled in blocks are these.
+
+    m_in alternates 0/1 so each input state obtains an equal share of
+    samples; the label depends only on the accumulated errors.
+    """
+    return next(sample_memory_blocks(code, noise, T, basis, shots, seed,
+                                     block=shots or 1))
 
 
 def _fault_batch(code: CodeDefinition, faults: list[FaultInjection],

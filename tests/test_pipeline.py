@@ -4,6 +4,8 @@ import importlib
 import json
 import os
 import re
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from steanedec.nn import (Checkpoint, build_model, dnn2_spec, drnn_spec,
                           save_checkpoint, srnn_spec)
 from steanedec.nn.losses import MASKED
 from steanedec.nn.model import spec_by_id
-from steanedec.sim import NoiseModel, sample_memory_batch
+from steanedec.sim import (NoiseModel, sample_memory_batch,
+                           sample_memory_blocks)
 from steanedec.steane import steane_code
 
 
@@ -96,6 +99,64 @@ class TestDatasetFormat:
             + len(records)
         assert raw.endswith(records)
         assert np.array_equal(dsmod.read_dataset(path).volumes, ds.volumes)
+
+    @pytest.mark.parametrize("T", [1, 8])
+    def test_streamed_files_match_references(self, tmp_path, T):
+        # 500 shots in blocks of 64: the last block holds 52
+        code, noise = steane_code(), NoiseModel(0.02)
+        ds = dsmod.from_batch(sample_memory_batch(code, noise, T=T,
+                                                  basis="X", shots=500,
+                                                  seed=T), 0.02, "cfghash")
+        head = dsmod.Header(dsmod.CODE_ID, 0.02, T, "X", T, 500, "cfghash")
+
+        def blocks():
+            return sample_memory_blocks(code, noise, T, "X", 500, seed=T,
+                                        block=64)
+
+        path = tmp_path / "d.sds"
+        dsmod.write_with_text(str(path), head, blocks())
+        raw = path.read_bytes()
+        records = arithmetic_records(ds)
+        assert len(raw) == 45 + len(ds.code_id) + len("cfghash") \
+            + len(records)
+        assert raw.endswith(records)
+        line_writer_export(tmp_path / "ref.txt", ds)
+        text = (tmp_path / "ref.txt").read_bytes()
+        assert (tmp_path / "d.sds.txt").read_bytes() == text
+        # the one-file writers, in blocks and whole
+        dsmod.write_dataset(tmp_path / "b.sds", head, blocks())
+        dsmod.export_text(tmp_path / "b.txt", head, blocks())
+        dsmod.write_dataset(tmp_path / "w.sds", ds)
+        assert (tmp_path / "b.sds").read_bytes() == raw
+        assert (tmp_path / "w.sds").read_bytes() == raw
+        assert (tmp_path / "b.txt").read_bytes() == text
+        assert sorted(os.listdir(tmp_path)) == [
+            "b.sds", "b.txt", "d.sds", "d.sds.txt", "ref.txt", "w.sds"]
+
+    @pytest.mark.parametrize("shots,T", [(399, 2), (401, 2), (400, 3)])
+    def test_blocks_must_match_the_header(self, batch, tmp_path, shots, T):
+        head = dsmod.Header(dsmod.CODE_ID, 5e-3, T, "Z", 11, shots)
+        for write in (dsmod.write_dataset, dsmod.export_text):
+            with pytest.raises(ValueError, match="header declares"):
+                write(tmp_path / "d", head, [batch])
+        with pytest.raises(ValueError, match="header declares"):
+            dsmod.write_with_text(str(tmp_path / "e.sds"), head, [batch])
+        assert not (tmp_path / "e.sds").exists()
+
+    def test_bytes_past_the_records_rejected(self, batch, tmp_path):
+        path = tmp_path / "d.sds"
+        dsmod.write_dataset(path, dsmod.from_batch(batch, 5e-3))
+        raw = path.read_bytes()
+        path.write_bytes(raw + b"\0")
+        with pytest.raises(ValueError, match="past the 400 records"):
+            dsmod.read_dataset(path)
+        # a shot count one short of the body
+        at = 4 + 4 + 4 + len(dsmod.CODE_ID) + 8 + 4 + 1 + 8
+        short = bytearray(raw)
+        short[at:at + 8] = struct.pack("<Q", len(batch) - 1)
+        path.write_bytes(bytes(short))
+        with pytest.raises(ValueError, match="past the 399 records"):
+            dsmod.read_dataset(path)
 
 
 def arithmetic_records(ds) -> bytes:
@@ -488,7 +549,7 @@ class TestCli:
         assert r.exit_code == 0, r.output
         assert "0/1128" in r.output
 
-    def test_dep_untrained_net_fails_with_exit_3(self, cfg_path):
+    def test_dep_untrained_net_fails_with_exit_3(self, cfg_path, tmp_path):
         r = self.run("gen-data", "--config", cfg_path)
         assert r.exit_code == 0
         # one tiny epoch on purpose: not FT yet
@@ -496,6 +557,52 @@ class TestCli:
         assert r.exit_code == 0
         r = self.run("dep", "--config", cfg_path)
         assert r.exit_code == 3, r.output
+        # the printed count is exact, the fraction its share of the set
+        failed = int(re.search(r"basis Z: (\d+)/1128 faults failed",
+                               r.output).group(1))
+        report = json.loads((tmp_path / "run" / "dep_dnn2.json").read_text())
+        assert failed > 0 and report["n_faults"] == 1128
+        assert report["failure_fraction_Z"] == failed / 1128
+
+    def test_interrupted_gen_data_leaves_no_partial_file(
+            self, cfg_path, tmp_path, monkeypatch):
+        assert self.run("gen-data", "--config", cfg_path).exit_code == 0
+        data = tmp_path / "run" / "data"
+        before = {p.name: p.read_bytes() for p in data.iterdir()}
+        real = cli.sample_memory_blocks
+
+        def fail_after_one_block(*args, **kwargs):
+            blocks = real(*args, **{**kwargs, "block": 100})
+            yield next(blocks)
+            raise RuntimeError("interrupted")
+
+        monkeypatch.setattr(cli, "sample_memory_blocks", fail_after_one_block)
+        # over complete files of another seed, and into an empty directory
+        for out in (tmp_path / "run", tmp_path / "fresh"):
+            r = self.run("gen-data", "--config", cfg_path, "--seed", "6",
+                         "--out", str(out))
+            assert isinstance(r.exception, RuntimeError), r.output
+        assert {p.name: p.read_bytes() for p in data.iterdir()} == before
+        assert os.listdir(tmp_path / "fresh" / "data") == []
+
+    def test_gen_data_memory_is_bounded_by_the_block(self, tmp_path):
+        # one 200,000-shot T=8 dataset: its volumes alone would take
+        # 200,000 x 8 x 12 B = 19.2 MB, and sampling and writing it whole
+        # peaked at 85 MB; in blocks of dsmod.BLOCK_SHOTS it peaks at 3.6 MB
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"out: {tmp_path / 'run'}\ndecoder: lut\nrounds: 8\n"
+                       "shots: {train: 200000, val: 1, test: 1}\n")
+        sample_memory_batch(steane_code(), NoiseModel(5e-3), 8, "Z", 1, 0)
+        tracemalloc.start()
+        try:
+            r = self.run("gen-data", "--config", str(cfg))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.exit_code == 0, r.output
+        assert len(dsmod.read_dataset(tmp_path / "run" / "data"
+                                      / "train_z_t8.sds")) == 200_000
+        assert peak < 8e6
 
     def test_invalid_config_exit_1(self, tmp_path):
         bad = tmp_path / "bad.yaml"

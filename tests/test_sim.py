@@ -17,7 +17,7 @@ from steanedec.sim import (_GAPS, _GENERATORS, _PAR, _PAULI_GENERATORS,
                            _fault_events, _fault_table, _run_frames,
                            dep_failure_fraction, run_memory_experiment,
                            run_with_fault, sample_memory_batch,
-                           single_fault_batch)
+                           sample_memory_blocks, single_fault_batch)
 from steanedec.steane import steane_code
 
 
@@ -145,7 +145,8 @@ def dense_sample_memory_batch(code, noise: NoiseModel, T: int, basis: str,
     # one flip per preparation or measurement
     row_fault = [(gate.loc, k) for gate in program
                  for k in range(15 if gate.kind in ("cnot", "cz") else 1)]
-    shot, row = _fault_events(_fault_table(code, T, basis), noise, n, seed)
+    shot, row = next(_fault_events(_fault_table(code, T, basis), noise, n,
+                                    seed, block=max(n, 1)))
     events: dict[int, tuple[list, list]] = {}
     for s, r in zip(shot.tolist(), row.tolist()):
         loc, k = row_fault[r]
@@ -366,8 +367,8 @@ class TestFaultEvents:
     @pytest.fixture(scope="class")
     def draw(self, code):
         table = _fault_table(code, self.T, "Z")
-        events = _fault_events(table, NoiseModel(self.P_PH), self.SHOTS,
-                               seed=5)
+        events = next(_fault_events(table, NoiseModel(self.P_PH),
+                                    self.SHOTS, seed=5, block=self.SHOTS))
         return table, events
 
     @staticmethod
@@ -429,14 +430,74 @@ class TestFaultCells:
             return np.ones(size, dtype=np.int64)
 
     def test_blocks_continue_from_the_last_cell(self):
-        assert np.array_equal(_fault_cells(self.EveryCell(), 1e-3, 1000),
-                              np.arange(1000))
+        cells = _fault_cells(self.EveryCell(), 1e-3, 1000, [1000])
+        assert np.array_equal(next(cells), np.arange(1000))
 
     @pytest.mark.parametrize("q", [1e-3, 0.2, 0.9])
     def test_cells_are_the_partial_sums_of_the_gaps(self, q):
-        got = _fault_cells(_class_rng(4, _SPAM, _GAPS), q, 5000)
+        got = next(_fault_cells(_class_rng(4, _SPAM, _GAPS), q, 5000,
+                                [5000]))
         cells = np.cumsum(_class_rng(4, _SPAM, _GAPS).geometric(q, 10_000))
         assert np.array_equal(got, cells[cells <= 5000] - 1)
+
+
+    def test_cells_past_an_end_carry_to_the_next(self):
+        # each draw of gaps runs 64 or more cells past a short range
+        ends = [0, 1, 3, 3, 500, 1000]
+        parts = list(_fault_cells(self.EveryCell(), 1e-3, 1000, ends))
+        assert len(parts) == len(ends)
+        for part, start, end in zip(parts, [0] + ends, ends):
+            assert np.array_equal(part, np.arange(start, end))
+
+    @pytest.mark.parametrize("q", [1e-3, 0.2, 0.9])
+    def test_ranges_concatenate_to_the_grid(self, q):
+        whole = next(_fault_cells(_class_rng(4, _SPAM, _GAPS), q, 5000,
+                                  [5000]))
+        ends = [1, 2, 700, 701, 4999, 5000]
+        parts = list(_fault_cells(_class_rng(4, _SPAM, _GAPS), q, 5000,
+                                  ends))
+        for part, start, end in zip(parts, [0] + ends, ends):
+            assert np.all((part >= start) & (part < end))
+        assert np.array_equal(np.concatenate(parts), whole)
+
+
+class TestSampleBlocks:
+    """`sample_memory_blocks` against `sample_memory_batch`: its blocks,
+    concatenated, are the batch, whatever the block size."""
+
+    FIELDS = ("volumes", "m_in", "m_out", "final_syndrome", "prep_rows")
+
+    # p_ph = 0.2 takes several draws of gaps per block of one shot
+    @pytest.mark.parametrize("shots", [1, 7, 1000, 5000])
+    @pytest.mark.parametrize("p_ph", [0.0, 5e-3, 0.2])
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    def test_blocks_concatenate_to_the_batch(self, code, basis, p_ph,
+                                             shots):
+        noise = NoiseModel(p_ph)
+        whole = sample_memory_batch(code, noise, 3, basis, shots, seed=17)
+        for block in (1, 3, 1024, shots):
+            parts = list(sample_memory_blocks(code, noise, 3, basis, shots,
+                                              17, block))
+            sizes = [min(block, shots - s) for s in range(0, shots, block)]
+            assert [len(p) for p in parts] == sizes, block
+            assert all((p.basis, p.seed) == (basis, 17) for p in parts)
+            for name in self.FIELDS:
+                got = np.concatenate([getattr(p, name) for p in parts])
+                ref = getattr(whole, name)
+                assert got.dtype == ref.dtype, (block, name)
+                assert got.shape == ref.shape, (block, name)
+                assert np.array_equal(got, ref), (block, name)
+
+    def test_no_shots_is_one_empty_block(self, code):
+        parts = list(sample_memory_blocks(code, NoiseModel(0.01), 2, "Z", 0,
+                                          seed=1, block=8))
+        assert [p.volumes.shape for p in parts] == [(0, 2, 12)]
+
+    @pytest.mark.parametrize("block", [0, -3])
+    def test_rejects_non_positive_block(self, code, block):
+        with pytest.raises(ValueError, match="block"):
+            next(sample_memory_blocks(code, NoiseModel(0.01), 2, "Z", 10,
+                                      seed=1, block=block))
 
 
 class TestRateExtremes:
@@ -444,8 +505,8 @@ class TestRateExtremes:
     def test_tiny_rates_sample_no_faults(self, code, p_ph):
         # numpy's geometric gap saturates at 2**63 - 1 for these rates
         noise = NoiseModel(p_ph)
-        shot, row = _fault_events(_fault_table(code, 8, "Z"), noise,
-                                  100_000, seed=3)
+        shot, row = next(_fault_events(_fault_table(code, 8, "Z"), noise,
+                                       100_000, seed=3, block=100_000))
         assert len(shot) == 0
         batch = sample_memory_batch(code, noise, 8, "Z", 1000, seed=3)
         assert not batch.volumes.any() and not batch.m_L.any()
@@ -462,7 +523,8 @@ class TestRateExtremes:
             assert np.array_equal(getattr(big, name),
                                   getattr(again, name)), name
         table = _fault_table(code, 3, "X")
-        shot, row = _fault_events(table, noise, 100, seed=8)
+        shot, row = next(_fault_events(table, noise, 100, seed=8,
+                                       block=100))
         cells = 100 * sum(len(f) for f in table.first_rows)
         assert 0.6 * cells < len(shot) < cells
 
