@@ -28,7 +28,8 @@ from .nn import (TrainConfig, build_model, config_hash, load_checkpoint,
                  restore, train)
 from .nn.model import spec_by_id
 from .seqlut import SeqLutDecoder
-from .sim import NoiseModel, sample_memory_blocks, single_fault_batch
+from .sim import (NoiseModel, dep_failure_fraction, sample_memory_blocks,
+                  single_fault_batch)
 from .steane import steane_code
 
 DEFAULTS = {
@@ -454,12 +455,14 @@ def cmd_dep(**kw):
     worst = 0.0
     for basis in decoder_bases(cfg["decoder"]):
         decoder = load_decoder(cfg, basis)
-        faults = single_fault_batch(code, basis, cfg["rounds"])
-        failed = int((decoder.predict_flips_batch(faults) ^ faults.m_L).sum())
-        report["n_faults"] = len(faults)
-        report[f"failure_fraction_{basis}"] = failed / len(faults)
-        worst = max(worst, failed)
-        click.echo(f"basis {basis}: {failed}/{len(faults)} faults failed")
+        frac = dep_failure_fraction(decoder, code, basis,
+                                    cycles=cfg["rounds"])
+        n_faults = len(single_fault_batch(code, basis, cfg["rounds"]))
+        report["n_faults"] = n_faults
+        report[f"failure_fraction_{basis}"] = frac
+        worst = max(worst, frac)
+        click.echo(f"basis {basis}: {round(frac * n_faults)}/{n_faults} "
+                   "faults failed")
     _write_json(os.path.join(cfg["out"], f"dep_{cfg['decoder']}.json"),
                 report)
     if worst > 0:

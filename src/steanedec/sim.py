@@ -453,12 +453,13 @@ def _fault_cells(rng: np.random.Generator, q: float, size: int,
 
 def _fault_events(table: _FaultTable, noise: NoiseModel, shots: int,
                   seed: int, block: int
-                  ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+                  ) -> Iterator[tuple[int, int,
+                                      tuple[np.ndarray, np.ndarray]]]:
     """The draw stage of `sample_memory_blocks`: for each block of
     ``block`` consecutive shots of ``shots`` (at least one block; the
-    last one holds the rest), every fault of its shots as parallel arrays
-    (shot within the block, row of ``table``), the two-qubit faults
-    first, each class in shot-major order.
+    last one holds the rest), its shots [start, stop) and every fault of
+    them as parallel arrays (shot within the block, row of ``table``),
+    the two-qubit faults first, each class in shot-major order.
 
     The locations of a class form a grid of ``shots * L`` cells, cell
     ``shot * L + location``, each faulting independently at the class
@@ -467,17 +468,18 @@ def _fault_events(table: _FaultTable, noise: NoiseModel, shots: int,
     class run on from one block to the next, so the faults of a shot do
     not depend on ``block``.
     """
-    starts = range(0, max(shots, 1), block)
+    bounds = [(start, min(start + block, shots))
+              for start in range(0, max(shots, 1), block)]
     classes = []
     for cls, q in ((_TWO_QUBIT, noise.p_ph), (_SPAM, noise.spam_flip)):
         first = table.first_rows[cls]
-        ends = [min(start + block, shots) * len(first) for start in starts]
         cells = _fault_cells(_class_rng(seed, cls, _GAPS), q,
-                             shots * len(first), ends)
+                             shots * len(first),
+                             [stop * len(first) for _, stop in bounds])
         paulis = _class_rng(seed, cls, _PAULIS) if cls == _TWO_QUBIT \
             else None
         classes.append((first, cells, paulis))
-    for start in starts:
+    for start, stop in bounds:
         shot_parts, row_parts = [], []
         for first, cells, paulis in classes:
             shot, loc = np.divmod(next(cells), len(first))
@@ -487,7 +489,8 @@ def _fault_events(table: _FaultTable, noise: NoiseModel, shots: int,
                 row += paulis.integers(15, size=len(row))
             shot_parts.append(shot)
             row_parts.append(row)
-        yield np.concatenate(shot_parts), np.concatenate(row_parts)
+        yield start, stop, (np.concatenate(shot_parts),
+                            np.concatenate(row_parts))
 
 
 def _apply_fault_events(table: _FaultTable, T: int, basis: str,
@@ -545,12 +548,11 @@ def sample_memory_blocks(code: CodeDefinition, noise: NoiseModel, T: int,
     if block < 1:
         raise ValueError(f"block must be positive, got {block!r}")
     table = _fault_table(code, T, basis)
-    events = _fault_events(table, noise, shots, seed, block)
-    for start in range(0, max(shots, 1), block):
+    for start, stop, events in _fault_events(table, noise, shots, seed,
+                                             block):
         # m_in of the shot's index in the whole run
-        m_in = (np.arange(start, min(start + block, shots)) & 1).astype(
-            np.uint8)
-        yield _apply_fault_events(table, T, basis, next(events), m_in, seed)
+        m_in = (np.arange(start, stop) & 1).astype(np.uint8)
+        yield _apply_fault_events(table, T, basis, events, m_in, seed)
 
 
 def sample_memory_batch(code: CodeDefinition, noise: NoiseModel, T: int,

@@ -145,8 +145,8 @@ def dense_sample_memory_batch(code, noise: NoiseModel, T: int, basis: str,
     # one flip per preparation or measurement
     row_fault = [(gate.loc, k) for gate in program
                  for k in range(15 if gate.kind in ("cnot", "cz") else 1)]
-    shot, row = next(_fault_events(_fault_table(code, T, basis), noise, n,
-                                    seed, block=max(n, 1)))
+    _, _, (shot, row) = next(_fault_events(_fault_table(code, T, basis),
+                                           noise, n, seed, block=max(n, 1)))
     events: dict[int, tuple[list, list]] = {}
     for s, r in zip(shot.tolist(), row.tolist()):
         loc, k = row_fault[r]
@@ -367,8 +367,9 @@ class TestFaultEvents:
     @pytest.fixture(scope="class")
     def draw(self, code):
         table = _fault_table(code, self.T, "Z")
-        events = next(_fault_events(table, NoiseModel(self.P_PH),
-                                    self.SHOTS, seed=5, block=self.SHOTS))
+        _, _, events = next(_fault_events(table, NoiseModel(self.P_PH),
+                                          self.SHOTS, seed=5,
+                                          block=self.SHOTS))
         return table, events
 
     @staticmethod
@@ -505,8 +506,9 @@ class TestRateExtremes:
     def test_tiny_rates_sample_no_faults(self, code, p_ph):
         # numpy's geometric gap saturates at 2**63 - 1 for these rates
         noise = NoiseModel(p_ph)
-        shot, row = next(_fault_events(_fault_table(code, 8, "Z"), noise,
-                                       100_000, seed=3, block=100_000))
+        _, _, (shot, row) = next(_fault_events(
+            _fault_table(code, 8, "Z"), noise, 100_000, seed=3,
+            block=100_000))
         assert len(shot) == 0
         batch = sample_memory_batch(code, noise, 8, "Z", 1000, seed=3)
         assert not batch.volumes.any() and not batch.m_L.any()
@@ -523,8 +525,8 @@ class TestRateExtremes:
             assert np.array_equal(getattr(big, name),
                                   getattr(again, name)), name
         table = _fault_table(code, 3, "X")
-        shot, row = next(_fault_events(table, noise, 100, seed=8,
-                                       block=100))
+        _, _, (shot, row) = next(_fault_events(table, noise, 100, seed=8,
+                                               block=100))
         cells = 100 * sum(len(f) for f in table.first_rows)
         assert 0.6 * cells < len(shot) < cells
 
