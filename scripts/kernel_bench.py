@@ -40,6 +40,13 @@ Prints one JSON line:
   * ``deepshap_pairs_per_s_bg1000``: the same rate for 20 inputs against
     1,000 background rows, the background size of ``explain``'s
     defaults, where every tile holds one input (best of 3);
+  * ``shapley_inputs_per_s``: inputs per second of `exact_shapley_batch`
+    on the dnn2 decoder (12 players) at the sizes of the
+    ``dnn2-monitor`` benchmark's library step: the network inputs of
+    400 T = 2 Z-basis memory shots, drawn by `sample_memory_batch` at
+    p_ph = 5e-3 with a fixed seed, against 200 more as background, in
+    chunks of 64 distinct inputs; ``shapley_peak_mb`` is the
+    `tracemalloc` peak of that call, in MB;
   * ``gen_data_peak_mb``: the `tracemalloc` peak, in MB, of writing one
     90,000-shot T = 8 dataset as ``steanedec gen-data`` writes it
     (`sample_memory_blocks` in blocks of `dataset.BLOCK_SHOTS`, streamed
@@ -73,13 +80,14 @@ import numpy as np
 
 from steanedec import dataset as dsmod
 from steanedec.decoders import NnDecoder
-from steanedec.nn import (AdamState, bce_loss_grad, build_model,
+from steanedec.nn import (AdamState, bce_loss_grad, build_model, dnn2_spec,
                           srnn_spec)
 from steanedec.seqlut import SeqLutDecoder
 from steanedec.sim import (_RESPONSES, _TABLES, NoiseModel,
                            sample_memory_batch, sample_memory_blocks,
                            single_fault_batch)
 from steanedec.steane import steane_code
+from steanedec.xai import exact_shapley_batch
 
 T = 8
 REPEATS = 7
@@ -196,6 +204,28 @@ def deepshap_figures(model, rng) -> dict:
     return out
 
 
+def shapley_figures() -> dict:
+    decoder = NnDecoder(build_model(dnn2_spec(), seed=0))
+    batch = sample_memory_batch(steane_code(), NoiseModel(5e-3), 2, "Z", 600,
+                                seed=3)
+    xs, bg = decoder.inputs(batch.volumes[:400]), decoder.inputs(
+        batch.volumes[400:])
+
+    def solve():
+        exact_shapley_batch(decoder.model, xs, bg, chunk=64)
+
+    out = rate_figures("shapley_inputs_per_s", len(xs),
+                       repeat_seconds(solve, 1))
+    tracemalloc.start()
+    try:
+        solve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out["shapley_peak_mb"] = round(peak / 1e6, 2)
+    return out
+
+
 def sampler_and_lut_rates() -> dict:
     code = steane_code()
     out = {}
@@ -269,6 +299,7 @@ def main():
     out.update(srnn_train_step())
     out.update(srnn_eval_sweep(model))
     out.update(deepshap_figures(model, rng))
+    out.update(shapley_figures())
     out.update(second_figures("import_cli_s", repeat_seconds(
         lambda: subprocess.run([sys.executable, "-c",
                                 "import steanedec.cli"], check=True), 1)))

@@ -107,6 +107,15 @@ def config_hash(*parts) -> str:
 ROW_BLOCK = 500
 
 
+def row_blocks(n_rows: int) -> list[int]:
+    """Edges of the blocks a forward without caches runs ``n_rows`` rows
+    in: the fewest blocks of at most `ROW_BLOCK` rows (one, if empty),
+    near-equal in size, so that none holds a lone row, which numpy would
+    multiply by gemv (see Lstm._active)."""
+    k = max(1, -(-n_rows // ROW_BLOCK))
+    return [n_rows * j // k for j in range(k + 1)]
+
+
 class Model:
     """Sequential network; orchestrates mask propagation between the
     masking layer and the recurrent layers."""
@@ -143,16 +152,14 @@ class Model:
         Any other forward keeps none and runs the rows in near-equal
         blocks of at most `ROW_BLOCK`. Blocking changes no arithmetic, but
         BLAS may round a product of many thousand rows differently from
-        one of a few hundred, in the last bit."""
+        one of a few hundred, in the last bit. `row_blocks` sets the
+        blocks."""
         x = np.asarray(x, dtype=float)
         if mask is not None:
             mask = np.broadcast_to(mask, x.shape[:2])
         if train or trace or len(x) <= ROW_BLOCK:
             return self._forward(x, train, rng, mask, trace)
-        k = -(-len(x) // ROW_BLOCK)
-        # near-equal blocks, so that none holds a lone row, which numpy
-        # would multiply by gemv (see Lstm._active)
-        edges = [len(x) * j // k for j in range(k + 1)]
+        edges = row_blocks(len(x))
         return np.concatenate([
             self._forward(x[lo:hi], False, None,
                           None if mask is None else mask[lo:hi], False)

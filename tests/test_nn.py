@@ -15,7 +15,7 @@ from steanedec.nn import (AdamState, Checkpoint, Dense, Dropout, Lstm,
                           drnn_spec, load_checkpoint, restore,
                           save_checkpoint, srnn_spec, TrainConfig, train)
 from steanedec.nn.layers import sigmoid
-from steanedec.nn.model import ROW_BLOCK
+from steanedec.nn.model import ROW_BLOCK, row_blocks
 from steanedec.sim import NoiseModel, sample_memory_batch
 from steanedec.steane import steane_code
 
@@ -342,6 +342,20 @@ class TestCaches:
             x[np.arange(8)[None, :] >= rng.integers(1, 9, len(x))[:, None]] \
                 = -1.0
         assert np.array_equal(model.forward(x), model.forward(x, trace=True))
+
+    def test_row_blocks(self):
+        # edges from 0 to n; the fewest blocks of at most ROW_BLOCK rows
+        # (one, if empty), near-equal, so none holds a lone row once
+        # there are two rows
+        for n in [*range(0, 4 * ROW_BLOCK + 2), 12 * 4096, 256 * 4096]:
+            edges = row_blocks(n)
+            sizes = np.diff(edges)
+            assert edges[0] == 0 and edges[-1] == n
+            assert len(sizes) == max(1, -(-n // ROW_BLOCK))
+            assert np.all(sizes <= ROW_BLOCK)
+            assert sizes.max() - sizes.min() <= 1
+            if n >= 2:
+                assert sizes.min() >= 2
 
 
 def masked_sigmoid(z):

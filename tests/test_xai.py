@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 from steanedec.decoders import NnDecoder
 from steanedec.nn import (Lstm, Model, NetworkSpec, build_model, dnn2_spec,
                           drnn_spec, srnn_spec)
+from steanedec.nn.model import ROW_BLOCK, row_blocks
 from steanedec.xai import (Game, deepshap, deepshap_batch, exact_shapley,
                            exact_shapley_batch, feature_exclusion_game,
                            relevance_conservation_check)
 from steanedec.xai.deepshap import (GUARD, _forward_trace,
                                     _multiplier_backward, _padding)
+from steanedec.xai.shapley import _coalition_sizes, _coalition_weights
 
 
 def linear_model(beta, beta0=0.0):
@@ -78,6 +80,34 @@ def all_pairs_deepshap(model, xs, bg, head=0):
     return phi, phi0
 
 
+def full_table_shapley(model, xs, background, head=0, chunk=256):
+    """Reference: each chunk's whole (chunk * 2^n, n) coalition table
+    built at once from a (2^n, n) membership table and run through one
+    `Model.forward`, which splits it into its own row blocks; the gains
+    read from n index arrays of the coalitions without each player."""
+    xs = np.asarray(xs, dtype=float)
+    means = np.asarray(background, dtype=float).mean(axis=0).reshape(-1)
+    n = means.size
+    masks = np.arange(1 << n)
+    member = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
+    sizes = np.array([bin(m).count("1") for m in masks])
+    weights = _coalition_weights(n)
+    distinct, inverse = np.unique(xs, axis=0, return_inverse=True)
+    flat = distinct.reshape(len(distinct), -1)
+    phi = np.empty((len(flat), n))
+    without = [masks[~member[:, i]] for i in range(n)]
+    for lo in range(0, len(flat), chunk):
+        xb = flat[lo:lo + chunk]
+        z = np.where(member[None, :, :], xb[:, None, :], means)
+        out = model.forward(z.reshape((len(xb) << n,) + xs.shape[1:]))
+        v = out[:, head].reshape(len(xb), 1 << n)
+        for i in range(n):
+            wo = without[i]
+            gain = v[:, wo | (1 << i)] - v[:, wo]
+            phi[lo:lo + len(xb), i] = gain @ weights[sizes[wo]]
+    return phi[inverse.reshape(-1)]
+
+
 def random_game(rng, n):
     table = rng.normal(size=1 << n)
     table[0] = 0.0
@@ -125,6 +155,25 @@ class TestExactShapley:
         with pytest.raises(ValueError):
             exact_shapley(Game(21, lambda s: 0.0))
 
+    def test_matches_per_player_sums(self):
+        # the single-game solver shares the batch solver's gain sums
+        # (a dot product); a plain per-player sum differs by rounding only
+        rng = np.random.default_rng(3)
+        for n in range(1, 9):
+            game, table = random_game(rng, n)
+            weights = _coalition_weights(n)
+            ref = np.empty(n)
+            for i in range(n):
+                wo = [m for m in range(1 << n) if not m >> i & 1]
+                ref[i] = sum(weights[bin(m).count("1")]
+                             * (table[m | 1 << i] - table[m]) for m in wo)
+            assert np.max(np.abs(exact_shapley(game) - ref)) < 1e-12
+
+    def test_coalition_sizes(self):
+        for n in range(11):
+            assert np.array_equal(_coalition_sizes(n),
+                                  [bin(m).count("1") for m in range(1 << n)])
+
 
 class TestFeatureExclusionGame:
     def test_endpoints(self):
@@ -169,6 +218,105 @@ class TestFeatureExclusionGame:
         for i in range(40):
             single = exact_shapley(feature_exclusion_game(model, xs[i], bg))
             assert np.max(np.abs(batch[i] - single)) < 1e-9
+
+
+class TestExactShapleyBlocks:
+    """`exact_shapley_batch` builds the coalition table one forward
+    block at a time; its values equal those of the whole table run at
+    once, bit for bit, at every chunk size."""
+
+    def perturbed_model(self, spec, seed):
+        model = build_model(spec, seed=seed)
+        rng = np.random.default_rng(seed)
+        for w in model.weights_flat().values():
+            w += rng.normal(0.0, 0.3, w.shape)
+        return model
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_dnn2_matches_full_table(self, chunk):
+        model = self.perturbed_model(dnn2_spec(), 61)
+        rng = np.random.default_rng(62)
+        # 70 distinct rows, so that chunk 64 ends on a short chunk
+        patterns = np.unique(rng.integers(0, 2, size=(200, 12)),
+                             axis=0)[:70].astype(float)
+        xs = rng.permutation(np.concatenate(
+            [patterns, patterns[rng.integers(0, 70, 80)]]))
+        bg = repeated_bits(rng, 90, (12,), distinct=30)
+        phi = exact_shapley_batch(model, xs, bg, chunk=chunk)
+        assert np.array_equal(phi, full_table_shapley(model, xs, bg,
+                                                      chunk=chunk))
+
+    def test_srnn_single_round_matches_full_table(self):
+        model = self.perturbed_model(srnn_spec("Z"), 63)
+        rng = np.random.default_rng(64)
+        xs = repeated_bits(rng, 12, (1, 12), distinct=6)
+        bg = repeated_bits(rng, 40, (1, 12), distinct=20)
+        for chunk in (1, 4):
+            phi = exact_shapley_batch(model, xs, bg, chunk=chunk)
+            assert np.array_equal(phi, full_table_shapley(model, xs, bg,
+                                                          chunk=chunk))
+
+    @pytest.mark.parametrize("players,chunk", [(5, 17), (7, 5), (9, 2)])
+    def test_blocks_straddle_inputs(self, players, chunk):
+        # blocks that cover the end of one input and the start of the
+        # next, and a table that no whole number of ROW_BLOCKs fills
+        rows = chunk << players
+        edges = row_blocks(rows)
+        assert rows % ROW_BLOCK and len(edges) > 2
+        assert any(e % (1 << players) for e in edges[1:-1])
+        model = self.perturbed_model(dnn2_spec(input_dim=players), 65)
+        rng = np.random.default_rng(66)
+        xs = rng.integers(0, 2, size=(3 * chunk, players)).astype(float)
+        bg = rng.normal(size=(20, players))
+        phi = exact_shapley_batch(model, xs, bg, head=0, chunk=chunk)
+        assert np.array_equal(phi, full_table_shapley(model, xs, bg,
+                                                      chunk=chunk))
+
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_rejects_chunk_below_one(self, chunk):
+        model = build_model(dnn2_spec(input_dim=4), seed=0)
+        xs = np.ones((3, 4))
+        with pytest.raises(ValueError, match="chunk"):
+            exact_shapley_batch(model, xs, xs, chunk=chunk)
+
+    def test_empty_inputs(self):
+        # (0, players), as deepshap_batch returns for a dense model
+        model = build_model(dnn2_spec(), seed=0)
+        bg = np.zeros((5, 12))
+        phi = exact_shapley_batch(model, np.zeros((0, 12)), bg)
+        assert phi.shape == (0, 12)
+        assert deepshap_batch(model, np.zeros((0, 12)), bg)[0].shape \
+            == (0, 12)
+        model = build_model(srnn_spec("Z"), seed=0)
+        phi = exact_shapley_batch(model, np.zeros((0, 1, 12)),
+                                  np.zeros((5, 1, 12)))
+        assert phi.shape == (0, 12)
+
+    @pytest.mark.parametrize("players,distinct,chunk,bound", [
+        # value table 256 x 2^12 x 8 B = 8.4 MB and the two gain gathers
+        # of one player, 8.4 MB; built whole, the (256 x 2^12, 12)
+        # coalition table alone took 100 MB, and the call peaked at 126 MB
+        (12, 260, 256, 25e6),
+        # value table 4 x 2^16 x 8 B = 2.1 MB, its gains 2.1 MB and the
+        # 2^16-long index arrays; built whole, the coalition table took
+        # 34 MB, and the call peaked at 60 MB
+        (16, 6, 4, 10e6),
+    ])
+    def test_memory_is_bounded_by_the_value_table(self, players, distinct,
+                                                  chunk, bound):
+        model = build_model(dnn2_spec(input_dim=players), seed=67)
+        rng = np.random.default_rng(68)
+        xs = np.unique(rng.integers(0, 2, size=(2 * distinct, players)),
+                       axis=0)[:distinct].astype(float)
+        assert len(xs) == distinct
+        bg = rng.integers(0, 2, size=(50, players)).astype(float)
+        tracemalloc.start()
+        try:
+            exact_shapley_batch(model, xs, bg, chunk=chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class TestDeepShap:
