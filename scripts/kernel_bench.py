@@ -25,12 +25,17 @@ Prints one JSON line:
   * ``srnn_train_step_s_mixed``: seconds of one training step of the srnn
     decoder (forward, backward, Adam) on 64 rows that mix T = 1..8 in
     equal shares, padded to 8 rounds as ``steanedec train`` pads them;
-  * ``srnn_eval_sweep_s``: seconds of `NnDecoder.predict_flips` on the
-    srnn decoder over T = 1..8, 1,500 Z-basis memory shots each, drawn by
-    `sample_memory_batch` at p_ph = 5e-3 with a fixed seed (one p_ph
-    point of the ``srnn-pipeline`` benchmark's eval stage);
-    ``srnn_eval_distinct_frac`` is the share of those volumes that are
-    distinct, the share of rows the network runs on;
+  * ``srnn_eval_sweep_s``: seconds of one
+    `NnDecoder.predict_flips_batches` call, as ``steanedec eval`` decodes
+    a sweep, on the srnn decoder over the ``srnn-pipeline`` benchmark's
+    eval sweep: p_ph in {1e-3, 2e-3, 5e-3} x T = 1..8, 1,500 Z-basis
+    memory shots each, drawn by `sample_memory_batch` from stream
+    2 + 1000 T; ``srnn_eval_distinct_frac`` is the share of all
+    row-rounds that decoding each batch's distinct volumes would run,
+    ``srnn_eval_prefix_frac`` the share that the prefix trie runs (its
+    first LSTM layer's rows, chunk-boundary repeats and lone-row copies
+    included), and ``srnn_eval_peak_mb`` the `tracemalloc` peak of the
+    call, in MB;
   * ``deepshap_pairs_per_s``: (input, background) pairs per second of
     `NnDecoder.attributions` (one `deepshap_batch` call, in tiles of the
     default size as ``steanedec explain`` runs it) on the srnn decoder,
@@ -80,8 +85,8 @@ import numpy as np
 
 from steanedec import dataset as dsmod
 from steanedec.decoders import NnDecoder
-from steanedec.nn import (AdamState, bce_loss_grad, build_model, dnn2_spec,
-                          srnn_spec)
+from steanedec.nn import (AdamState, Lstm, bce_loss_grad, build_model,
+                          dnn2_spec, srnn_spec)
 from steanedec.seqlut import SeqLutDecoder
 from steanedec.sim import (_RESPONSES, _TABLES, NoiseModel,
                            sample_memory_batch, sample_memory_blocks,
@@ -170,18 +175,40 @@ def srnn_train_step() -> dict:
 
 def srnn_eval_sweep(model) -> dict:
     decoder = NnDecoder(model)
-    code, noise = steane_code(), NoiseModel(5e-3)
-    volumes = [sample_memory_batch(code, noise, t, "Z", 1500, seed=2).volumes
-               for t in range(1, T + 1)]
-    distinct = sum(len(np.unique(v.reshape(len(v), -1), axis=0))
-                   for v in volumes)
+    code = steane_code()
+    batches = [sample_memory_batch(code, NoiseModel(p_ph), t, "Z", 1500,
+                                   seed=2 + 1000 * t)
+               for p_ph in (1e-3, 2e-3, 5e-3) for t in range(1, T + 1)]
+    row_rounds = sum(b.volumes.shape[0] * b.volumes.shape[1]
+                     for b in batches)
+    distinct = sum(len(np.unique(b.volumes.reshape(len(b), -1), axis=0))
+                   * b.volumes.shape[1] for b in batches)
+    lstm, prefix = model.layers[1], []
+
+    def counted(xt, *args):
+        prefix.append(len(xt))
+        return Lstm._round(lstm, xt, *args)
+
+    # the first LSTM layer's rows over one call
+    lstm._round = counted
+    try:
+        decoder.predict_flips_batches(batches)
+    finally:
+        del lstm._round
 
     def sweep():
-        for v in volumes:
-            decoder.predict_flips(v)
+        decoder.predict_flips_batches(batches)
 
+    tracemalloc.start()
+    try:
+        sweep()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     return {**second_figures("srnn_eval_sweep_s", repeat_seconds(sweep, 1)),
-            "srnn_eval_distinct_frac": round(distinct / (1500 * T), 4)}
+            "srnn_eval_distinct_frac": round(distinct / row_rounds, 4),
+            "srnn_eval_prefix_frac": round(sum(prefix) / row_rounds, 4),
+            "srnn_eval_peak_mb": round(peak / 1e6, 2)}
 
 
 def deepshap_figures(model, rng) -> dict:

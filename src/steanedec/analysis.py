@@ -1,6 +1,15 @@
 """Statistics layer: Wilson intervals, infidelity and scaling fits,
 attribution correlation matrices, hook-signature excess, and the
-fault-tolerance learning monitor."""
+fault-tolerance learning monitor.
+
+Monte-Carlo scoring has one path, `score_batches`: one
+`predict_flips_batches` call per noise sweep. `eval` scores each basis's
+sweep through `sweep_error_rates`, whose batches are sampled only as the
+decoder asks for them (`logical_error_rate` is its one-rate case), and
+`PreparedMonitor.score` scores the DEP batch and every noise point of a
+checkpoint in one call. A decoder that decodes each batch as it arrives
+(the LUT) then holds one batch at a time, and a recurrent network
+shares round prefixes across the whole sweep."""
 
 from __future__ import annotations
 
@@ -159,40 +168,78 @@ class ErrorRateResult:
         return self.fit.params[0]
 
 
+def score_batches(decoder, batches) -> list[tuple[int, int, int]]:
+    """(round count, shots, failures) of each batch of the iterable
+    ``batches``, which is consumed once, in one `predict_flips_batches`
+    call: the one scoring path of `eval` and the monitor. Each batch's
+    m_L is recorded as the batch passes to the decoder, and `map` keeps
+    no batch, so a decoder that decodes each batch as it arrives holds
+    one batch at a time."""
+    seen = []
+
+    def record(batch):
+        seen.append((batch.volumes.shape[1], batch.m_L))
+        return batch
+
+    flips = decoder.predict_flips_batches(map(record, batches))
+    return [(t, len(m_l), int((f ^ m_l).sum()))
+            for (t, m_l), f in zip(seen, flips)]
+
+
+def _error_rate(scored) -> ErrorRateResult:
+    """Wilson points per round count of one noise point's
+    `score_batches` records, and the infidelity fit when there are two
+    or more."""
+    rounds = np.array([t for t, _, _ in scored])
+    infid = np.zeros(len(scored))
+    sig = np.zeros(len(scored))
+    for i, (_, n, k) in enumerate(scored):
+        w = wilson_interval(k, n)
+        infid[i] = w.p_hat
+        sig[i] = max(w.sigma, 1e-12)
+    fit = fit_infidelity(rounds, infid) if len(scored) >= 2 else None
+    return ErrorRateResult(rounds, infid, sig, fit)
+
+
+def _error_rates(scored, sizes) -> list[ErrorRateResult]:
+    """`_error_rate` of each noise point: the consecutive runs of
+    ``scored`` whose lengths are ``sizes``."""
+    edges = np.cumsum([0, *sizes])
+    return [_error_rate(scored[a:b]) for a, b in zip(edges, edges[1:])]
+
+
+def _sweep_batches(code: CodeDefinition, noises, basis: str, rounds,
+                   shots_per_point: int, seed: int):
+    """The batches of a noise sweep, sampled as they are asked for: for
+    each noise model, one per round count t in ``rounds``, from stream
+    ``seed + 1000 * t``."""
+    for noise in noises:
+        for t in np.asarray(rounds):
+            yield sample_memory_batch(code, noise, T=int(t), basis=basis,
+                                      shots=shots_per_point,
+                                      seed=seed + 1000 * t)
+
+
+def sweep_error_rates(decoder, code: CodeDefinition, noises, basis: str,
+                      rounds, shots_per_point: int,
+                      seed: int) -> list[ErrorRateResult]:
+    """`logical_error_rate` at each noise model of ``noises``, the whole
+    sweep sampled lazily and decoded by one `score_batches` call."""
+    return _error_rates(
+        score_batches(decoder, _sweep_batches(code, noises, basis, rounds,
+                                              shots_per_point, seed)),
+        [len(np.asarray(rounds))] * len(noises))
+
+
 def logical_error_rate(decoder, code: CodeDefinition, noise, basis: str,
                        rounds, shots_per_point: int,
                        seed: int) -> ErrorRateResult:
     """Failure probability after each round count in ``rounds``. Over two
     or more rounds p_L is the per-round rate of the infidelity fit; over
-    one it is the failure rate at that round count. The decoder exposes
-    predict_flips_batch."""
-    return _score_rounds(decoder, _sample_rounds(code, noise, basis, rounds,
-                                                 shots_per_point, seed))
-
-
-def _sample_rounds(code: CodeDefinition, noise, basis: str, rounds,
-                   shots_per_point: int, seed: int) -> list[MemoryBatch]:
-    """The batches `logical_error_rate` scores, one per round count t in
-    ``rounds``, from stream ``seed + 1000 * t``."""
-    return [sample_memory_batch(code, noise, T=int(t), basis=basis,
-                                shots=shots_per_point, seed=seed + 1000 * t)
-            for t in np.asarray(rounds)]
-
-
-def _score_rounds(decoder, batches: list[MemoryBatch]) -> ErrorRateResult:
-    """Decode the batches of `_sample_rounds`: Wilson points per round
-    count, and the infidelity fit when there are two or more."""
-    rounds = np.array([b.volumes.shape[1] for b in batches])
-    infid = np.zeros(len(batches))
-    sig = np.zeros(len(batches))
-    for i, batch in enumerate(batches):
-        pred = decoder.predict_flips_batch(batch)
-        k = int((pred ^ batch.m_L).sum())
-        w = wilson_interval(k, len(batch))
-        infid[i] = w.p_hat
-        sig[i] = max(w.sigma, 1e-12)
-    fit = fit_infidelity(rounds, infid) if len(batches) >= 2 else None
-    return ErrorRateResult(rounds, infid, sig, fit)
+    one it is the failure rate at that round count. The one-rate case of
+    `sweep_error_rates`; the decoder exposes predict_flips_batches."""
+    return sweep_error_rates(decoder, code, [noise], basis, rounds,
+                             shots_per_point, seed)[0]
 
 
 # --- attribution correlations ----------------------------------------------
@@ -327,11 +374,14 @@ class PreparedMonitor:
         per noise point as `logical_error_rate` scores it, scaling
         exponent, and hook vs baseline attribution correlation (NaN
         without an attribution function)."""
+        batches = [self.faults]
+        for point in self.points.values():
+            batches += point
+        (_, n, k), *scored = score_batches(decoder, batches)
         # the DEP failure fraction, as in sim.dep_failure_fraction
-        dep = int((decoder.predict_flips_batch(self.faults)
-                   ^ self.faults.m_L).sum()) / len(self.faults)
-        p_ls = {p_ph: _score_rounds(decoder, batches).p_l
-                for p_ph, batches in self.points.items()}
+        dep = k / n
+        rates = _error_rates(scored, map(len, self.points.values()))
+        p_ls = {p_ph: res.p_l for p_ph, res in zip(self.points, rates)}
         b = scaling_exponent(list(p_ls), list(p_ls.values()))
         hook_mean = baseline_mean = float("nan")
         if self.attribution_fn is not None:
@@ -349,8 +399,8 @@ def prepare_monitor(code: CodeDefinition, noise_sweep, basis: str, rounds,
     each noise point are those `logical_error_rate` draws for ``rounds``
     and ``seed``. ``attribution_fn`` maps a decoder to an (n, T, 12)
     attribution array."""
-    points = {p_ph: _sample_rounds(code, NoiseModel(p_ph), basis, rounds,
-                                   shots_per_point, seed)
+    points = {p_ph: list(_sweep_batches(code, [NoiseModel(p_ph)], basis,
+                                        rounds, shots_per_point, seed))
               for p_ph in noise_sweep}
     return PreparedMonitor(single_fault_batch(code, basis), points,
                            derive_hook_signatures(code, basis),

@@ -21,8 +21,8 @@ import numpy as np
 import yaml
 
 from . import dataset as dsmod
-from .analysis import (ft_contract, ft_monitor, logical_error_rate,
-                       scaling_exponent)
+from .analysis import (ft_contract, ft_monitor, scaling_exponent,
+                       sweep_error_rates)
 from .decoders import NnDecoder
 from .nn import (TrainConfig, build_model, config_hash, load_checkpoint,
                  restore, train)
@@ -377,12 +377,13 @@ def cmd_eval(**kw):
     rows = []
     for basis in decoder_bases(cfg["decoder"]):
         decoder = load_decoder(cfg, basis)
-        for p_ph in cfg["pph_sweep"]:
-            res = logical_error_rate(
-                decoder, code, NoiseModel(p_ph), basis,
-                rounds=eval_rounds(cfg),
-                shots_per_point=cfg["eval"]["shots_per_point"],
-                seed=cfg["seed"])
+        # the whole sweep in one decoder pass
+        results = sweep_error_rates(
+            decoder, code, [NoiseModel(p) for p in cfg["pph_sweep"]], basis,
+            rounds=eval_rounds(cfg),
+            shots_per_point=cfg["eval"]["shots_per_point"],
+            seed=cfg["seed"])
+        for p_ph, res in zip(cfg["pph_sweep"], results):
             rows.append({"basis": basis, "p_ph": p_ph, "p_l": res.p_l,
                          "infidelity": res.infidelity.tolist(),
                          "sigma": res.sigma.tolist()})

@@ -31,9 +31,10 @@ and the virtual final round plus the last weight-1 correction give a
 (640, 8) readout table indexed by the final half syndrome.
 `predict_flips_batch` advances all shots together with one table gather
 per round; the scalar `decode_basis` walks the same `_step` on the full
-estimate and serves as the reference. The hook table and the compiled
-tables are built when a decoder is constructed, once per code per
-process.
+estimate and serves as the reference. `predict_flips_batches` decodes a
+sequence of batches one at a time, as they arrive. The hook table and
+the compiled tables are built when a decoder is constructed, once per
+code per process.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuits import ANC, FLAG, FX, FZ, SX, SZ, Gate, build_qec_cycle
-from .sim import MemoryBatch, _run_frames
+from .sim import BatchDecoder, MemoryBatch, _run_frames
 from .steane import CodeDefinition, parity
 
 # signal values; SIG_FLAG + k means plaquette k raised the first flag
@@ -89,7 +90,7 @@ def hook_correction_table(code: CodeDefinition) -> dict[tuple[int, int], int]:
     return table
 
 
-class SeqLutDecoder:
+class SeqLutDecoder(BatchDecoder):
     """Fault-tolerant sequential look-up-table decoder."""
 
     def __init__(self, code: CodeDefinition):

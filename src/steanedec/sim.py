@@ -675,13 +675,22 @@ def dep_failure_fraction(decoder, code: CodeDefinition, basis: str,
     return failed / len(batch)
 
 
-class IdentityDecoder:
+class BatchDecoder:
+    """`predict_flips_batches` for a decoder of one batch at a time: it
+    decodes each batch as it arrives, so that it holds one batch."""
+
+    def predict_flips_batches(self, batches) -> list[np.ndarray]:
+        # map keeps no batch once it is decoded
+        return list(map(self.predict_flips_batch, batches))
+
+
+class IdentityDecoder(BatchDecoder):
     """Predicts "no logical flip" for every volume (the undecoded baseline)."""
 
     def predict_flips_batch(self, batch: MemoryBatch) -> np.ndarray:
         return np.zeros(len(batch), dtype=np.uint8)
 
 
-class AlwaysFlipDecoder:
+class AlwaysFlipDecoder(BatchDecoder):
     def predict_flips_batch(self, batch: MemoryBatch) -> np.ndarray:
         return np.ones(len(batch), dtype=np.uint8)

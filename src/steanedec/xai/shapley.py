@@ -94,12 +94,20 @@ def _distinct_rows(rows: np.ndarray):
     return distinct, inverse.reshape(-1), counts
 
 
+def _background_means(background) -> np.ndarray:
+    """The mean background row; an empty background has none."""
+    background = np.asarray(background, dtype=float)
+    if len(background) == 0:
+        raise ValueError("the feature-exclusion game needs a non-empty "
+                         "background")
+    return background.mean(axis=0)
+
+
 def feature_exclusion_game(model, x, background, head: int = 0) -> Game:
     """Game on flattened input features: excluded features are replaced
     by their background means before the model is evaluated."""
     x = np.asarray(x, dtype=float)
-    background = np.asarray(background, dtype=float)
-    means = background.mean(axis=0)
+    means = _background_means(background)
     flat_x = x.reshape(-1)
     flat_m = means.reshape(-1)
     n = flat_x.size
@@ -141,8 +149,7 @@ def exact_shapley_batch(model, xs, background, head: int = 0,
     if chunk < 1:
         raise ValueError(f"chunk must be at least 1, got {chunk}")
     xs = np.asarray(xs, dtype=float)
-    background = np.asarray(background, dtype=float)
-    means = background.mean(axis=0).reshape(-1)
+    means = _background_means(background).reshape(-1)
     n = means.size
     if n > MAX_PLAYERS:
         raise ValueError(f"player set too large ({n} > {MAX_PLAYERS})")

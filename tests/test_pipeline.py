@@ -16,8 +16,8 @@ from steanedec import dataset as dsmod
 from steanedec import decoders
 from steanedec.cli import build_cfg, dataset_plan, load_config, main
 from steanedec.decoders import DNN2_CHANNELS, NnDecoder
-from steanedec.nn import (Checkpoint, build_model, dnn2_spec, drnn_spec,
-                          save_checkpoint, srnn_spec)
+from steanedec.nn import (Checkpoint, Dense, build_model, dnn2_spec,
+                          drnn_spec, save_checkpoint, srnn_spec)
 from steanedec.nn.losses import MASKED
 from steanedec.nn.model import spec_by_id
 from steanedec.sim import (NoiseModel, sample_memory_batch,
@@ -205,13 +205,19 @@ def perturbed_model(spec_id: str):
 
 def forward_rows(model, monkeypatch) -> list:
     """The row count of every later `model.forward` call."""
-    rows, forward = [], model.forward
+    return call_rows(model, "forward", monkeypatch)
+
+
+def call_rows(obj, method: str, monkeypatch) -> list:
+    """The row count of the first argument of every later call of
+    ``obj``'s ``method``."""
+    rows, bound = [], getattr(obj, method)
 
     def spy(x, *args, **kwargs):
         rows.append(len(x))
-        return forward(x, *args, **kwargs)
+        return bound(x, *args, **kwargs)
 
-    monkeypatch.setattr(model, "forward", spy)
+    monkeypatch.setattr(obj, method, spy)
     return rows
 
 
@@ -315,7 +321,8 @@ class TestDecoderWrapper:
 
 
 class TestDistinctVolumeDecoding:
-    """`predict_flips` runs the network once per distinct volume."""
+    """`predict_flips` runs a dense network once per distinct volume, and
+    a recurrent one once per distinct round prefix."""
 
     @staticmethod
     def volumes(basis, p_ph, t):
@@ -341,8 +348,16 @@ class TestDistinctVolumeDecoding:
     @pytest.mark.parametrize("spec_id, basis", NETWORKS)
     def test_forward_sees_distinct_volumes_only(self, spec_id, basis, p_ph,
                                                 monkeypatch):
+        # the first Dense layer (a dense network's first layer, a
+        # recurrent network's head) sees each distinct volume once; a
+        # recurrent network's LSTM rounds see each distinct prefix once
         dec = NnDecoder(perturbed_model(spec_id), basis=basis)
-        rows = forward_rows(dec.model, monkeypatch)
+        dense = next(layer for layer in dec.model.layers
+                     if isinstance(layer, Dense))
+        rows = call_rows(dense, "forward", monkeypatch)
+        recurrent = dec.channels is None
+        if recurrent:
+            rounds = call_rows(dec.model.layers[1], "_round", monkeypatch)
         for t in self.rounds(spec_id):
             vols = self.volumes(basis, p_ph, t)
             read = vols if dec.channels is None \
@@ -351,7 +366,14 @@ class TestDistinctVolumeDecoding:
             rows.clear()
             dec.predict_flips(vols)
             # a lone distinct volume runs beside a copy of itself
-            assert rows == [distinct if distinct > 1 else 2]
+            assert sum(rows) == (distinct if distinct > 1 else 2)
+            if recurrent:
+                prefixes = [len(np.unique(vols[:, :d].reshape(len(vols), -1),
+                                          axis=0)) for d in range(1, t + 1)]
+                # 600 volumes make one trie chunk
+                assert sum(rounds) == sum(p if p > 1 else 2
+                                          for p in prefixes)
+                rounds.clear()
             if p_ph == 0.0:
                 assert distinct == 1
 

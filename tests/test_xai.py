@@ -4,6 +4,7 @@ against the exact values and its conservation property, and the
 forward traces it reads from ``Model.forward``."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +155,17 @@ class TestExactShapley:
     def test_rejects_large_player_set(self):
         with pytest.raises(ValueError):
             exact_shapley(Game(21, lambda s: 0.0))
+
+    def test_empty_background_raises(self):
+        # an empty background has no mean: no NaN values, no warning
+        model = build_model(dnn2_spec(), seed=0)
+        xs, empty = np.ones((2, 12)), np.zeros((0, 12))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="empty background"):
+                exact_shapley_batch(model, xs, empty)
+            with pytest.raises(ValueError, match="empty background"):
+                feature_exclusion_game(model, xs[0], empty)
 
     def test_matches_per_player_sums(self):
         # the single-game solver shares the batch solver's gain sums
