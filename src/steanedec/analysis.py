@@ -18,7 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .circuits import ANC, FX, FZ, SX, SZ, FaultInjection, build_qec_cycle
+from .circuits import (ANC, FaultInjection, basis_channels,
+                       build_qec_cycle)
 from .sim import (MemoryBatch, NoiseModel, _fault_batch, sample_memory_batch,
                   single_fault_batch)
 from .steane import CodeDefinition
@@ -298,9 +299,8 @@ def derive_hook_signatures(code: CodeDefinition, basis: str) -> HookSignatureSet
     """Derive the dangerous flag/syndrome channel pairings by injecting the
     weight-two hook class into each plaquette readout and recording which
     flag and which later syndrome increment it raises."""
-    ptype = "X" if basis == "Z" else "Z"
-    flag_family = FX if ptype == "X" else FZ
-    syn_family = SZ if ptype == "X" else SX
+    syn_family, flag_family = basis_channels(basis)
+    ptype = "X" if basis == "Z" else "Z"  # the plaquettes of those flags
     gates = build_qec_cycle(code, cycles=3)
     ent = [g for g in gates if g.cycle == 1 and g.kind in ("cnot", "cz")
            and (g.qubits[0] == ANC or g.qubits[1] == ANC)]

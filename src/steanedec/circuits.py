@@ -40,6 +40,18 @@ def flag_channel(ptype: str, k: int) -> int:
     return (FX if ptype == "X" else FZ)[k]
 
 
+def basis_channels(basis: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(syndrome channels, flag channels) that decoding a logical readout
+    in ``basis`` reads. Z-basis readout is spoiled by bit flips: those are
+    detected by the Z-type generators and hooked by the X-type (CNOT)
+    readouts, so Z reads SZ and FX, and X reads SX and FZ."""
+    if basis == "Z":
+        return SZ, FX
+    if basis == "X":
+        return SX, FZ
+    raise ValueError(f"basis must be 'X' or 'Z', got {basis!r}")
+
+
 @dataclass(frozen=True)
 class Gate:
     """One circuit location.

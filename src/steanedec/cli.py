@@ -11,6 +11,7 @@ certification failure.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
@@ -24,6 +25,7 @@ from . import dataset as dsmod
 from .analysis import (ft_contract, ft_monitor, scaling_exponent,
                        sweep_error_rates)
 from .decoders import NnDecoder
+from .files import replacing
 from .nn import (TrainConfig, build_model, config_hash, load_checkpoint,
                  restore, train)
 from .nn.model import spec_by_id
@@ -195,7 +197,11 @@ def require_dataset(cfg, split: str, basis: str, t: int):
     path = dataset_path(cfg, split, basis, t)
     if not os.path.exists(path):
         fail(2, f"missing dataset {path}; run gen-data first")
-    ds = dsmod.read_dataset(path)
+    try:
+        ds = dsmod.read_dataset(path)
+    except ValueError as exc:
+        # a truncated or corrupt file
+        fail(1, f"cannot read dataset {path}: {exc}")
     if ds.config_hash != cfg["hash"]:
         fail(1, f"config hash mismatch for {path}")
     return ds
@@ -216,11 +222,23 @@ def checkpoint_paths(cfg, required: bool = True) -> list[str]:
     return paths
 
 
+@contextlib.contextmanager
+def loading_checkpoint(cfg, path: str):
+    """Exit 1 if the ``with`` block raises `ValueError` while it reads
+    the checkpoint ``path`` or loads it into the network: a truncated or
+    corrupt file, or tensors of another network layout."""
+    try:
+        yield
+    except ValueError as exc:
+        fail(1, f"cannot load checkpoint {path} into the {cfg['decoder']} "
+             f"network: {exc}")
+
+
 def read_checkpoint(cfg, path: str, model=None):
     """The checkpoint at ``path``, checked against the config hash and,
     with ``model``, loaded into it (weights only); exit 1 if it cannot
     be."""
-    try:
+    with loading_checkpoint(cfg, path):
         ckpt = load_checkpoint(path)
         if ckpt.config_hash != cfg["hash"]:
             fail(1, "config hash mismatch between config and checkpoint "
@@ -228,10 +246,6 @@ def read_checkpoint(cfg, path: str, model=None):
         if model is not None:
             model.set_weights_flat({k: v for k, v in ckpt.weights.items()
                                     if not k.startswith("adam.")})
-    except ValueError as exc:
-        # a truncated file, or tensors of another network layout
-        fail(1, f"cannot load checkpoint {path} into the {cfg['decoder']} "
-             f"network: {exc}")
     return ckpt
 
 
@@ -254,7 +268,7 @@ def load_decoder(cfg, basis: str):
 
 
 def _write_json(path, payload):
-    with open(path, "w") as fh:
+    with replacing(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -343,15 +357,16 @@ def cmd_train(resume, **kw):
     history, start, adam = [], 0, None
     paths = checkpoint_paths(cfg, required=False) if resume else []
     if paths:
-        read_checkpoint(cfg, paths[-1], model)  # exit 1 on another layout
-        # the earlier epochs' records, as each checkpoint stored its own
+        # the earlier epochs' records, as each checkpoint stored its own;
+        # each file is read once
         for path in paths:
             ckpt = read_checkpoint(cfg, path)
             if "metrics" not in ckpt.extra:
                 fail(1, f"checkpoint {path} holds no epoch record to resume "
                      "from")
             history.append({**ckpt.extra["metrics"], "epoch": ckpt.epoch})
-        adam = restore(model, paths[-1])
+        with loading_checkpoint(cfg, paths[-1]):  # exit 1 on another layout
+            adam = restore(model, ckpt)
         start = history[-1]["epoch"] + 1
         click.echo(f"resuming after epoch {start - 1} from {paths[-1]}")
 
@@ -432,15 +447,16 @@ def cmd_explain(**kw):
     click.echo(f"attributed {pairs} distinct pairs in {seconds:.2f} s "
                f"({pairs / max(seconds, 1e-9):.0f} pairs/s)")
     out_path = os.path.join(cfg["out"], f"attributions_{cfg['decoder']}.txt")
-    with open(out_path, "w") as fh:
+    with replacing(out_path, "w") as fh:
         fh.write(f"# config={cfg['hash']} decoder={cfg['decoder']} "
                  f"basis={basis} phi-grid rows=samples\n")
         for i in range(n):
             grid = " ".join(f"{v:.6g}" for v in phi[i].reshape(-1))
             vol = "".join(str(b) for b in val.volumes[i].reshape(-1))
             fh.write(f"{i} {val.T} {basis} {phi0[i]:.6g} {grid} {vol}\n")
-    np.save(os.path.join(cfg["out"], f"attributions_{cfg['decoder']}.npy"),
-            phi)
+    with replacing(os.path.join(cfg["out"],
+                                f"attributions_{cfg['decoder']}.npy")) as fh:
+        np.save(fh, phi)
     click.echo(f"wrote {out_path} ({n} samples, {nb} background)")
 
 
@@ -499,7 +515,7 @@ def cmd_monitor(**kw):
                       shots_per_point=cfg["eval"]["shots_per_point"],
                       seed=cfg["seed"], attribution_fn=attribution_fn)
     table = os.path.join(cfg["out"], f"monitor_{cfg['decoder']}.txt")
-    with open(table, "w") as fh:
+    with replacing(table, "w") as fh:
         fh.write(f"# config={cfg['hash']}\n")
         fh.write("epoch dep_failure scaling_b hook_mean baseline_mean "
                  + " ".join(f"p_l@{p:g}" for p in cfg["pph_sweep"]) + "\n")
@@ -538,7 +554,7 @@ def cmd_report(**kw):
     text = "\n".join(lines) + "\n"
     out_path = os.path.join(cfg["out"], "report.txt")
     os.makedirs(cfg["out"], exist_ok=True)
-    with open(out_path, "w") as fh:
+    with replacing(out_path, "w") as fh:
         fh.write(f"# config={cfg['hash']}\n")
         fh.write(text)
     click.echo(text)

@@ -11,20 +11,26 @@ Then one record per sample:
   one byte with m_in (bit 0), m_out (bit 1), m_L (bit 2).
 
 A line-delimited text export of the same records is provided for
-debugging. Both writers take the header and then the records in
-blocks, so a dataset of any size is written one block at a time.
+debugging. Every writer takes a `Header` and then the records in
+blocks, so a dataset of any size is written one block at a time, and
+writes each file under a temporary name that is renamed to the file's
+own name only when it is complete (`files.replacing`). The reader
+checks every length the header declares against the bytes left in the
+file before it reads them, so a truncated or corrupt file raises
+`ValueError`.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
+import functools
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import N_CHANNELS
+from .files import read_exact, replacing
 
 MAGIC = b"SDDS"
 VERSION = 1
@@ -66,10 +72,6 @@ class DatasetFile:
     @property
     def m_L(self) -> np.ndarray:
         return self.m_in ^ self.m_out
-
-    @property
-    def shots(self) -> int:
-        return len(self)
 
     def __len__(self) -> int:
         return self.volumes.shape[0]
@@ -133,90 +135,80 @@ def _text_lines(volumes, m_in, m_out) -> np.ndarray:
     return body
 
 
-def _stream(sinks, head, blocks):
-    """Write to each (file, header format, records format) of ``sinks``
-    the header ``head``, then the records of every block of ``blocks``
-    in order. Raises `ValueError` if the blocks do not hold
-    ``head.shots`` samples of ``head.T`` rounds."""
+# (header format, records format) of each file a dataset is written to
+_BINARY = (_file_header, _records)
+_TEXT = (_text_header, _text_lines)
+
+
+def _write(head, blocks, targets):
+    """Write to each (path, format) of ``targets`` the header ``head``,
+    then the records of every block of ``blocks`` in order, holding one
+    block at a time. Each file is written through `replacing`, so it
+    appears only when complete. Raises `ValueError`, and leaves no
+    file, if the blocks do not hold ``head.shots`` samples of ``head.T``
+    rounds."""
     mismatch = ValueError(f"the blocks are not the {head.shots} samples "
                           f"of {head.T} rounds that the header declares")
-    for fh, header, _ in sinks:
-        fh.write(header(head))
-    n = 0
-    for block in blocks:
-        n += len(block.volumes)
-        if block.volumes.shape[1:] != (head.T, N_CHANNELS) or n > head.shots:
+    with contextlib.ExitStack() as stack:
+        sinks = [(stack.enter_context(replacing(path)), fmt)
+                 for path, fmt in targets]
+        for fh, (header, _) in sinks:
+            fh.write(header(head))
+        n = 0
+        for block in blocks:
+            n += len(block.volumes)
+            if block.volumes.shape[1:] != (head.T, N_CHANNELS) \
+                    or n > head.shots:
+                raise mismatch
+            m_in = np.asarray(block.m_in, dtype=np.uint8)
+            m_out = np.asarray(block.m_out, dtype=np.uint8)
+            for fh, (_, records) in sinks:
+                fh.write(records(block.volumes, m_in, m_out))
+        if n != head.shots:
             raise mismatch
-        m_in = np.asarray(block.m_in, dtype=np.uint8)
-        m_out = np.asarray(block.m_out, dtype=np.uint8)
-        for fh, _, records in sinks:
-            fh.write(records(block.volumes, m_in, m_out))
-    if n != head.shots:
-        raise mismatch
 
 
-def write_dataset(path, head, blocks=None):
-    """Write a dataset file: the header ``head`` (a `Header`, or a
-    `DatasetFile`), then the records of ``blocks``, each an object with
-    ``volumes``, ``m_in`` and ``m_out`` such as a `DatasetFile` or a
-    `MemoryBatch`; a `DatasetFile` alone is its own one block."""
-    with open(path, "wb") as fh:
-        _stream([(fh, _file_header, _records)], head,
-                [head] if blocks is None else blocks)
+def write_dataset(path, head: Header, blocks):
+    """Write the dataset file ``path``: the header ``head``, then the
+    records of ``blocks``, each an object with ``volumes``, ``m_in`` and
+    ``m_out`` such as a `DatasetFile` or a `MemoryBatch`."""
+    _write(head, blocks, [(path, _BINARY)])
 
 
-def write_with_text(path, head, blocks):
+def export_text(path, head: Header, blocks):
+    """One sample per line: per-round channel bits in the fixed order,
+    rounds separated by '|', then m_in m_out m_L. ``head`` and
+    ``blocks`` are as in `write_dataset`."""
+    _write(head, blocks, [(path, _TEXT)])
+
+
+def write_with_text(path, head: Header, blocks):
     """Write the dataset file ``path`` and its text export ``path +
     ".txt"`` (as `write_dataset` and `export_text` would) in one pass
-    over ``blocks``, holding one block at a time. Each file is written
-    under a temporary name in its directory and renamed to its own name
-    only when complete, so an interrupted write leaves no partial
-    file."""
-    text = f"{path}.txt"
-    with _replacing(path) as tmp, _replacing(text) as text_tmp, \
-            open(tmp, "wb") as fh, open(text_tmp, "wb") as text_fh:
-        _stream([(fh, _file_header, _records),
-                 (text_fh, _text_header, _text_lines)], head, blocks)
-
-
-@contextlib.contextmanager
-def _replacing(path):
-    """A temporary name beside ``path`` that replaces ``path`` when the
-    ``with`` block completes, and is removed if it raises."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-
-
-def _read_exact(fh, k: int) -> bytes:
-    data = fh.read(k)
-    if len(data) != k:
-        raise ValueError("truncated dataset file")
-    return data
+    over ``blocks``."""
+    _write(head, blocks, [(path, _BINARY), (f"{path}.txt", _TEXT)])
 
 
 def read_dataset(path) -> DatasetFile:
+    """The dataset file ``path``; raises `ValueError` if it is not one,
+    or is cut short or corrupt."""
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4) != MAGIC:
+        read = functools.partial(read_exact, fh, what="dataset file")
+        if read(4) != MAGIC:
             raise ValueError("not a dataset file")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
+        (version,) = struct.unpack("<I", read(4))
         if version != VERSION:
             raise ValueError(f"unsupported dataset version {version}")
-        (clen,) = struct.unpack("<I", _read_exact(fh, 4))
-        code_id = _read_exact(fh, clen).decode()
-        (p_ph,) = struct.unpack("<d", _read_exact(fh, 8))
-        (T,) = struct.unpack("<I", _read_exact(fh, 4))
-        basis = _read_exact(fh, 1).decode()
-        (seed,) = struct.unpack("<Q", _read_exact(fh, 8))
-        (n,) = struct.unpack("<Q", _read_exact(fh, 8))
-        (hlen,) = struct.unpack("<I", _read_exact(fh, 4))
-        chash = _read_exact(fh, hlen).decode()
-        body = np.frombuffer(_read_exact(fh, n * (2 * T + 1)),
+        (clen,) = struct.unpack("<I", read(4))
+        code_id = read(clen).decode()
+        (p_ph,) = struct.unpack("<d", read(8))
+        (T,) = struct.unpack("<I", read(4))
+        basis = read(1).decode()
+        (seed,) = struct.unpack("<Q", read(8))
+        (n,) = struct.unpack("<Q", read(8))
+        (hlen,) = struct.unpack("<I", read(4))
+        chash = read(hlen).decode()
+        body = np.frombuffer(read(n * (2 * T + 1)),
                              dtype=np.uint8).reshape(n, 2 * T + 1)
         if fh.read(1):
             raise ValueError(f"bytes past the {n} records the header "
@@ -232,11 +224,3 @@ def read_dataset(path) -> DatasetFile:
         raise ValueError("label consistency violated (m_L != m_in xor m_out)")
     return ds
 
-
-def export_text(path, head, blocks=None):
-    """One sample per line: per-round channel bits in the fixed order,
-    rounds separated by '|', then m_in m_out m_L. ``head`` and
-    ``blocks`` are as in `write_dataset`."""
-    with open(path, "wb") as fh:
-        _stream([(fh, _text_header, _text_lines)], head,
-                [head] if blocks is None else blocks)

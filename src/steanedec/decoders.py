@@ -33,7 +33,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .circuits import FX, FZ, N_CHANNELS, SX, SZ
+from .circuits import N_CHANNELS, basis_channels
 from .nn.layers import Lstm
 from .nn.losses import MASKED
 from .nn.model import ROW_BLOCK, row_blocks
@@ -41,7 +41,7 @@ from .xai import deepshap_batch
 
 # dense two-cycle decoder sees only the decoding basis's syndrome and
 # flag channels, flattened over the two rounds
-DNN2_CHANNELS = {"Z": SZ + FX, "X": SX + FZ}
+DNN2_CHANNELS = {b: sum(basis_channels(b), ()) for b in ("Z", "X")}
 
 # bit c of a round's code is channel c of that round
 _SHIFTS = np.arange(N_CHANNELS, dtype=np.uint16)
@@ -169,12 +169,9 @@ class NnDecoder:
 
     def __init__(self, model, basis: str = "Z"):
         self.model = model
-        if model.spec.spec_id == "drnn":
-            self.head = {"Z": 0, "X": 1}[basis]
-        else:
-            self.head = 0
-        self.channels = None if model.spec.recurrent \
-            else list(DNN2_CHANNELS[basis])
+        syn, flag = basis_channels(basis)  # ValueError for another basis
+        self.head = "ZX".index(basis) if model.spec.spec_id == "drnn" else 0
+        self.channels = None if model.spec.recurrent else list(syn + flag)
 
     def inputs(self, volumes, t_max: int | None = None) -> np.ndarray:
         """The flattened `DNN2_CHANNELS` for a dense network; for a

@@ -10,17 +10,26 @@ Layout (all integers little-endian):
     u32 ndim, u64 dims...,
     float64 data, little-endian, C order.
 
-Round trips are bit exact so training can resume mid-run.
+Round trips are bit exact so training can resume mid-run. A checkpoint
+is written under a temporary name and renamed to its own name only
+when complete (`files.replacing`), so a run that crashes while it
+writes one keeps the previous epoch's checkpoint as its last. Every
+length the file declares is checked against the bytes left in it
+before it is read, so a truncated or corrupt checkpoint raises
+`ValueError`.
 """
 
 from __future__ import annotations
 
-import io
+import functools
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ..files import read_exact, replacing
 
 MAGIC = b"SDCK"
 VERSION = 1
@@ -45,55 +54,42 @@ def _write_tensor(fh, name: str, arr: np.ndarray):
     fh.write(arr.tobytes())
 
 
-def _read_exact(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise ValueError("truncated checkpoint")
-    return data
-
-
-def _read_tensor(fh) -> tuple[str, np.ndarray]:
-    (nlen,) = struct.unpack("<I", _read_exact(fh, 4))
-    name = _read_exact(fh, nlen).decode()
-    (ndim,) = struct.unpack("<I", _read_exact(fh, 4))
-    shape = tuple(struct.unpack("<Q", _read_exact(fh, 8))[0]
-                  for _ in range(ndim))
-    count = int(np.prod(shape)) if shape else 1
-    arr = np.frombuffer(_read_exact(fh, 8 * count), dtype="<f8").reshape(shape)
-    return name, arr.astype(float)
+def _read_tensor(read) -> tuple[str, np.ndarray]:
+    (nlen,) = struct.unpack("<I", read(4))
+    name = read(nlen).decode()
+    (ndim,) = struct.unpack("<I", read(4))
+    shape = struct.unpack(f"<{ndim}Q", read(8 * ndim))
+    # a Python int: a corrupt dimension cannot overflow the byte count
+    arr = np.frombuffer(read(8 * math.prod(shape)), dtype="<f8")
+    return name, arr.reshape(shape).astype(float)
 
 
 def save_checkpoint(path, ckpt: Checkpoint):
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<I", VERSION))
-    buf.write(struct.pack("<I", ckpt.epoch))
     hb = ckpt.config_hash.encode()
-    buf.write(struct.pack("<I", len(hb)))
-    buf.write(hb)
     eb = json.dumps(ckpt.extra, sort_keys=True).encode()
-    buf.write(struct.pack("<I", len(eb)))
-    buf.write(eb)
-    buf.write(struct.pack("<I", len(ckpt.weights)))
-    for name in sorted(ckpt.weights):
-        _write_tensor(buf, name, ckpt.weights[name])
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    with replacing(path) as fh:
+        fh.write(b"".join([
+            MAGIC, struct.pack("<III", VERSION, ckpt.epoch, len(hb)), hb,
+            struct.pack("<I", len(eb)), eb,
+            struct.pack("<I", len(ckpt.weights))]))
+        for name in sorted(ckpt.weights):
+            _write_tensor(fh, name, ckpt.weights[name])
 
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4) != MAGIC:
+        read = functools.partial(read_exact, fh, what="checkpoint")
+        if read(4) != MAGIC:
             raise ValueError("not a checkpoint file")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
+        (version,) = struct.unpack("<I", read(4))
         if version != VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        (epoch,) = struct.unpack("<I", _read_exact(fh, 4))
-        (hlen,) = struct.unpack("<I", _read_exact(fh, 4))
-        chash = _read_exact(fh, hlen).decode()
-        (elen,) = struct.unpack("<I", _read_exact(fh, 4))
-        extra = json.loads(_read_exact(fh, elen).decode())
-        (count,) = struct.unpack("<I", _read_exact(fh, 4))
-        weights = dict(_read_tensor(fh) for _ in range(count))
+        (epoch,) = struct.unpack("<I", read(4))
+        (hlen,) = struct.unpack("<I", read(4))
+        chash = read(hlen).decode()
+        (elen,) = struct.unpack("<I", read(4))
+        extra = json.loads(read(elen).decode())
+        (count,) = struct.unpack("<I", read(4))
+        weights = dict(_read_tensor(read) for _ in range(count))
     return Checkpoint(epoch=epoch, weights=weights, config_hash=chash,
                       extra=extra)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adam import AdamState
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, save_checkpoint
 from .losses import bce_loss, bce_loss_grad
 from .model import Model
 
@@ -74,10 +74,10 @@ def train(model: Model, x, y, config: TrainConfig, config_hash: str = "",
     return history
 
 
-def restore(model: Model, path) -> AdamState:
-    """Load a checkpoint into ``model`` and rebuild the optimizer state;
-    returns the AdamState so training can continue where it stopped."""
-    ckpt = load_checkpoint(path)
+def restore(model: Model, ckpt: Checkpoint) -> AdamState:
+    """Load the weights of the checkpoint ``ckpt`` into ``model`` and
+    rebuild its optimizer state; returns the AdamState so training can
+    continue where it stopped."""
     weights = {k: v for k, v in ckpt.weights.items()
                if not k.startswith("adam.")}
     model.set_weights_flat(weights)

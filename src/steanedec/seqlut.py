@@ -41,7 +41,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import ANC, FLAG, FX, FZ, SX, SZ, Gate, build_qec_cycle
+from .circuits import (ANC, FLAG, FX, Gate, basis_channels,
+                       build_qec_cycle)
 from .sim import BatchDecoder, MemoryBatch, _run_frames
 from .steane import CodeDefinition, parity
 
@@ -101,18 +102,6 @@ class SeqLutDecoder(BatchDecoder):
             self.table = hook_correction_table(code)
             _COMPILED[key] = (self.table, *self._compile())
         self.table, self._trans, self._final = _COMPILED[key]
-
-    def _channels(self, basis: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(syndrome channels, flag channels) feeding the given readout basis.
-
-        Z-basis readout is spoiled by bit flips: those are detected by the
-        Z-type generators and hooked by the X-type (CNOT) readouts.
-        """
-        if basis == "Z":
-            return SZ, FX
-        if basis == "X":
-            return SX, FZ
-        raise ValueError(f"basis must be 'X' or 'Z', got {basis!r}")
 
     def _step(self, est: int, cum: int, signal: int, delta: int,
               flag: int) -> tuple[int, int, int]:
@@ -210,7 +199,7 @@ class SeqLutDecoder(BatchDecoder):
         other basis was measured) the accumulated measured syndrome
         stands in for it.
         """
-        syn_ch, flag_ch = self._channels(basis)
+        syn_ch, flag_ch = basis_channels(basis)
         rows = list(volume) if prep_row is None else [prep_row, *volume]
         rounds: list[tuple[int, int]] = []
         for row in rows:
@@ -230,7 +219,7 @@ class SeqLutDecoder(BatchDecoder):
     def predict_flips_batch(self, batch: MemoryBatch) -> np.ndarray:
         """Logical-flip predictions for every shot, by the compiled tables
         (equal to `decode_basis` shot by shot)."""
-        syn_ch, flag_ch = self._channels(batch.basis)
+        syn_ch, flag_ch = basis_channels(batch.basis)
         chans = list(syn_ch + flag_ch)
         inputs = (batch.volumes[:, :, chans] * _INPUT_BITS).sum(
             axis=2, dtype=np.uint8)

@@ -1,8 +1,9 @@
 import pytest
 
 from steanedec.circuits import (ANC, FLAG, FX, FZ, SX, SZ, FaultInjection,
-                                Gate, build_qec_cycle, enumerate_single_faults,
-                                error_set, plaquette_gates)
+                                Gate, basis_channels, build_qec_cycle,
+                                enumerate_single_faults, error_set,
+                                plaquette_gates)
 from steanedec.steane import steane_code
 
 
@@ -21,6 +22,14 @@ class TestCycleStructure:
         gates = build_qec_cycle(code)
         channels = sorted(g.channel for g in gates if g.channel >= 0)
         assert channels == list(range(12))
+
+    def test_basis_channels(self):
+        # Z readout reads SZ and FX; X readout reads SX and FZ
+        assert basis_channels("Z") == (SZ, FX)
+        assert basis_channels("X") == (SX, FZ)
+        for basis in ("Y", "z", ""):
+            with pytest.raises(ValueError, match="basis must be"):
+                basis_channels(basis)
 
     def test_location_ids_unique_and_scaling(self, code):
         one = build_qec_cycle(code, cycles=1)

@@ -4,6 +4,8 @@ hand-checks, checkpoint round trips, and training behaviour."""
 
 import math
 import os
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -678,6 +680,32 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
+    # a corrupt size field raises ValueError before anything of the size
+    # it declares is allocated: the file is 0.1 kB, the bound 1 MB
+    @pytest.mark.parametrize("field", ["dimension", "name_length"])
+    def test_corrupt_size_field_raises_in_bounded_memory(self, tmp_path,
+                                                         field):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, Checkpoint(epoch=0, weights={"w": np.ones(3)},
+                                         config_hash="abc"))
+        raw = bytearray(path.read_bytes())
+        # magic, version, epoch, hash, extra "{}", tensor count
+        name_at = 4 + 4 + 4 + (4 + 3) + (4 + 2) + 4
+        if field == "name_length":
+            raw[name_at:name_at + 4] = struct.pack("<I", 2 ** 32 - 1)
+        else:  # past the name "w" and ndim 1
+            at = name_at + 4 + 1 + 4
+            raw[at:at + 8] = struct.pack("<Q", 2 ** 40)
+        path.write_bytes(bytes(raw))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated checkpoint"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
     def test_resume_matches_uninterrupted(self, tmp_path):
         rng = np.random.default_rng(31)
         x = rng.integers(0, 2, size=(64, 6)).astype(float)
@@ -693,7 +721,8 @@ class TestCheckpoint:
         cfg2 = TrainConfig(epochs=2, batch_size=16, lr=1e-2, seed=9)
         os.makedirs(tmp_path / "b", exist_ok=True)
         train(resumed, x, y, cfg2, checkpoint_dir=str(tmp_path / "b"))
-        adam = restore(resumed, tmp_path / "b" / "epoch_0001.ckpt")
+        adam = restore(resumed,
+                       load_checkpoint(tmp_path / "b" / "epoch_0001.ckpt"))
         train(resumed, x, y, cfg, start_epoch=2, adam=adam)
 
         for k, w in straight.weights_flat().items():

@@ -1,5 +1,7 @@
 """Dataset file format, the network decoder wrapper, and the CLI."""
 
+import builtins
+import errno
 import importlib
 import json
 import os
@@ -35,7 +37,7 @@ class TestDatasetFormat:
     def test_round_trip(self, batch, tmp_path):
         ds = dsmod.from_batch(batch, 5e-3, "hash123")
         path = tmp_path / "d.sds"
-        dsmod.write_dataset(path, ds)
+        dsmod.write_dataset(path, header(ds), [ds])
         back = dsmod.read_dataset(path)
         assert np.array_equal(back.volumes, batch.volumes)
         assert np.array_equal(back.m_in, batch.m_in)
@@ -49,7 +51,7 @@ class TestDatasetFormat:
     def test_label_consistency_enforced(self, batch, tmp_path):
         ds = dsmod.from_batch(batch, 5e-3)
         path = tmp_path / "d.sds"
-        dsmod.write_dataset(path, ds)
+        dsmod.write_dataset(path, header(ds), [ds])
         raw = bytearray(path.read_bytes())
         raw[-1] ^= 0b100  # corrupt an m_L bit
         path.write_bytes(bytes(raw))
@@ -65,7 +67,7 @@ class TestDatasetFormat:
     def test_text_export(self, batch, tmp_path):
         ds = dsmod.from_batch(batch, 5e-3)
         path = tmp_path / "d.txt"
-        dsmod.export_text(path, ds)
+        dsmod.export_text(path, header(ds), [ds])
         lines = path.read_text().splitlines()
         assert len(lines) == len(ds) + 1
         first = lines[1].split()
@@ -80,7 +82,7 @@ class TestDatasetFormat:
         batch = sample_memory_batch(steane_code(), NoiseModel(0.02), T=T,
                                     basis="X", shots=500, seed=T)
         ds = dsmod.from_batch(batch, 0.02, "cfghash")
-        dsmod.export_text(tmp_path / "fast.txt", ds)
+        dsmod.export_text(tmp_path / "fast.txt", header(ds), [ds])
         line_writer_export(tmp_path / "ref.txt", ds)
         assert (tmp_path / "fast.txt").read_bytes() == \
             (tmp_path / "ref.txt").read_bytes()
@@ -91,7 +93,7 @@ class TestDatasetFormat:
                                     basis="X", shots=500, seed=T)
         ds = dsmod.from_batch(batch, 0.02, "cfghash")
         path = tmp_path / "d.sds"
-        dsmod.write_dataset(path, ds)
+        dsmod.write_dataset(path, header(ds), [ds])
         raw = path.read_bytes()
         records = arithmetic_records(ds)
         # the header: 45 bytes of fixed fields, the code id and the hash
@@ -126,7 +128,7 @@ class TestDatasetFormat:
         # the one-file writers, in blocks and whole
         dsmod.write_dataset(tmp_path / "b.sds", head, blocks())
         dsmod.export_text(tmp_path / "b.txt", head, blocks())
-        dsmod.write_dataset(tmp_path / "w.sds", ds)
+        dsmod.write_dataset(tmp_path / "w.sds", header(ds), [ds])
         assert (tmp_path / "b.sds").read_bytes() == raw
         assert (tmp_path / "w.sds").read_bytes() == raw
         assert (tmp_path / "b.txt").read_bytes() == text
@@ -141,11 +143,13 @@ class TestDatasetFormat:
                 write(tmp_path / "d", head, [batch])
         with pytest.raises(ValueError, match="header declares"):
             dsmod.write_with_text(str(tmp_path / "e.sds"), head, [batch])
-        assert not (tmp_path / "e.sds").exists()
+        # no target and no temporary file
+        assert os.listdir(tmp_path) == []
 
     def test_bytes_past_the_records_rejected(self, batch, tmp_path):
         path = tmp_path / "d.sds"
-        dsmod.write_dataset(path, dsmod.from_batch(batch, 5e-3))
+        ds = dsmod.from_batch(batch, 5e-3)
+        dsmod.write_dataset(path, header(ds), [ds])
         raw = path.read_bytes()
         path.write_bytes(raw + b"\0")
         with pytest.raises(ValueError, match="past the 400 records"):
@@ -157,6 +161,40 @@ class TestDatasetFormat:
         path.write_bytes(bytes(short))
         with pytest.raises(ValueError, match="past the 399 records"):
             dsmod.read_dataset(path)
+
+
+    # a corrupt size field raises ValueError before anything of the size
+    # it declares is allocated: the file is 2.5 kB, the bound 1 MB
+    @pytest.mark.parametrize("field,value", [("shots", 2 ** 40),
+                                             ("shots", 2 ** 62),
+                                             ("T", 2 ** 31)])
+    def test_corrupt_size_field_raises_in_bounded_memory(
+            self, batch, tmp_path, field, value):
+        path = tmp_path / "d.sds"
+        ds = dsmod.from_batch(batch, 5e-3)
+        dsmod.write_dataset(path, header(ds), [ds])
+        raw = bytearray(path.read_bytes())
+        t_at = 4 + 4 + 4 + len(dsmod.CODE_ID) + 8
+        if field == "T":
+            raw[t_at:t_at + 4] = struct.pack("<I", value)
+        else:
+            at = t_at + 4 + 1 + 8
+            raw[at:at + 8] = struct.pack("<Q", value)
+        path.write_bytes(bytes(raw))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated dataset file"):
+                dsmod.read_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+
+def header(ds) -> dsmod.Header:
+    """The `Header` of the records of the `DatasetFile` ``ds``."""
+    return dsmod.Header(ds.code_id, ds.p_ph, ds.T, ds.basis, ds.seed,
+                        len(ds), ds.config_hash)
 
 
 def arithmetic_records(ds) -> bytes:
@@ -243,6 +281,12 @@ class TestDecoderWrapper:
         assert np.array_equal(x[:, :2, :], batch.volumes.astype(float))
         assert np.array_equal(dec.inputs(batch.volumes, t_max=1),
                               batch.volumes.astype(float))
+
+    @pytest.mark.parametrize("spec_id", ["srnn-z", "drnn", "dnn2"])
+    def test_other_basis_raises(self, spec_id):
+        model = build_model(spec_by_id(spec_id), seed=0)
+        with pytest.raises(ValueError, match="basis must be 'X' or 'Z'"):
+            NnDecoder(model, basis="Y")
 
     def test_drnn_targets(self, batch):
         # the label on the decoding basis's head, no loss on the other
@@ -553,6 +597,80 @@ class TestCli:
                            if p.suffix in (".ckpt", ".json")}
         assert len(files["straight"]) == 4  # three checkpoints, one history
         assert files["resumed"] == files["straight"]
+
+    def test_checkpoint_write_cut_short_resumes_like_uninterrupted(
+            self, tmp_path, monkeypatch):
+        # the disk fills while epoch 1's checkpoint is half written: no
+        # part of it is left, and the resumed run writes the same
+        # checkpoints and history, byte for byte, as a run that never
+        # stopped (same relative out, so the same config hash)
+        real_open = builtins.open
+
+        class FillingFile:
+            """A file that takes 1,000 bytes, then fails mid-write."""
+
+            def __init__(self, fh):
+                self.fh, self.room = fh, 1000
+
+            def write(self, data):
+                self.fh.write(data[:self.room])
+                if len(data) > self.room:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.room -= len(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+        def filling_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            if "epoch_0001.ckpt" in str(file) and "w" in mode:
+                return FillingFile(fh)
+            return fh
+
+        files = {}
+        for name in ("straight", "resumed"):
+            d = tmp_path / name
+            d.mkdir()
+            (d / "cfg.yaml").write_text(
+                "seed: 3\nout: run\ndecoder: dnn2\nrounds: 2\n"
+                "shots: {train: 1200, val: 100, test: 100}\n"
+                "train: {epochs: 3, batch_size: 64, lr: 0.001}\n")
+            monkeypatch.chdir(d)
+            assert self.run("gen-data", "--config", "cfg.yaml").exit_code == 0
+            if name == "resumed":
+                with monkeypatch.context() as m:
+                    m.setattr(builtins, "open", filling_open)
+                    r = self.run("train", "--config", "cfg.yaml")
+                assert isinstance(r.exception, OSError), r.output
+                assert os.listdir(d / "run" / "checkpoints" / "dnn2") \
+                    == ["epoch_0000.ckpt"]
+                assert not list((d / "run").rglob("*.tmp"))
+                r = self.run("train", "--config", "cfg.yaml", "--resume")
+                assert "resuming after epoch 0" in r.output
+            else:
+                r = self.run("train", "--config", "cfg.yaml")
+            assert r.exit_code == 0, r.output
+            files[name] = {str(p.relative_to(d)): p.read_bytes()
+                           for p in (d / "run").rglob("*")
+                           if p.suffix in (".ckpt", ".json")}
+        assert len(files["straight"]) == 4  # three checkpoints, one history
+        assert files["resumed"] == files["straight"]
+
+    def test_unreadable_dataset_exit_1(self, cfg_path, tmp_path):
+        assert self.run("gen-data", "--config", cfg_path).exit_code == 0
+        path = tmp_path / "run" / "data" / "val_z_t2.sds"
+        path.write_bytes(path.read_bytes()[:-7])
+        r = self.run("explain", "--config", cfg_path)
+        assert r.exit_code == 1, r.output
+        assert isinstance(r.exception, SystemExit)  # not a traceback
+        assert f"error: cannot read dataset {path}: truncated dataset file" \
+            in r.output
 
     def test_resume_rejects_foreign_checkpoint_exit_1(self, cfg_path,
                                                       tmp_path):
