@@ -23,8 +23,15 @@ Prints one JSON line:
     training minibatch) and 1,500 rows (one evaluation point); the
     forward keeps the caches its backward reads (``trace=True``);
   * ``srnn_train_step_s_mixed``: seconds of one training step of the srnn
-    decoder (forward, backward, Adam) on 64 rows that mix T = 1..8 in
-    equal shares, padded to 8 rounds as ``steanedec train`` pads them;
+    decoder (forward, backward, one Adam update of the flat parameter
+    vector) on 64 rows that mix T = 1..8 in equal shares, padded to 8
+    rounds as ``steanedec train`` pads them; ``dnn2_train_step_s`` the
+    same for the dnn2 decoder on 64 rows of T = 2;
+  * ``train_data_peak_mb``: the `tracemalloc` peak, in MB, of stacking
+    the train split of an srnn-z run at ``rounds: 8`` and 100,000 train
+    shots into ``steanedec train``'s int8 inputs and its labels
+    (`cli._training_arrays`), the datasets written by ``gen-data``
+    before;
   * ``srnn_eval_sweep_s``: seconds of one
     `NnDecoder.predict_flips_batches` call, as ``steanedec eval`` decodes
     a sweep, on the srnn decoder over the ``srnn-pipeline`` benchmark's
@@ -73,6 +80,8 @@ a checkout:
     PYTHONPATH=src python3 scripts/kernel_bench.py
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -83,6 +92,7 @@ import tracemalloc
 
 import numpy as np
 
+from steanedec import cli
 from steanedec import dataset as dsmod
 from steanedec.decoders import NnDecoder
 from steanedec.nn import (AdamState, Lstm, bce_loss_grad, build_model,
@@ -152,25 +162,51 @@ def lstm_rates(model, rng, rows: int, calls: int) -> dict:
                            rows * T, repeat_seconds(backward, calls))}
 
 
-def srnn_train_step() -> dict:
+def train_step_seconds(spec, rounds) -> np.ndarray:
+    """Seconds of one training step of ``spec``'s network on 64 rows of
+    sparse random bits, an equal share at each round count of
+    ``rounds``, padded to the largest."""
     rng = np.random.default_rng(1)
-    model = build_model(srnn_spec("Z"), seed=0)
+    model = build_model(spec, seed=0)
     decoder = NnDecoder(model)
     x = np.concatenate([decoder.inputs(
-        (rng.random((8, t, 12)) < 0.1).astype(float), t_max=T)
-        for t in range(1, T + 1)])
+        rng.random((64 // len(rounds), t, 12)) < 0.1, t_max=max(rounds))
+        for t in rounds])
     y = decoder.targets(rng.integers(0, 2, len(x)))
     adam = AdamState()
-    weights = model.weights_flat()
 
     def step():
         q = model.forward(x, train=True, rng=rng)
         model.zero_grads()
         model.backward(bce_loss_grad(y, q))
-        adam.update(weights, model.grads_flat())
+        adam.update(model.params, model.grads)
 
-    return second_figures("srnn_train_step_s_mixed",
-                          repeat_seconds(step, 40))
+    return repeat_seconds(step, 40)
+
+
+def train_figures() -> dict:
+    out = {**second_figures("srnn_train_step_s_mixed", train_step_seconds(
+               srnn_spec("Z"), range(1, T + 1))),
+           **second_figures("dnn2_train_step_s", train_step_seconds(
+               dnn2_spec(), [2]))}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.yaml")
+        with open(path, "w") as fh:
+            fh.write(f"out: {tmp}\ndecoder: srnn-z\nrounds: {T}\n"
+                     f"shots: {{train: {SHOTS}, val: {T}, test: {T}}}\n")
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main.main(args=["gen-data", "--config", path],
+                          standalone_mode=False)
+        cfg = cli.load_config(path, {})
+        model = build_model(srnn_spec("Z"), seed=0)
+        tracemalloc.start()
+        try:
+            cli._training_arrays(cfg, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    out["train_data_peak_mb"] = round(peak / 1e6, 2)
+    return out
 
 
 def srnn_eval_sweep(model) -> dict:
@@ -323,7 +359,7 @@ def main():
     out.update(gen_data_figures())
     for rows, calls in ((64, 40), (1500, 3)):
         out.update(lstm_rates(model, rng, rows, calls))
-    out.update(srnn_train_step())
+    out.update(train_figures())
     out.update(srnn_eval_sweep(model))
     out.update(deepshap_figures(model, rng))
     out.update(shapley_figures())

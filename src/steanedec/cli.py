@@ -328,13 +328,15 @@ def cmd_gen_data(**kw):
 
 
 def _training_arrays(cfg, model):
-    """Stack the train-split datasets into ``model``'s inputs and labels."""
+    """Stack the train-split datasets into ``model``'s inputs, in the
+    compact int8 form of `NnDecoder.layout` that `train` converts one
+    minibatch at a time, and its float labels."""
     xs, ys = [], []
     for basis in decoder_bases(cfg["decoder"]):
         decoder = NnDecoder(model, basis)
         for t in dataset_rounds(cfg):
             ds = require_dataset(cfg, "train", basis, t)
-            xs.append(decoder.inputs(ds.volumes, t_max=cfg["rounds"]))
+            xs.append(decoder.layout(ds.volumes, t_max=cfg["rounds"]))
             ys.append(decoder.targets(ds.m_L))
     return np.concatenate(xs), np.concatenate(ys)
 

@@ -173,20 +173,24 @@ class NnDecoder:
         self.head = "ZX".index(basis) if model.spec.spec_id == "drnn" else 0
         self.channels = None if model.spec.recurrent else list(syn + flag)
 
-    def inputs(self, volumes, t_max: int | None = None) -> np.ndarray:
-        """The flattened `DNN2_CHANNELS` for a dense network; for a
-        recurrent one, which takes any number of rounds, the float volumes
-        padded with the mask value -1.0 up to ``t_max``."""
-        volumes = np.asarray(volumes, dtype=float)
+    def layout(self, volumes, t_max: int | None = None) -> np.ndarray:
+        """The network inputs of the (n, T, 12) bit ``volumes`` as int8:
+        the flattened `DNN2_CHANNELS` for a dense network; for a recurrent
+        one, which takes any number of rounds, the volumes padded with the
+        mask value -1 up to ``t_max``. 12 B a volume for dnn2, 12 T_max B
+        for a recurrent network."""
+        volumes = np.asarray(volumes)
         n, t, c = volumes.shape
         if self.channels is not None:
-            return volumes[:, :, self.channels].reshape(
-                n, t * len(self.channels))
-        if t_max is None or t >= t_max:
-            return volumes
-        out = np.full((n, t_max, c), -1.0)
+            read = volumes[:, :, self.channels].astype(np.int8, copy=False)
+            return read.reshape(n, t * len(self.channels))
+        out = np.full((n, max(t, t_max or t), c), -1, np.int8)
         out[:, :t, :] = volumes
         return out
+
+    def inputs(self, volumes, t_max: int | None = None) -> np.ndarray:
+        """`layout` as float64: bits 0.0 and 1.0, padding -1.0."""
+        return self.layout(volumes, t_max).astype(float)
 
     def targets(self, m_L) -> np.ndarray:
         """Labels: m_L on this basis's head, MASKED on every other head."""
@@ -213,12 +217,6 @@ class NnDecoder:
                                    progress=progress)
         return self.grid(phi), phi0
 
-    def _read_rows(self, volumes) -> np.ndarray:
-        """The channels a dense network reads, one row per volume."""
-        n, t, _ = np.shape(volumes)
-        read = np.asarray(volumes)[:, :, self.channels]
-        return np.ascontiguousarray(read).reshape(n, t * len(self.channels))
-
     def _outputs(self, volumes):
         """(head output on every volume, volumes per array) of the arrays
         of the iterable ``volumes``, which is consumed once; `map` keeps
@@ -231,7 +229,7 @@ class NnDecoder:
             cols, lengths = _sort_columns(codes)
             del codes
             return _trie_outputs(self.model, cols, lengths, self.head), sizes
-        rows = list(map(self._read_rows, volumes))
+        rows = list(map(self.layout, volumes))
         sizes = [len(r) for r in rows]
         if not rows:
             return np.empty(0), sizes

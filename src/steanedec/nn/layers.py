@@ -33,7 +33,8 @@ def glorot_uniform(rng, fan_in, fan_out):
 
 class Layer:
     """Common parameter bookkeeping: subclasses register tensors in
-    self.weights (name -> array) and matching self.grads. A layer that
+    self.weights (name -> array) and matching self.grads, which a `Model`
+    turns into views of its flat vectors. A layer that
     caches its forward pass puts a new dict in self.cache on every such
     call, so a reference to one call's cache stays valid."""
 
@@ -53,10 +54,6 @@ class Layer:
                 f"{type(self).__name__}.backward needs the cache of a "
                 "forward run with train=True or trace=True")
         return self.cache
-
-    def zero_grads(self):
-        for g in self.grads.values():
-            g[:] = 0.0
 
     def forward(self, x, train=False, rng=None, trace=False):
         raise NotImplementedError

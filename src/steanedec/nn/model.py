@@ -118,7 +118,15 @@ def row_blocks(n_rows: int) -> list[int]:
 
 class Model:
     """Sequential network; orchestrates mask propagation between the
-    masking layer and the recurrent layers."""
+    masking layer and the recurrent layers.
+
+    The model owns one flat float64 parameter vector, ``params``, and one
+    gradient vector of the same layout, ``grads``. Every tensor a layer
+    registers is a view into them: tensor ``"{i}.{name}"`` (layer index,
+    registered name) holds the next ``size`` elements, in layer order
+    and each layer's registration order. Building a layer draws its
+    Glorot weights as before; the model then copies them into
+    ``params``."""
 
     def __init__(self, spec: NetworkSpec, seed: int = 0):
         self.spec = spec
@@ -141,6 +149,22 @@ class Model:
                 self.layers.append(Dropout(desc["rate"]))
             else:
                 raise ValueError(f"unknown layer kind {kind!r}")
+        # name -> (start, stop, shape) of each tensor in the flat vectors
+        self._layout = {}
+        size = 0
+        for i, layer in enumerate(self.layers):
+            for name, w in layer.weights.items():
+                self._layout[f"{i}.{name}"] = (size, size + w.size, w.shape)
+                size += w.size
+        self.params = np.empty(size)
+        self.grads = np.zeros(size)
+        params, grads = self.views(self.params), self.views(self.grads)
+        for i, layer in enumerate(self.layers):
+            for name in layer.weights:
+                key = f"{i}.{name}"
+                params[key][...] = layer.weights[name]
+                layer.weights[name] = params[key]
+                layer.grads[name] = grads[key]
 
     def forward(self, x, train: bool = False, rng=None, mask=None,
                 trace: bool = False) -> np.ndarray:
@@ -186,32 +210,34 @@ class Model:
         return dout
 
     def zero_grads(self):
-        for layer in self.layers:
-            layer.zero_grads()
+        self.grads.fill(0.0)
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Named tensor views ("layerindex.name") of a flat vector laid
+        out like ``params``."""
+        return {name: flat[lo:hi].reshape(shape)
+                for name, (lo, hi, shape) in self._layout.items()}
 
     # flat parameter access ("layerindex.name") for optimizer/checkpoints
     def weights_flat(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for name, w in layer.weights.items():
-                out[f"{i}.{name}"] = w
-        return out
+        return self.views(self.params)
 
     def grads_flat(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for name, g in layer.grads.items():
-                out[f"{i}.{name}"] = g
-        return out
+        return self.views(self.grads)
 
-    def set_weights_flat(self, values: dict[str, np.ndarray]):
-        mine = self.weights_flat()
+    def fill(self, flat: np.ndarray, values: dict[str, np.ndarray]):
+        """Write the named tensors ``values``, one for every tensor of
+        the model, into the flat vector ``flat``."""
+        mine = self.views(flat)
         if set(mine) != set(values):
             raise ValueError("weight name mismatch")
         for name, w in mine.items():
             if w.shape != values[name].shape:
                 raise ValueError(f"shape mismatch for {name}")
-            w[:] = values[name]
+            w[...] = values[name]
+
+    def set_weights_flat(self, values: dict[str, np.ndarray]):
+        self.fill(self.params, values)
 
 
 def build_model(spec: NetworkSpec, seed: int = 0) -> Model:

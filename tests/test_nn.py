@@ -17,9 +17,11 @@ from steanedec.nn import (AdamState, Checkpoint, Dense, Dropout, Lstm,
                           drnn_spec, load_checkpoint, restore,
                           save_checkpoint, srnn_spec, TrainConfig, train)
 from steanedec.nn.layers import sigmoid
-from steanedec.nn.model import ROW_BLOCK, row_blocks
+from steanedec.nn.model import ROW_BLOCK, row_blocks, spec_by_id
 from steanedec.sim import NoiseModel, sample_memory_batch
 from steanedec.steane import steane_code
+
+from adam_reference import per_tensor_update
 
 
 def tiny_recurrent_spec(units=4, heads=1):
@@ -538,7 +540,7 @@ class TestWeightWrites:
         before = model.forward(x, trace=True)
         model.zero_grads()
         model.backward(bce_loss_grad(y, before))
-        AdamState(lr=0.05).update(model.weights_flat(), model.grads_flat())
+        AdamState(lr=0.05).update(model.params, model.grads)
         fresh = build_model(tiny_recurrent_spec(), seed=7)
         fresh.set_weights_flat(
             {k: v.copy() for k, v in model.weights_flat().items()})
@@ -547,27 +549,203 @@ class TestWeightWrites:
         assert np.array_equal(after, fresh.forward(x))
 
 
+class TestFlatParameters:
+    """Every registered tensor is a view into the model's flat vectors."""
+
+    @pytest.mark.parametrize("spec_id", ["srnn-z", "drnn", "dnn2"])
+    def test_layer_tensors_tile_the_flat_buffers(self, spec_id):
+        model = build_model(spec_by_id(spec_id), seed=0)
+        for flat, kind in ((model.params, "weights"), (model.grads, "grads")):
+            tensors = [t for layer in model.layers
+                       for t in getattr(layer, kind).values()]
+            assert all(np.shares_memory(t, flat) for t in tensors)
+            # in layer and registration order, without gap or overlap
+            flat[:] = np.arange(flat.size)
+            assert np.array_equal(
+                np.concatenate([t.ravel() for t in tensors]),
+                np.arange(flat.size))
+
+    @pytest.mark.parametrize("spec_id", ["srnn-z", "drnn", "dnn2"])
+    def test_names_shapes_and_glorot_draws_unchanged(self, spec_id):
+        # the layers built alone, from one rng, hold the model's values
+        spec = spec_by_id(spec_id)
+        rng = np.random.default_rng(6)
+        expect = {}
+        for i, desc in enumerate(spec.layers):
+            if desc["kind"] == "lstm":
+                layer = Lstm(desc["units"], desc["input_dim"],
+                             desc["return_sequences"], rng=rng)
+            elif desc["kind"] == "dense":
+                layer = Dense(desc["units"], desc["input_dim"],
+                              desc["activation"], rng=rng)
+            else:
+                continue
+            expect.update((f"{i}.{k}", w) for k, w in layer.weights.items())
+        got = build_model(spec, seed=6).weights_flat()
+        assert list(got) == list(expect)
+        for k, w in expect.items():
+            assert np.array_equal(got[k], w), k
+
+    def test_zero_grads_and_flat_writes(self):
+        rng = np.random.default_rng(9)
+        x = rng.integers(0, 2, (6, 4, 3)).astype(float)
+        y = rng.integers(0, 2, (6, 1)).astype(float)
+        model = build_model(tiny_recurrent_spec(), seed=1)
+        model.backward(bce_loss_grad(y, model.forward(x, trace=True)))
+        assert all(g.any() for layer in model.layers
+                   for g in layer.grads.values())
+        model.zero_grads()
+        assert not any(g.any() for layer in model.layers
+                       for g in layer.grads.values())
+        other = build_model(tiny_recurrent_spec(), seed=2)
+        model.params[:] = other.params
+        assert np.array_equal(model.forward(x), other.forward(x))
+        model.set_weights_flat(build_model(tiny_recurrent_spec(),
+                                           seed=3).weights_flat())
+        assert np.array_equal(
+            model.forward(x),
+            build_model(tiny_recurrent_spec(), seed=3).forward(x))
+
+
+class TestFlatAdam:
+    """The flat Adam step against the per-tensor loop it replaced
+    (`adam_reference.py`): weights and moments bit-equal at every step,
+    and across a checkpoint save and `restore`."""
+
+    def reference(self, x, y, cfg):
+        """Weights and (m, v) after each epoch of `train`'s loop with the
+        per-tensor step."""
+        model = build_model(srnn_spec("Z"), seed=1)
+        adam, m, v = AdamState(lr=cfg.lr), {}, {}
+        states = []
+        for epoch in range(cfg.epochs):
+            rng = np.random.default_rng((cfg.seed, epoch))
+            order = rng.permutation(len(x))
+            for lo in range(0, len(x), cfg.batch_size):
+                idx = order[lo:lo + cfg.batch_size]
+                q = model.forward(x[idx], train=True, rng=rng)
+                model.zero_grads()
+                model.backward(bce_loss_grad(y[idx], q))
+                per_tensor_update(adam, m, v, model.weights_flat(),
+                                  model.grads_flat())
+            states.append((model.params.copy(),
+                           {k: a.copy() for k, a in m.items()},
+                           {k: a.copy() for k, a in v.items()}))
+        return states
+
+    def test_single_steps_match(self):
+        rng = np.random.default_rng(2)
+        model = build_model(srnn_spec("Z"), seed=0)
+        weights = {k: w.copy() for k, w in model.weights_flat().items()}
+        adam, ref, m, v = AdamState(lr=0.05), AdamState(lr=0.05), {}, {}
+        for _ in range(6):
+            model.grads[:] = rng.normal(size=model.grads.size)
+            adam.update(model.params, model.grads)
+            per_tensor_update(ref, m, v, weights, model.grads_flat())
+            for k, w in model.weights_flat().items():
+                assert np.array_equal(w, weights[k]), k
+        for k, mom in model.views(adam.m).items():
+            assert np.array_equal(mom, m[k]) and np.array_equal(
+                model.views(adam.v)[k], v[k]), k
+
+    def test_matches_per_tensor_loop_across_a_restore(self, tmp_path):
+        # 4 epochs of 3 steps on srnn-z (14 tensors), rows of 4 rounds
+        # with padded ones; the run stops after epoch 1 and resumes from
+        # its checkpoint
+        rng = np.random.default_rng(17)
+        x = rng.integers(0, 2, (48, 4, 12)).astype(float)
+        x[::3, 2:] = -1.0
+        y = rng.integers(0, 2, (48, 1)).astype(float)
+        cfg = TrainConfig(epochs=4, batch_size=16, lr=1e-2, seed=3)
+        states = self.reference(x, y, cfg)
+        first = build_model(srnn_spec("Z"), seed=1)
+        train(first, x, y, TrainConfig(epochs=2, batch_size=16, lr=1e-2,
+                                       seed=3), checkpoint_dir=str(tmp_path))
+        assert np.array_equal(first.params, states[1][0])
+        resumed = build_model(srnn_spec("Z"), seed=1)
+        adam = restore(resumed, load_checkpoint(tmp_path / "epoch_0001.ckpt"))
+        assert adam.step_count == 6
+        train(resumed, x, y, cfg, start_epoch=2, adam=adam,
+              checkpoint_dir=str(tmp_path))
+        assert adam.step_count == 12
+        assert np.array_equal(resumed.params, states[3][0])
+        for epoch in (1, 3):
+            ckpt = load_checkpoint(tmp_path / f"epoch_{epoch:04d}.ckpt")
+            _, m, v = states[epoch]
+            assert sorted(ckpt.weights) == sorted(
+                [*resumed.weights_flat(), *(f"adam.m.{k}" for k in m),
+                 *(f"adam.v.{k}" for k in v)])
+            for k in m:
+                assert np.array_equal(ckpt.weights[f"adam.m.{k}"], m[k]), k
+                assert np.array_equal(ckpt.weights[f"adam.v.{k}"], v[k]), k
+
+    def test_checkpoint_before_any_step_holds_no_moments(self, tmp_path):
+        model = build_model(dnn2_spec(input_dim=4), seed=0)
+        train(model, np.zeros((0, 4)), np.zeros((0, 1)),
+              TrainConfig(epochs=1), checkpoint_dir=str(tmp_path))
+        ckpt = load_checkpoint(tmp_path / "epoch_0000.ckpt")
+        assert sorted(ckpt.weights) == sorted(model.weights_flat())
+        adam = restore(build_model(dnn2_spec(input_dim=4), seed=0), ckpt)
+        assert adam.m is None and adam.v is None
+
+    def test_restore_rejects_moments_of_another_layout(self, tmp_path):
+        model = build_model(dnn2_spec(input_dim=4), seed=0)
+        train(model, np.ones((4, 4)), np.ones((4, 1)),
+              TrainConfig(epochs=1), checkpoint_dir=str(tmp_path))
+        ckpt = load_checkpoint(tmp_path / "epoch_0000.ckpt")
+        ckpt.weights["adam.m.0.W_old"] = ckpt.weights.pop("adam.m.0.W")
+        with pytest.raises(ValueError, match="name mismatch"):
+            restore(model, ckpt)
+
+
+class TestCompactInputs:
+    """`train` on the int8 layout of `NnDecoder.layout` gives the bits of
+    training on its float64 form."""
+
+    @pytest.mark.parametrize("spec_id, rounds",
+                             [("srnn-z", range(1, 9)), ("dnn2", [2])])
+    def test_int8_inputs_train_like_float64(self, spec_id, rounds):
+        code, noise = steane_code(), NoiseModel(5e-3)
+        dec = NnDecoder(build_model(spec_by_id(spec_id), seed=0))
+        xs, ys = [], []
+        for t in rounds:
+            batch = sample_memory_batch(code, noise, T=t, basis="Z",
+                                        shots=200, seed=t)
+            xs.append(dec.layout(batch.volumes, t_max=max(rounds)))
+            ys.append(dec.targets(batch.m_L))
+        x, y = np.concatenate(xs), np.concatenate(ys)
+        assert x.dtype == np.int8
+        assert np.array_equal(np.unique(x), [-1, 0, 1] if spec_id != "dnn2"
+                              else [0, 1])
+        cfg = TrainConfig(epochs=2, batch_size=64, lr=1e-3, seed=0)
+        compact = build_model(spec_by_id(spec_id), seed=0)
+        wide = build_model(spec_by_id(spec_id), seed=0)
+        assert train(compact, x, y, cfg) == train(wide, x.astype(float), y,
+                                                   cfg)
+        assert np.array_equal(compact.params, wide.params)
+
+
 class TestAdam:
     def test_first_step_size(self):
         # with g = 1 the bias-corrected first step is almost exactly lr
         adam = AdamState(lr=1e-3)
-        w = {"w": np.array([0.5])}
-        adam.update(w, {"w": np.array([1.0])})
-        assert abs((0.5 - w["w"][0]) - 1e-3) < 1e-9
+        w = np.array([0.5])
+        adam.update(w, np.array([1.0]))
+        assert abs((0.5 - w[0]) - 1e-3) < 1e-9
 
     def test_scalar_sequence_oracle(self):
         adam = AdamState(lr=0.01)
-        w = {"w": np.array([0.3])}
+        w = np.array([0.3])
         grads = [0.4, -1.2, 0.05, 2.0, -0.7]
         m = v = 0.0
         ref = 0.3
         for t, g in enumerate(grads, start=1):
-            adam.update(w, {"w": np.array([g])})
+            adam.update(w, np.array([g]))
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             ref -= 0.01 * (m / (1 - 0.9 ** t)) \
                 / math.sqrt(v / (1 - 0.999 ** t) + 1e-7)
-            assert abs(w["w"][0] - ref) < 1e-12
+            assert abs(w[0] - ref) < 1e-12
 
 
 class TestLosses:
@@ -725,8 +903,8 @@ class TestCheckpoint:
                        load_checkpoint(tmp_path / "b" / "epoch_0001.ckpt"))
         train(resumed, x, y, cfg, start_epoch=2, adam=adam)
 
-        for k, w in straight.weights_flat().items():
-            assert np.allclose(w, resumed.weights_flat()[k], atol=1e-12)
+        # resume is exact: the flat moments refill bit for bit
+        assert np.array_equal(straight.params, resumed.params)
 
     @pytest.fixture(autouse=True)
     def _mkdirs(self, tmp_path):

@@ -744,6 +744,27 @@ class TestCli:
                                       / "train_z_t8.sds")) == 200_000
         assert peak < 8e6
 
+    def test_train_memory_is_bounded_by_the_int8_inputs(self, tmp_path):
+        # the dnn2-monitor benchmark's train split (dnn2, T=2, 20,000
+        # shots) and one epoch: stacked as float64 inputs it peaked at
+        # 7.9 MB; as int8, converted one minibatch at a time, the bound
+        # is 3 MB
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"out: {tmp_path / 'run'}\ndecoder: dnn2\nrounds: 2\n"
+                       "shots: {train: 20000, val: 1, test: 1}\n"
+                       "train: {epochs: 1, batch_size: 64, lr: 0.001}\n")
+        assert self.run("gen-data", "--config", str(cfg)).exit_code == 0
+        tracemalloc.start()
+        try:
+            r = self.run("train", "--config", str(cfg))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.exit_code == 0, r.output
+        assert (tmp_path / "run" / "checkpoints" / "dnn2"
+                / "epoch_0000.ckpt").exists()
+        assert peak < 3e6
+
     def test_invalid_config_exit_1(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("decoder: nosuch\n")
