@@ -27,6 +27,9 @@ Prints one JSON line:
     vector) on 64 rows that mix T = 1..8 in equal shares, padded to 8
     rounds as ``steanedec train`` pads them; ``dnn2_train_step_s`` the
     same for the dnn2 decoder on 64 rows of T = 2;
+  * ``adam_update_us``: microseconds of one `AdamState.update` on the
+    srnn decoder's flat parameter vector (20,833 entries), the optimizer
+    part of each training step;
   * ``train_data_peak_mb``: the `tracemalloc` peak, in MB, of stacking
     the train split of an srnn-z run at ``rounds: 8`` and 100,000 train
     shots into ``steanedec train``'s int8 inputs and its labels
@@ -189,6 +192,11 @@ def train_figures() -> dict:
                srnn_spec("Z"), range(1, T + 1))),
            **second_figures("dnn2_train_step_s", train_step_seconds(
                dnn2_spec(), [2]))}
+    model = build_model(srnn_spec("Z"), seed=0)
+    model.grads[:] = np.random.default_rng(2).normal(size=model.grads.shape)
+    adam = AdamState()
+    out.update(second_figures("adam_update_us", 1e6 * repeat_seconds(
+        lambda: adam.update(model.params, model.grads), 500)))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.yaml")
         with open(path, "w") as fh:

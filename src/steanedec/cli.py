@@ -330,15 +330,29 @@ def cmd_gen_data(**kw):
 def _training_arrays(cfg, model):
     """Stack the train-split datasets into ``model``'s inputs, in the
     compact int8 form of `NnDecoder.layout` that `train` converts one
-    minibatch at a time, and its float labels."""
-    xs, ys = [], []
-    for basis in decoder_bases(cfg["decoder"]):
+    minibatch at a time, and its float labels. The datasets are read one
+    at a time into arrays sized by `dataset_plan`, so the peak is the
+    result plus one dataset."""
+    plan = [(basis, t, shots) for split, basis, t, shots, _
+            in dataset_plan(cfg) if split == "train"]
+    total = sum(shots for *_, shots in plan)
+    x = y = None
+    lo = 0
+    for basis, t, shots in plan:
+        ds = require_dataset(cfg, "train", basis, t)
+        if len(ds) != shots:
+            fail(1, f"dataset {dataset_path(cfg, 'train', basis, t)} holds "
+                 f"{len(ds)} shots, not the {shots} of the config")
         decoder = NnDecoder(model, basis)
-        for t in dataset_rounds(cfg):
-            ds = require_dataset(cfg, "train", basis, t)
-            xs.append(decoder.layout(ds.volumes, t_max=cfg["rounds"]))
-            ys.append(decoder.targets(ds.m_L))
-    return np.concatenate(xs), np.concatenate(ys)
+        xb = decoder.layout(ds.volumes, t_max=cfg["rounds"])
+        yb = decoder.targets(ds.m_L)
+        if x is None:
+            x = np.empty((total,) + xb.shape[1:], np.int8)
+            y = np.empty((total,) + yb.shape[1:])
+        x[lo:lo + shots] = xb
+        y[lo:lo + shots] = yb
+        lo += shots
+    return x, y
 
 
 @main.command("train")

@@ -22,9 +22,11 @@ of them:
 
 The trie runs the arithmetic of `Model.forward` on every row, in
 near-equal blocks of at most `ROW_BLOCK` rows, and a lone row beside a
-copy of itself (see `Lstm._active`). BLAS may still round a row by its
-place in a product, so an output can differ from `Model.forward`'s in
-the last bit; the thresholded flips are equal.
+copy of itself (see `Lstm._active`): each LSTM round is the layer's
+no-cache `Lstm._round` in its `Lstm.round_buffers`, which activates the
+gates in a gate-major slab as every LSTM pass does. BLAS may still
+round a row by its place in a product, so an output can differ from
+`Model.forward`'s in the last bit; the thresholded flips are equal.
 """
 
 from __future__ import annotations
@@ -102,10 +104,7 @@ def _advance(lstms, states, parent, code):
     for lo, hi in zip(edges, edges[1:]):
         xt = x[lo:hi]
         for layer, (h, c) in zip(lstms, new):
-            n = layer.n
-            scratch = (np.empty((hi - lo, 4 * n)), np.empty((hi - lo, 4 * n)),
-                       np.empty((hi - lo, n)), np.empty((hi - lo, n)))
-            layer._round(xt, h[lo:hi], c[lo:hi], scratch)
+            layer._round(xt, h[lo:hi], c[lo:hi], layer.round_buffers(hi - lo))
             xt = h[lo:hi]
     return new
 

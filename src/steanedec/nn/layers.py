@@ -93,7 +93,13 @@ class Lstm(Layer):
 
     The parameters are three fused gate blocks, W_x (d, 4n), W_h (n, 4n)
     and b (4n,), each with one n-column block per gate in FUSED order,
-    which puts the three logistic gates next to each other.
+    which puts the three logistic gates next to each other. A round forms
+    its pre-activations x W_x + h W_h + b in that fused (rows, 4n) layout
+    and activates them in a gate-major (4, rows, n) slab, where each gate,
+    and the three logistic gates together, are one contiguous block;
+    `backward` forms its gate gradients in the slab and turns them to the
+    fused layout once for its products. `gates` and `slopes` read either
+    layout.
 
     A round runs only on the rows whose mask is 1: the others keep their
     state, output 0 in the sequence and pass their state gradients
@@ -126,30 +132,45 @@ class Lstm(Layer):
         self._register("b", b)
 
     def gates(self, a):
-        """(o, f, i, cc) views of a (.., 4n) gate block."""
+        """(o, f, i, cc) views of a gate block: the leading index of a
+        gate-major (4, .., n) slab, or the n-column blocks of a fused
+        (.., 4n) block, the layout of the parameters and of DeepSHAP's
+        pair grids."""
         n = self.n
+        if a.shape[-1] != 4 * n:
+            return tuple(a)
         return tuple(a[..., k * n:(k + 1) * n] for k in range(4))
+
+    def fused(self, a):
+        """The fused (rows, 4n) layout of a gate block: a copy of a
+        (4, rows, n) slab, or ``a`` itself."""
+        if a.shape[-1] == 4 * self.n:
+            return a
+        return a.transpose(1, 0, 2).reshape(a.shape[1], 4 * self.n)
 
     def slopes(self, a):
         """Slope of each gate's activation at its pre-activation, from the
-        activations of a (.., 4n) gate block."""
-        n = self.n
+        activations ``a`` (a slab or a fused block), in a's layout."""
         d = a * (1.0 - a)
-        cc = a[..., 3 * n:]
-        d[..., 3 * n:] = 1.0 - cc * cc
+        o, _, _, cc = self.gates(a)
+        d_o, _, _, d_cc = self.gates(d)
+        d_cc[...] = 1.0 - cc * cc
         if self.output_gate_activation == "relu":
-            d[..., :n] = a[..., :n] > 0
+            d_o[...] = o > 0
         return d
 
     def _activate(self, z):
-        """Gate activations of a (.., 4n) pre-activation block, in place."""
+        """Gate activations of a pre-activation block (a slab or a fused
+        block), in place."""
         n = self.n
+        o, _, _, cc = self.gates(z)
         lo = 0
         if self.output_gate_activation == "relu":
-            np.maximum(z[..., :n], 0.0, out=z[..., :n])
-            lo = n
-        sigmoid(z[..., lo:3 * n], out=z[..., lo:3 * n])
-        np.tanh(z[..., 3 * n:], out=z[..., 3 * n:])
+            np.maximum(o, 0.0, out=o)
+            lo = 1
+        logistic = z[lo:3] if z.shape[-1] != 4 * n else z[..., lo * n:3 * n]
+        sigmoid(logistic, out=logistic)
+        np.tanh(cc, out=cc)
         return z
 
     @staticmethod
@@ -168,25 +189,37 @@ class Lstm(Layer):
             rows = np.append(rows, 1 if rows[0] == 0 else 0)
         return rows, live
 
+    def round_buffers(self, rows):
+        """Work buffers for `_round` on up to ``rows`` rows."""
+        n = self.n
+        return (np.empty((rows, 4 * n)), np.empty((rows, 4 * n)),
+                np.empty((rows, n)), np.empty((rows, n)))
+
     def _round(self, xt, h_prev, c_prev, scratch):
-        """One recurrence step on the rows of ``xt``. Returns the gate
-        activations, memory, tanh(memory) and output. With ``scratch``
-        (the layer's round buffers) it writes into them and updates
-        ``h_prev`` and ``c_prev`` in place; with None it allocates every
-        array, so that a cache can keep them."""
+        """One recurrence step on the rows of ``xt``. Returns the fused
+        pre-activations, the gate-major activation slab, memory,
+        tanh(memory) and output. With ``scratch`` (`round_buffers`) it
+        writes into them and updates ``h_prev`` and ``c_prev`` in place;
+        with None it allocates every array, so that a cache can keep
+        them."""
         wx, wh, b = (self.weights[k] for k in ("W_x", "W_h", "b"))
-        s_a = s_hw = s_tc = s_ci = s_c = s_h = None
+        rows, n = len(xt), self.n
+        s_z = s_hw = s_tc = s_ci = s_c = s_h = None
         if scratch is not None:
-            s_a, s_hw, s_tc, s_ci = (s[:len(xt)] for s in scratch)
+            s_z, s_hw, s_tc, s_ci = (s[:rows] for s in scratch)
             s_c, s_h = c_prev, h_prev
-        a = np.matmul(xt, wx, out=s_a)
-        a += np.matmul(h_prev, wh, out=s_hw)  # (x W_x + h W_h) + b
-        a += b
-        o, f, i, cc = self.gates(self._activate(a))
+        z = np.matmul(xt, wx, out=s_z)
+        hw = np.matmul(h_prev, wh, out=s_hw)
+        z += hw  # (x W_x + h W_h) + b
+        z += b
+        # the slab takes the spent product's memory
+        a = hw.reshape(4, rows, n)
+        np.copyto(a, z.reshape(rows, 4, n).transpose(1, 0, 2))
+        o, f, i, cc = self._activate(a)
         c = np.multiply(c_prev, f, out=s_c)
         c += np.multiply(cc, i, out=s_ci)
         tc = np.tanh(c, out=s_tc)
-        return a, c, tc, np.multiply(o, tc, out=s_h)
+        return z, a, c, tc, np.multiply(o, tc, out=s_h)
 
     def forward(self, x, mask=None, train=False, rng=None, trace=False):
         keep = train or trace
@@ -196,9 +229,7 @@ class Lstm(Layer):
         c = np.zeros((B, n))
         seq = np.zeros((B, T, n)) if self.return_sequences else None
         # a forward without a cache reuses one set of round buffers
-        scratch = None if keep else (np.empty((B, 4 * n)),
-                                     np.empty((B, 4 * n)),
-                                     np.empty((B, n)), np.empty((B, n)))
+        scratch = None if keep else self.round_buffers(B)
         steps = []
         for t in range(T):
             rows, live = self._active(mask, t)
@@ -211,10 +242,12 @@ class Lstm(Layer):
                 continue
             else:
                 xt, hp, cp = x[rows, t], h[rows], c[rows]
-            a, c_new, tc, h_new = self._round(xt, hp, cp, scratch)
+            z, a, c_new, tc, h_new = self._round(xt, hp, cp, scratch)
             if keep:
                 steps.append(dict(x=xt, h_prev=hp, c_prev=cp, a=a, c=c_new,
                                   tc=tc, rows=rows, live=live))
+                if trace:  # DeepSHAP reads the pre-activations
+                    steps[-1]["z"] = z
             if rows is None:
                 h, c = h_new, c_new
                 if seq is not None:
@@ -257,13 +290,15 @@ class Lstm(Layer):
                 dh[live:] = 0.0  # an idle row adds nothing
                 dc[live:] = 0.0
             dc = dc + dh * o * (1.0 - tc * tc)
-            # dz = (gradient at the gate's output) * (its slope)
+            # dz = (gradient at the gate's output) * (its slope), formed
+            # in a's layout and turned fused once for the four products
             dz = self.slopes(a)
             dz_o, dz_f, dz_i, dz_c = self.gates(dz)
             dz_o *= dh * tc
             dz_f *= dc * s["c_prev"]
             dz_i *= dc * cc
             dz_c *= dc * i
+            dz = self.fused(dz)
             gwx += s["x"].T @ dz
             gwh += s["h_prev"].T @ dz
             gb += dz.sum(axis=0)

@@ -37,12 +37,13 @@ max(max_rows, nb) pairs, and its multipliers are formed on an
 (inputs, background, ..) grid by broadcasting the two traces against
 each other. Keeping the whole background in every tile keeps one
 summation order whatever the tile size. The background is traced once
-per group and each tile's inputs once, and each trace computes its
-per-round quantities (the LSTM gate pre-activations and the slopes the
-rescale rule falls back on) once for every tile it meets. The LSTM
+per group and each tile's inputs once; the traced forward keeps the
+LSTM gate pre-activations, and each trace computes its other per-round
+quantities (the fused gate activations and the slopes the rescale rule
+falls back on) once for every tile it meets. The LSTM
 pass allocates its work grids once per tile and writes every round
 into them, with the same operations as allocating them anew. Memory
-is then the background trace plus one tile (about 10 KB a pair for the
+is then the background trace plus one tile (about 12 KB a pair for the
 srnn decoder at 8 rounds), whatever the number of inputs.
 """
 
@@ -56,7 +57,7 @@ from .shapley import _distinct_rows
 GUARD = 1e-12
 # default pair budget of a tile: on the srnn decoder at 8 rounds, pairs/s
 # is flat from 256 to 2048 pairs, while a tile's memory grows with it
-MAX_ROWS = 512
+MAX_ROWS = 256
 
 
 def _rescale(a_x, a_r, d_in, local, out=None, tiny=None):
@@ -86,20 +87,18 @@ def _padding(model, x):
 
 
 def _lstm_trace(layer, cache, local):
-    """``cache`` with each round's gate pre-activations ``z`` and, with
-    ``local``, the slopes the rescale rule falls back on: the gates'
-    (``slope``) and tanh's at the memory (``dtanh``). Each trace computes
-    them once for every tile it meets; only the input pass needs the
-    slopes."""
-    wx, wh, b = (layer.weights[k] for k in ("W_x", "W_h", "b"))
-    steps = []
+    """``cache``, each round's gate activations ``a`` turned in place
+    from the forward's gate-major slab to the fused (rows, 4n) layout of
+    the pair grids (so one layout stays alive), beside the
+    pre-activations ``z`` the traced forward kept, and, with ``local``,
+    the slopes the rescale rule falls back on: the gates' (``slope``) and
+    tanh's at the memory (``dtanh``). Each trace computes them once for
+    every tile it meets; only the input pass needs the slopes."""
     for s in cache["steps"]:
-        step = dict(s, z=(s["x"] @ wx + s["h_prev"] @ wh) + b)
+        s["a"] = layer.fused(s["a"])
         if local:
-            step.update(slope=layer.slopes(s["a"]),
-                        dtanh=1.0 - s["tc"] ** 2)
-        steps.append(step)
-    return dict(cache, steps=steps)
+            s.update(slope=layer.slopes(s["a"]), dtanh=1.0 - s["tc"] ** 2)
+    return cache
 
 
 def _forward_trace(model, x, local=True):

@@ -18,9 +18,12 @@ from steanedec.nn import (AdamState, Checkpoint, Dense, Dropout, Lstm,
                           save_checkpoint, srnn_spec, TrainConfig, train)
 from steanedec.nn.layers import sigmoid
 from steanedec.nn.model import ROW_BLOCK, row_blocks, spec_by_id
+from steanedec.decoders import _sort_columns, _trie_outputs, round_codes
 from steanedec.sim import NoiseModel, sample_memory_batch
 from steanedec.steane import steane_code
+from steanedec.xai import deepshap
 
+import lstm_reference
 from adam_reference import per_tensor_update
 
 
@@ -696,6 +699,108 @@ class TestFlatAdam:
         ckpt.weights["adam.m.0.W_old"] = ckpt.weights.pop("adam.m.0.W")
         with pytest.raises(ValueError, match="name mismatch"):
             restore(model, ckpt)
+
+
+def exact_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+class TestGateSlab:
+    """Every LSTM pass activates its gates in a gate-major slab; the
+    strided in-place passes of `lstm_reference.py` give the same bits."""
+
+    @pytest.mark.parametrize("mode", ["train", "trace", "no_cache"])
+    @pytest.mark.parametrize("kind", ["tail", "interior", "all_padded",
+                                      "all_ones"])
+    @pytest.mark.parametrize("seq", [True, False])
+    @pytest.mark.parametrize("gate", ["sigmoid", "relu"])
+    @pytest.mark.parametrize("B,T,d,n", [(9, 6, 3, 4), (64, 8, 12, 36)])
+    def test_pass_matches_reference(self, mode, kind, seq, gate, B, T, d, n):
+        rng = np.random.default_rng(B + T)
+        mask = mask_of(kind, rng, B, T)
+        x = rng.normal(size=(B, T, d)) * mask[:, :, None]
+        dout = rng.normal(size=(B, T, n) if seq else (B, n))
+        new, ref = (Lstm(n, d, seq, rng=np.random.default_rng(5),
+                         output_gate_activation=gate) for _ in range(2))
+        kw = {"train": dict(train=True), "trace": dict(trace=True),
+              "no_cache": {}}[mode]
+        out = new.forward(x, mask=mask, **kw)
+        assert exact_bits(out, lstm_reference.forward(ref, x, mask, **kw))
+        if mode == "no_cache":
+            return
+        assert exact_bits(new.backward(dout),
+                          lstm_reference.backward(ref, dout))
+        for k, g in ref.grads.items():
+            assert exact_bits(new.grads[k], g), k
+
+    @pytest.mark.parametrize("local", [True, False])
+    @pytest.mark.parametrize("make", [
+        lambda: build_model(srnn_spec("Z"), seed=3),
+        lambda: build_model(drnn_spec(), seed=4),
+        lambda: Model(NetworkSpec("relu", 3, True, (
+            {"kind": "masking", "mask_value": -1.0},
+            {"kind": "lstm", "units": 5, "input_dim": 12,
+             "return_sequences": False, "output_gate_activation": "relu"},
+            {"kind": "dense", "units": 1, "input_dim": 5,
+             "activation": "sigmoid"})), seed=8),
+    ], ids=["srnn", "drnn", "relu-gate"])
+    def test_deepshap_trace_matches_reference(self, make, local,
+                                              monkeypatch):
+        # the traced forward's pre-activations and fused activations are
+        # the ones the reference trace recomputed
+        model = make()
+        x = (np.random.default_rng(10).random((17, 6, 12)) < 0.2) * 1.0
+        x[3, 4:] = -1.0  # a background row's -1 rounds stay inputs
+        out, traces = deepshap._forward_trace(model, x, local)
+        monkeypatch.setattr(Lstm, "forward", lstm_reference.forward)
+        monkeypatch.setattr(deepshap, "_lstm_trace",
+                            lstm_reference.lstm_trace)
+        ref_out, ref_traces = deepshap._forward_trace(model, x, local)
+        assert exact_bits(out, ref_out)
+        keys = ["x", "h_prev", "c_prev", "z", "a", "c", "tc"]
+        keys += ["slope", "dtanh"] if local else []
+        for layer, tr, rt in zip(model.layers, traces, ref_traces):
+            if not isinstance(layer, Lstm):
+                continue
+            for s, r in zip(tr["steps"], rt["steps"], strict=True):
+                assert sorted(s) == sorted(r)
+                for k in keys:
+                    assert exact_bits(s[k], r[k]), k
+
+    @pytest.mark.parametrize("spec", [srnn_spec("Z"), drnn_spec()],
+                             ids=["srnn", "drnn"])
+    def test_trie_rounds_match_reference(self, spec, monkeypatch):
+        model = build_model(spec, seed=11)
+        rng = np.random.default_rng(12)
+        codes = [round_codes(rng.random((n, t, 12)) < 0.1)
+                 for n, t in ((300, 3), (1, 8), (700, 8), (40, 1))]
+        cols, lengths = _sort_columns(codes)
+        q = _trie_outputs(model, cols, lengths, 0)
+        monkeypatch.setattr(Lstm, "_round", lstm_reference.round_)
+        assert exact_bits(q, _trie_outputs(model, cols, lengths, 0))
+
+    def test_training_matches_reference(self, monkeypatch):
+        # 2 epochs on the T = 1..8 mix padded to 8 rounds, as in the
+        # srnn-pipeline benchmark's train stage: the same weight bits
+        code, noise = steane_code(), NoiseModel(5e-3)
+        dec = NnDecoder(build_model(srnn_spec("Z"), seed=0))
+        xs, ys = [], []
+        for t in range(1, 9):
+            batch = sample_memory_batch(code, noise, T=t, basis="Z",
+                                        shots=600, seed=t)
+            xs.append(dec.inputs(batch.volumes, t_max=8))
+            ys.append(dec.targets(batch.m_L))
+        x, y = np.concatenate(xs), np.concatenate(ys)
+        cfg = TrainConfig(epochs=2, batch_size=64, lr=1e-3, seed=0)
+        new = build_model(srnn_spec("Z"), seed=0)
+        history = train(new, x, y, cfg)
+        monkeypatch.setattr(Lstm, "forward", lstm_reference.forward)
+        monkeypatch.setattr(Lstm, "backward", lstm_reference.backward)
+        ref = build_model(srnn_spec("Z"), seed=0)
+        assert train(ref, x, y, cfg) == history
+        assert exact_bits(new.params, ref.params)
 
 
 class TestCompactInputs:

@@ -765,6 +765,61 @@ class TestCli:
                 / "epoch_0000.ckpt").exists()
         assert peak < 3e6
 
+    def training_arrays(self, tmp_path, decoder, rounds, shots):
+        """(cfg, model, x, y, tracemalloc peak) of `cli._training_arrays`
+        on a fresh gen-data run."""
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"out: {tmp_path / 'run'}\ndecoder: {decoder}\n"
+                        f"rounds: {rounds}\n"
+                        f"shots: {{train: {shots}, val: 16, test: 16}}\n")
+        assert self.run("gen-data", "--config", str(path)).exit_code == 0
+        cfg = load_config(str(path), {})
+        model = build_model(spec_by_id(decoder), seed=0)
+        tracemalloc.start()
+        try:
+            x, y = cli._training_arrays(cfg, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return cfg, model, x, y, peak
+
+    @pytest.mark.parametrize("decoder, rounds", [("srnn-z", 4), ("drnn", 3),
+                                                 ("dnn2", 2)])
+    def test_training_arrays_equal_the_concatenation(self, tmp_path, decoder,
+                                                     rounds):
+        cfg, model, x, y, _ = self.training_arrays(tmp_path, decoder, rounds,
+                                                   1200)
+        xs, ys = [], []
+        for basis in cli.decoder_bases(decoder):
+            dec = NnDecoder(model, basis)
+            for t in cli.dataset_rounds(cfg):
+                ds = cli.require_dataset(cfg, "train", basis, t)
+                xs.append(dec.layout(ds.volumes, t_max=rounds))
+                ys.append(dec.targets(ds.m_L))
+        assert x.dtype == np.int8
+        assert np.array_equal(x, np.concatenate(xs))
+        assert np.array_equal(y, np.concatenate(ys))
+
+    def test_training_arrays_hold_one_dataset_beside_the_result(self,
+                                                                tmp_path):
+        # srnn-z at rounds: 8 and 40,000 train shots, 5,000 a dataset:
+        # the result plus one dataset, under 1.5 times the result, where
+        # stacking the parts with np.concatenate held about twice it
+        *_, x, y, peak = self.training_arrays(tmp_path, "srnn-z", 8, 40_000)
+        assert len(x) == 40_000
+        assert peak < 1.5 * (x.nbytes + y.nbytes)
+
+    def test_train_rejects_a_dataset_of_another_size(self, tmp_path):
+        cfg, *_ = self.training_arrays(tmp_path, "dnn2", 2, 300)
+        path = cli.dataset_path(cfg, "train", "Z", 2)
+        ds = dsmod.read_dataset(path)
+        ds.volumes, ds.m_in, ds.m_out = ds.volumes[1:], ds.m_in[1:], \
+            ds.m_out[1:]
+        dsmod.write_dataset(path, header(ds), [ds])
+        r = self.run("train", "--config", str(tmp_path / "cfg.yaml"))
+        assert r.exit_code == 1
+        assert "holds 299 shots, not the 300" in r.output
+
     def test_invalid_config_exit_1(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("decoder: nosuch\n")
