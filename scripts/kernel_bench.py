@@ -69,6 +69,9 @@ Prints one JSON line:
     `dataset.write_with_text`), the fault table built before;
   * ``dataset_pack_s``: seconds to pack the records of those 90,000
     shots into the bytes of a dataset file, in one block;
+  * ``read_dataset_ms``: milliseconds of `dataset.read_dataset` on that
+    90,000-shot T = 8 dataset file, the train split of the
+    ``lut-memory`` benchmark's size;
   * ``import_cli_s``: seconds of ``python -c "import steanedec.cli"``
     in a fresh interpreter, interpreter start-up included; every CLI
     stage pays it before its own work.
@@ -97,6 +100,7 @@ import numpy as np
 
 from steanedec import cli
 from steanedec import dataset as dsmod
+from steanedec.circuits import pack_rounds
 from steanedec.decoders import NnDecoder
 from steanedec.nn import (AdamState, Lstm, bce_loss_grad, build_model,
                           dnn2_spec, srnn_spec)
@@ -223,10 +227,9 @@ def srnn_eval_sweep(model) -> dict:
     batches = [sample_memory_batch(code, NoiseModel(p_ph), t, "Z", 1500,
                                    seed=2 + 1000 * t)
                for p_ph in (1e-3, 2e-3, 5e-3) for t in range(1, T + 1)]
-    row_rounds = sum(b.volumes.shape[0] * b.volumes.shape[1]
-                     for b in batches)
-    distinct = sum(len(np.unique(b.volumes.reshape(len(b), -1), axis=0))
-                   * b.volumes.shape[1] for b in batches)
+    row_rounds = sum(b.codes.size for b in batches)
+    distinct = sum(len(np.unique(b.codes, axis=0)) * b.codes.shape[1]
+                   for b in batches)
     lstm, prefix = model.layers[1], []
 
     def counted(xt, *args):
@@ -257,8 +260,8 @@ def srnn_eval_sweep(model) -> dict:
 
 def deepshap_figures(model, rng) -> dict:
     decoder = NnDecoder(model)
-    xs = (rng.random((60, T, 12)) < 0.1).astype(float)
-    bg = (rng.random((100, T, 12)) < 0.1).astype(float)
+    xs = pack_rounds(rng.random((60, T, 12)) < 0.1)
+    bg = pack_rounds(rng.random((100, T, 12)) < 0.1)
     sec = repeat_seconds(lambda: decoder.attributions(xs, bg), 1)
     out = rate_figures("deepshap_pairs_per_s", 60 * 100, sec)
     tracemalloc.start()
@@ -268,7 +271,7 @@ def deepshap_figures(model, rng) -> dict:
     finally:
         tracemalloc.stop()
     out["deepshap_peak_mb"] = round(peak / 1e6, 1)
-    bg = (rng.random((1000, T, 12)) < 0.1).astype(float)
+    bg = pack_rounds(rng.random((1000, T, 12)) < 0.1)
     sec = repeat_seconds(lambda: decoder.attributions(xs[:20], bg), 1,
                          repeats=3)
     out.update(rate_figures("deepshap_pairs_per_s_bg1000", 20 * 1000, sec))
@@ -352,10 +355,12 @@ def gen_data_figures() -> dict:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        read_ms = 1e3 * repeat_seconds(lambda: dsmod.read_dataset(path), 1)
     batch = sample_memory_batch(code, noise, T, "Z", shots, seed=1)
     return {"gen_data_peak_mb": round(peak / 1e6, 2),
+            **second_figures("read_dataset_ms", read_ms),
             **second_figures("dataset_pack_s", repeat_seconds(
-                lambda: dsmod._records(batch.volumes, batch.m_in,
+                lambda: dsmod._records(batch.codes, batch.m_in,
                                        batch.m_out), 1))}
 
 

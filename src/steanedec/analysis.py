@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .circuits import (ANC, FaultInjection, basis_channels,
+from .circuits import (ANC, ROUND_BITS, FaultInjection, basis_channels,
                        build_qec_cycle)
 from .sim import (MemoryBatch, NoiseModel, _fault_batch, sample_memory_batch,
                   single_fault_batch)
@@ -179,7 +179,7 @@ def score_batches(decoder, batches) -> list[tuple[int, int, int]]:
     seen = []
 
     def record(batch):
-        seen.append((batch.volumes.shape[1], batch.m_L))
+        seen.append((batch.codes.shape[1], batch.m_L))
         return batch
 
     flips = decoder.predict_flips_batches(map(record, batches))
@@ -313,7 +313,7 @@ def derive_hook_signatures(code: CodeDefinition, basis: str) -> HookSignatureSet
         faults.append(FaultInjection(g.loc, paulis))
     # one run of the hook class per plaquette, as one noiseless batch
     hook = []
-    for vol in _fault_batch(code, faults, basis, T=3).volumes:
+    for vol in ROUND_BITS[_fault_batch(code, faults, basis, T=3).codes]:
         flag_hits = [(t, c) for t in range(3) for c in flag_family if vol[t, c]]
         syn_hits = [(t, c) for t in range(3) for c in syn_family if vol[t, c]]
         assert len(flag_hits) == 1 and len(syn_hits) >= 1

@@ -12,11 +12,17 @@ flag couplings are CNOT(anc -> flag) in both.
 
 The simulator register has 9 qubits: data 0..6, ancilla 7, flag 8 (the
 ancilla/flag pair is reset for every plaquette readout).
+
+A round's 12 channel bits are its round code (bit c is channel c), the
+one syndrome form from the sampler through the dataset files to the
+decoders: `pack_rounds` packs bits into codes, `ROUND_BITS` unpacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .steane import CodeDefinition
 
@@ -31,13 +37,36 @@ SZ = (3, 4, 5)
 FX = (6, 7, 8)
 FZ = (9, 10, 11)
 
+# row k: the 12 channel bits of round code k
+ROUND_BITS = np.unpackbits(
+    np.arange(1 << N_CHANNELS, dtype="<u2").view(np.uint8).reshape(-1, 2),
+    axis=1, count=N_CHANNELS, bitorder="little")
+ROUND_BITS.setflags(write=False)
 
-def syndrome_channel(ptype: str, k: int) -> int:
-    return (SX if ptype == "X" else SZ)[k]
+
+def pack_rounds(bits) -> np.ndarray:
+    """The uint16 round codes of the (..., 12) channel ``bits``: bit c of
+    a code is channel c of its round."""
+    packed = np.packbits(np.asarray(bits, dtype=bool), axis=-1,
+                         bitorder="little")
+    return packed.view("<u2")[..., 0]
 
 
-def flag_channel(ptype: str, k: int) -> int:
-    return (FX if ptype == "X" else FZ)[k]
+class RoundRecords:
+    """Shots held as (shots, T) uint16 round ``codes`` with input and
+    output labels ``m_in`` and ``m_out``."""
+
+    @property
+    def volumes(self) -> np.ndarray:
+        """(shots, T, 12) uint8 channel bits, gathered on each read."""
+        return ROUND_BITS[self.codes]
+
+    @property
+    def m_L(self) -> np.ndarray:
+        return self.m_in ^ self.m_out
+
+    def __len__(self) -> int:
+        return self.codes.shape[0]
 
 
 def basis_channels(basis: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -92,7 +121,7 @@ def build_qec_cycle(code: CodeDefinition, cycles: int = 1,
     loc = 0
     first = 0 if include_prep else 1
     for cycle in range(first, cycles + 1):
-        for ptype in ("X", "Z"):
+        for ptype, syn, flag in (("X", SX, FX), ("Z", SZ, FZ)):
             for k in range(code.n_stabilizers):
                 gates.append(Gate("prep_plus", (ANC,), loc, cycle=cycle))
                 loc += 1
@@ -106,10 +135,10 @@ def build_qec_cycle(code: CodeDefinition, cycles: int = 1,
                     gates.append(Gate(kind, qubits, loc, cycle=cycle))
                     loc += 1
                 gates.append(Gate("meas_x", (ANC,), loc,
-                                  channel=syndrome_channel(ptype, k), cycle=cycle))
+                                  channel=syn[k], cycle=cycle))
                 loc += 1
                 gates.append(Gate("meas_z", (FLAG,), loc,
-                                  channel=flag_channel(ptype, k), cycle=cycle))
+                                  channel=flag[k], cycle=cycle))
                 loc += 1
     return gates
 

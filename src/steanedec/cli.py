@@ -24,6 +24,7 @@ import yaml
 from . import dataset as dsmod
 from .analysis import (ft_contract, ft_monitor, scaling_exponent,
                        sweep_error_rates)
+from .circuits import ROUND_BITS
 from .decoders import NnDecoder
 from .files import replacing
 from .nn import (TrainConfig, build_model, config_hash, load_checkpoint,
@@ -331,8 +332,8 @@ def _training_arrays(cfg, model):
     """Stack the train-split datasets into ``model``'s inputs, in the
     compact int8 form of `NnDecoder.layout` that `train` converts one
     minibatch at a time, and its float labels. The datasets are read one
-    at a time into arrays sized by `dataset_plan`, so the peak is the
-    result plus one dataset."""
+    at a time, as round codes, into arrays sized by `dataset_plan`, so
+    the peak is the result plus one dataset's inputs."""
     plan = [(basis, t, shots) for split, basis, t, shots, _
             in dataset_plan(cfg) if split == "train"]
     total = sum(shots for *_, shots in plan)
@@ -344,7 +345,7 @@ def _training_arrays(cfg, model):
             fail(1, f"dataset {dataset_path(cfg, 'train', basis, t)} holds "
                  f"{len(ds)} shots, not the {shots} of the config")
         decoder = NnDecoder(model, basis)
-        xb = decoder.layout(ds.volumes, t_max=cfg["rounds"])
+        xb = decoder.layout(ds.codes, t_max=cfg["rounds"])
         yb = decoder.targets(ds.m_L)
         if x is None:
             x = np.empty((total,) + xb.shape[1:], np.int8)
@@ -352,6 +353,7 @@ def _training_arrays(cfg, model):
         x[lo:lo + shots] = xb
         y[lo:lo + shots] = yb
         lo += shots
+        del ds, xb  # neither is alive while the next dataset is read
     return x, y
 
 
@@ -457,7 +459,7 @@ def cmd_explain(**kw):
                        f"{now - start:.1f} s "
                        f"({done / (now - start):.0f} pairs/s)")
 
-    phi, phi0 = decoder.attributions(val.volumes[:n], bg_ds.volumes[:nb],
+    phi, phi0 = decoder.attributions(val.codes[:n], bg_ds.codes[:nb],
                                      progress=progress)
     seconds = time.monotonic() - start
     click.echo(f"attributed {pairs} distinct pairs in {seconds:.2f} s "
@@ -468,7 +470,7 @@ def cmd_explain(**kw):
                  f"basis={basis} phi-grid rows=samples\n")
         for i in range(n):
             grid = " ".join(f"{v:.6g}" for v in phi[i].reshape(-1))
-            vol = "".join(str(b) for b in val.volumes[i].reshape(-1))
+            vol = "".join(map(str, ROUND_BITS[val.codes[i]].ravel()))
             fh.write(f"{i} {val.T} {basis} {phi0[i]:.6g} {grid} {vol}\n")
     with replacing(os.path.join(cfg["out"],
                                 f"attributions_{cfg['decoder']}.npy")) as fh:
@@ -517,8 +519,8 @@ def cmd_monitor(**kw):
     bg_ds = require_dataset(cfg, "train", basis, t)
 
     def attribution_fn(decoder):
-        return decoder.attributions(val.volumes[:2000],
-                                    bg_ds.volumes[:200])[0]
+        return decoder.attributions(val.codes[:2000],
+                                    bg_ds.codes[:200])[0]
 
     def decoders():
         for i, path in enumerate(paths, 1):

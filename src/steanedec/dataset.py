@@ -7,7 +7,8 @@ Layout (integers little-endian):
   u64 seed, u64 shot count,
   u32 config-hash length, hash bytes.
 Then one record per sample:
-  per round, the 12 channel bits packed little-endian into 2 bytes,
+  per round, its 12-bit round code (`circuits.pack_rounds`: bit c is
+  channel c) as a little-endian u16 whose top 4 bits are zero,
   one byte with m_in (bit 0), m_out (bit 1), m_L (bit 2).
 
 A line-delimited text export of the same records is provided for
@@ -16,8 +17,8 @@ blocks, so a dataset of any size is written one block at a time, and
 writes each file under a temporary name that is renamed to the file's
 own name only when it is complete (`files.replacing`). The reader
 checks every length the header declares against the bytes left in the
-file before it reads them, so a truncated or corrupt file raises
-`ValueError`.
+file before it reads them, and every round code against the 12
+channels, so a truncated or corrupt file raises `ValueError`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import N_CHANNELS
+from .circuits import N_CHANNELS, ROUND_BITS, RoundRecords
 from .files import read_exact, replacing
 
 MAGIC = b"SDDS"
@@ -58,32 +59,16 @@ class Header:
 
 
 @dataclass
-class DatasetFile:
+class DatasetFile(RoundRecords):
     code_id: str
     p_ph: float
     T: int
     basis: str
     seed: int
-    volumes: np.ndarray  # (n, T, 12) uint8
+    codes: np.ndarray  # (n, T) uint16 round codes
     m_in: np.ndarray
     m_out: np.ndarray
     config_hash: str = ""
-
-    @property
-    def m_L(self) -> np.ndarray:
-        return self.m_in ^ self.m_out
-
-    def __len__(self) -> int:
-        return self.volumes.shape[0]
-
-
-def from_batch(batch, p_ph: float, config_hash: str = "") -> DatasetFile:
-    return DatasetFile(code_id=CODE_ID, p_ph=p_ph, T=batch.volumes.shape[1],
-                       basis=batch.basis, seed=batch.seed,
-                       volumes=np.asarray(batch.volumes, dtype=np.uint8),
-                       m_in=np.asarray(batch.m_in, dtype=np.uint8),
-                       m_out=np.asarray(batch.m_out, dtype=np.uint8),
-                       config_hash=config_hash)
 
 
 def _file_header(head) -> bytes:
@@ -98,15 +83,11 @@ def _file_header(head) -> bytes:
         struct.pack("<I", len(hb)), hb])
 
 
-def _records(volumes, m_in, m_out) -> np.ndarray:
-    """The (n, 2 T + 1) record bytes of n samples."""
-    n, T, _ = volumes.shape
-    # a round is its 12 channel bits and 4 zero bits, so one packbits
-    # over contiguous memory packs every round into 2 little-endian bytes
-    bits = np.zeros((n, T, 16), dtype=np.uint8)
-    bits[:, :, :N_CHANNELS] = volumes
+def _records(codes, m_in, m_out) -> np.ndarray:
+    """The (n, 2 T + 1) record bytes of the round codes of n samples."""
+    n, T = codes.shape
     body = np.empty((n, 2 * T + 1), dtype=np.uint8)
-    body[:, :2 * T] = np.packbits(bits, bitorder="little").reshape(n, 2 * T)
+    body[:, :2 * T] = np.ascontiguousarray(codes, "<u2").view(np.uint8)
     body[:, 2 * T] = m_in | (m_out << 1) | ((m_in ^ m_out) << 2)
     return body
 
@@ -117,17 +98,19 @@ def _text_header(head) -> bytes:
             f"config={head.config_hash}\n").encode()
 
 
-def _text_lines(volumes, m_in, m_out) -> np.ndarray:
-    """The (n, 13 T + 6) text-export bytes of n samples."""
-    n, T, _ = volumes.shape
+# row k: the text of round code k, its 12 channel digits and a separator
+_DIGITS = np.full((len(ROUND_BITS), N_CHANNELS + 1), ord("|"), np.uint8)
+np.add(ROUND_BITS, ord("0"), out=_DIGITS[:, :N_CHANNELS])
+
+
+def _text_lines(codes, m_in, m_out) -> np.ndarray:
+    """The (n, 13 T + 6) text-export bytes of the round codes of n
+    samples."""
+    n, T = codes.shape
     width = (N_CHANNELS + 1) * T
     body = np.empty((n, width + 6), dtype=np.uint8)
-    # a round is 12 digits and a separator; the last round's separator is
-    # the space before the labels. Splitting the row axis gives a view.
-    rounds = body[:, :width].reshape(n, T, N_CHANNELS + 1)
-    np.add(volumes, ord("0"), out=rounds[:, :, :N_CHANNELS],
-           casting="unsafe")
-    rounds[:, :, N_CHANNELS] = ord("|")
+    body[:, :width] = _DIGITS[codes].reshape(n, width)
+    # the last round's separator is the space before the labels
     body[:, width - 1:width + 4:2] = ord(" ")
     body[:, width:width + 5:2] = np.stack([m_in, m_out, m_in ^ m_out],
                                           axis=1) + ord("0")
@@ -156,21 +139,20 @@ def _write(head, blocks, targets):
             fh.write(header(head))
         n = 0
         for block in blocks:
-            n += len(block.volumes)
-            if block.volumes.shape[1:] != (head.T, N_CHANNELS) \
-                    or n > head.shots:
+            n += len(block.codes)
+            if block.codes.shape[1:] != (head.T,) or n > head.shots:
                 raise mismatch
             m_in = np.asarray(block.m_in, dtype=np.uint8)
             m_out = np.asarray(block.m_out, dtype=np.uint8)
             for fh, (_, records) in sinks:
-                fh.write(records(block.volumes, m_in, m_out))
+                fh.write(records(block.codes, m_in, m_out))
         if n != head.shots:
             raise mismatch
 
 
 def write_dataset(path, head: Header, blocks):
     """Write the dataset file ``path``: the header ``head``, then the
-    records of ``blocks``, each an object with ``volumes``, ``m_in`` and
+    records of ``blocks``, each an object with ``codes``, ``m_in`` and
     ``m_out`` such as a `DatasetFile` or a `MemoryBatch`."""
     _write(head, blocks, [(path, _BINARY)])
 
@@ -213,11 +195,12 @@ def read_dataset(path) -> DatasetFile:
         if fh.read(1):
             raise ValueError(f"bytes past the {n} records the header "
                              "declares")
-    volumes = np.unpackbits(body[:, :2 * T].reshape(n, T, 2), axis=2,
-                            count=N_CHANNELS, bitorder="little")
+    codes = np.ascontiguousarray(body[:, :2 * T]).view("<u2")
+    if codes.max(initial=0) >= len(ROUND_BITS):
+        raise ValueError("a round sets bits past its 12 channels")
     flags = body[:, 2 * T]
     ds = DatasetFile(code_id=code_id, p_ph=p_ph, T=T, basis=basis, seed=seed,
-                     volumes=volumes, m_in=(flags & 1).astype(np.uint8),
+                     codes=codes, m_in=(flags & 1).astype(np.uint8),
                      m_out=((flags >> 1) & 1).astype(np.uint8),
                      config_hash=chash)
     if not np.array_equal((flags >> 2) & 1, ds.m_L):

@@ -1,5 +1,6 @@
-"""Neural decoder wrapper: the one place that maps (samples, rounds, 12)
-volumes onto a network's inputs and labels, and its scores back.
+"""Neural decoder wrapper: the one place that maps (samples, rounds)
+round codes (`circuits.pack_rounds`) onto a network's inputs and
+labels, and its scores back onto the (samples, rounds, 12) channel grid.
 
 Every decoder decodes a sequence of batches in one call,
 `predict_flips_batches`, and a noise sweep is one such call. `NnDecoder`
@@ -10,13 +11,12 @@ of them:
   reads, across all batches, and each flip is copied back to every
   equal row.
 * A recurrent network's state after round t depends only on rounds
-  1..t, so volumes that share a round prefix share that work. Each
-  round is kept as its 12-bit code (`round_codes`), and the volumes of
-  all batches are decoded by one prefix trie: the nodes at depth t are
-  the distinct t-round prefixes, the LSTM layers run one round per new
-  node, and the head runs once per node at which a volume ends. The
-  volumes are sorted by their codes, so that equal prefixes are
-  adjacent, and the trie is built `TRIE_CHUNK` sorted volumes at a
+  1..t, so volumes that share a round prefix share that work. The
+  round codes of all batches are decoded by one prefix trie: the nodes
+  at depth t are the distinct t-round prefixes, the LSTM layers run one
+  round per new node, and the head runs once per node at which a volume
+  ends. The volumes are sorted by their codes, so that equal prefixes
+  are adjacent, and the trie is built `TRIE_CHUNK` sorted volumes at a
   time: only one chunk's frontier states are alive, and a chunk
   boundary repeats at most one node per depth.
 
@@ -35,7 +35,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .circuits import N_CHANNELS, basis_channels
+from .circuits import N_CHANNELS, ROUND_BITS, basis_channels, pack_rounds
 from .nn.layers import Lstm
 from .nn.losses import MASKED
 from .nn.model import ROW_BLOCK, row_blocks
@@ -45,20 +45,14 @@ from .xai import deepshap_batch
 # flag channels, flattened over the two rounds
 DNN2_CHANNELS = {b: sum(basis_channels(b), ()) for b in ("Z", "X")}
 
-# bit c of a round's code is channel c of that round
-_SHIFTS = np.arange(N_CHANNELS, dtype=np.uint16)
 # a volume's sort columns past its last round: above every round code
-_PAST_END = 1 << N_CHANNELS
+_PAST_END = len(ROUND_BITS)
+# the recurrent network input of each round code, and of _PAST_END the
+# mask value -1 of a padding round
+_RECURRENT_ROWS = np.full((_PAST_END + 1, N_CHANNELS), -1, np.int8)
+_RECURRENT_ROWS[:_PAST_END] = ROUND_BITS
 # sorted volumes per chunk of the prefix trie
 TRIE_CHUNK = 4 * ROW_BLOCK
-
-
-def round_codes(volumes) -> np.ndarray:
-    """(n, T) uint16 codes of (n, T, 12) bit volumes: bit c of code
-    [i, t] is channel c of round t of volume i."""
-    bits = np.packbits(np.asarray(volumes, dtype=bool), axis=2,
-                       bitorder="little")
-    return bits.view("<u2")[:, :, 0]
 
 
 def _sort_columns(codes: list[np.ndarray]):
@@ -98,7 +92,7 @@ def _advance(lstms, states, parent, code):
         # numpy multiplies a lone row by gemv (see Lstm._active): run it
         # beside a copy of itself, which no volume points to
         parent, code = np.repeat(parent, 2), np.repeat(code, 2)
-    x = (code[:, None] >> _SHIFTS & 1).astype(float)
+    x = ROUND_BITS[code].astype(float)
     new = [(h[parent], c[parent]) for h, c in states]
     edges = row_blocks(len(parent))
     for lo, hi in zip(edges, edges[1:]):
@@ -171,25 +165,29 @@ class NnDecoder:
         syn, flag = basis_channels(basis)  # ValueError for another basis
         self.head = "ZX".index(basis) if model.spec.spec_id == "drnn" else 0
         self.channels = None if model.spec.recurrent else list(syn + flag)
+        # the network input of a round, by its code
+        self._rows = _RECURRENT_ROWS if self.channels is None \
+            else ROUND_BITS[:, self.channels].astype(np.int8)
 
-    def layout(self, volumes, t_max: int | None = None) -> np.ndarray:
-        """The network inputs of the (n, T, 12) bit ``volumes`` as int8:
-        the flattened `DNN2_CHANNELS` for a dense network; for a recurrent
-        one, which takes any number of rounds, the volumes padded with the
-        mask value -1 up to ``t_max``. 12 B a volume for dnn2, 12 T_max B
-        for a recurrent network."""
-        volumes = np.asarray(volumes)
-        n, t, c = volumes.shape
-        if self.channels is not None:
-            read = volumes[:, :, self.channels].astype(np.int8, copy=False)
-            return read.reshape(n, t * len(self.channels))
-        out = np.full((n, max(t, t_max or t), c), -1, np.int8)
-        out[:, :t, :] = volumes
-        return out
+    def layout(self, codes, t_max: int | None = None) -> np.ndarray:
+        """The network inputs of the (n, T) round ``codes`` as int8, by
+        one table gather: the flattened `DNN2_CHANNELS` bits for a dense
+        network; for a recurrent one, which takes any number of rounds,
+        the channel bits padded with the mask value -1 up to ``t_max``.
+        12 B a volume for dnn2, 12 T_max B for a recurrent network."""
+        codes = np.asarray(codes)
+        n, t = codes.shape
+        if self.channels is None and (t_max or t) > t:
+            codes = np.concatenate(
+                [codes, np.full((n, t_max - t), _PAST_END, np.uint16)], 1)
+        x = self._rows[codes]
+        return x if self.channels is None \
+            else x.reshape(n, t * len(self.channels))
 
     def inputs(self, volumes, t_max: int | None = None) -> np.ndarray:
-        """`layout` as float64: bits 0.0 and 1.0, padding -1.0."""
-        return self.layout(volumes, t_max).astype(float)
+        """`layout` of the (n, T, 12) bit ``volumes`` as float64: bits
+        0.0 and 1.0, padding -1.0."""
+        return self.layout(pack_rounds(volumes), t_max).astype(float)
 
     def targets(self, m_L) -> np.ndarray:
         """Labels: m_L on this basis's head, MASKED on every other head."""
@@ -208,27 +206,30 @@ class NnDecoder:
         full[:, :, self.channels] = scores.reshape(n, t, k)
         return full
 
-    def attributions(self, volumes, background, progress=None):
-        """(`grid` of DeepSHAP scores against ``background``, phi0), in
-        tiles of the default size; ``progress`` is `deepshap_batch`'s."""
-        phi, phi0 = deepshap_batch(self.model, self.inputs(volumes),
-                                   self.inputs(background), head=self.head,
-                                   progress=progress)
+    def attributions(self, codes, background, progress=None):
+        """(`grid` of DeepSHAP scores of the round ``codes`` against the
+        ``background`` codes, phi0), in tiles of the default size;
+        ``progress`` is `deepshap_batch`'s."""
+        phi, phi0 = deepshap_batch(
+            self.model, self.layout(codes).astype(float),
+            self.layout(background).astype(float), head=self.head,
+            progress=progress)
         return self.grid(phi), phi0
 
-    def _outputs(self, volumes):
-        """(head output on every volume, volumes per array) of the arrays
-        of the iterable ``volumes``, which is consumed once; `map` keeps
-        no array once it is reduced to what the network reads."""
+    def _outputs(self, codes):
+        """(head output on every volume, volumes per array) of the round
+        code arrays of the iterable ``codes``, which is consumed once;
+        `map` keeps no array once it is reduced to what the network
+        reads."""
         if self.channels is None:
-            codes = list(map(round_codes, volumes))
+            codes = list(codes)
             sizes = [len(c) for c in codes]
             if not codes:
                 return np.empty(0), sizes
             cols, lengths = _sort_columns(codes)
             del codes
             return _trie_outputs(self.model, cols, lengths, self.head), sizes
-        rows = list(map(self.layout, volumes))
+        rows = list(map(self.layout, codes))
         sizes = [len(r) for r in rows]
         if not rows:
             return np.empty(0), sizes
@@ -243,23 +244,23 @@ class NnDecoder:
         q = self.model.forward(rows[first].astype(float))[:, self.head]
         return q[inverse], sizes
 
-    def _flips(self, volumes) -> list[np.ndarray]:
+    def _flips(self, codes) -> list[np.ndarray]:
         """The thresholded head on each array of `_outputs`."""
-        q, sizes = self._outputs(volumes)
+        q, sizes = self._outputs(codes)
         flips = (q > 0.5).astype(np.uint8)
         return np.split(flips, np.cumsum(sizes)[:-1]) if sizes else []
 
     def predict_flips(self, volumes) -> np.ndarray:
-        """The thresholded head on each of the (n, T, 12) ``volumes``;
-        the one-array case of `predict_flips_batches`."""
-        return self._flips([volumes])[0]
+        """The thresholded head on each of the (n, T, 12) bit
+        ``volumes``; the one-array case of `predict_flips_batches`."""
+        return self._flips([pack_rounds(volumes)])[0]
 
     def predict_flips_batch(self, batch) -> np.ndarray:
-        return self.predict_flips(batch.volumes)
+        return self._flips([batch.codes])[0]
 
     def predict_flips_batches(self, batches) -> list[np.ndarray]:
         """The flips of each batch of the iterable ``batches`` (a
         generator is consumed once), decoded together: a dense network
         runs once on the distinct rows of all batches, a recurrent one
         by one prefix trie over all of them."""
-        return self._flips(map(attrgetter("volumes"), batches))
+        return self._flips(map(attrgetter("codes"), batches))

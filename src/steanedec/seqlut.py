@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import (ANC, FLAG, FX, Gate, basis_channels,
+from .circuits import (ANC, FLAG, FX, ROUND_BITS, Gate, basis_channels,
                        build_qec_cycle)
 from .sim import BatchDecoder, MemoryBatch, _run_frames
 from .steane import CodeDefinition, parity
@@ -49,8 +49,12 @@ from .steane import CodeDefinition, parity
 # signal values; SIG_FLAG + k means plaquette k raised the first flag
 NONE, SIG_ERROR, SIG_FLAG = 0, 1, 2
 
-# round input bits: syndrome increments (bits 0-2), then flags (bits 3-5)
-_INPUT_BITS = (1 << np.arange(6)).astype(np.uint8)
+# the round input of every round code, by the (syndrome, flag) channels
+# of a decoding basis: syndrome increments (bits 0-2), then flags (bits
+# 3-5)
+_ROUND_INPUTS = {chans: ROUND_BITS[:, list(sum(chans, ()))]
+                 @ (1 << np.arange(6)).astype(np.uint8)
+                 for chans in map(basis_channels, "ZX")}
 
 # (hook table, transition table, readout table), keyed by the code's
 # definition
@@ -219,15 +223,10 @@ class SeqLutDecoder(BatchDecoder):
     def predict_flips_batch(self, batch: MemoryBatch) -> np.ndarray:
         """Logical-flip predictions for every shot, by the compiled tables
         (equal to `decode_basis` shot by shot)."""
-        syn_ch, flag_ch = basis_channels(batch.basis)
-        chans = list(syn_ch + flag_ch)
-        inputs = (batch.volumes[:, :, chans] * _INPUT_BITS).sum(
-            axis=2, dtype=np.uint8)
+        inputs = _ROUND_INPUTS[basis_channels(batch.basis)]
         state = np.zeros(len(batch), dtype=np.intp)
-        if batch.prep_rows is not None:
-            prep = (batch.prep_rows[:, chans] * _INPUT_BITS).sum(
-                axis=1, dtype=np.uint8)
-            state = self._trans[state, prep]
-        for t in range(inputs.shape[1]):
-            state = self._trans[state, inputs[:, t]]
+        if batch.prep_codes is not None:
+            state = self._trans[state, inputs[batch.prep_codes]]
+        for t in range(batch.codes.shape[1]):
+            state = self._trans[state, inputs[batch.codes[:, t]]]
         return self._final[state, batch.final_syndrome]

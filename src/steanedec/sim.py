@@ -22,8 +22,8 @@ many frames at once. Everything else is built on it:
   one-block case) reduces Monte-Carlo sampling to two stages. The draw
   stage (`_fault_events`) lists the faults of a block of shots as
   (shot, table row) events; the apply stage (`_apply_fault_events`)
-  XORs the events' rows into the shots' packed records, which are
-  unpacked once at the end;
+  XORs the events' rows into the shots' packed records and reads each
+  round's 12-bit code (`circuits.pack_rounds`) straight from them;
 * single-fault ("DEP") certification: `single_fault_batch` is the rows
   of a table after the preparation cycle's, one shot per row, put
   through the apply stage; `dep_failure_fraction` decodes it as one
@@ -57,8 +57,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuits import (N_CHANNELS, FaultInjection, Gate, PAULI_1Q,
-                       TWO_QUBIT_PAULIS, build_qec_cycle, error_set)
+from .circuits import (N_CHANNELS, ROUND_BITS, FaultInjection, Gate,
+                       PAULI_1Q, TWO_QUBIT_PAULIS, RoundRecords,
+                       build_qec_cycle, error_set)
 from .steane import CodeDefinition
 
 
@@ -109,10 +110,6 @@ class MemorySample:
     def m_L(self) -> int:
         return self.m_in ^ self.m_out
 
-    @property
-    def rounds(self) -> int:
-        return self.volume.shape[0]
-
 
 # --- vectorized engine ------------------------------------------------------
 
@@ -144,27 +141,30 @@ def _class_rng(seed: int, cls: int, stream: int) -> np.random.Generator:
 
 
 @dataclass
-class MemoryBatch:
-    """Vectorized result of `sample_memory_batch`."""
+class MemoryBatch(RoundRecords):
+    """Vectorized result of `sample_memory_batch`, each round as its
+    12-bit code (`circuits.pack_rounds`); ``volumes`` and ``prep_rows``
+    gather the same rounds as bits on each read."""
 
-    volumes: np.ndarray        # (shots, T, 12) uint8
+    codes: np.ndarray          # (shots, T) uint16
     basis: str
     m_in: np.ndarray           # (shots,) uint8
     m_out: np.ndarray          # (shots,) uint8
     final_syndrome: np.ndarray  # (shots,) uint8, 3-bit ints
     seed: int = 0
-    prep_rows: np.ndarray | None = None  # (shots, 12) uint8
+    prep_codes: np.ndarray | None = None  # (shots,) uint16
 
     @property
-    def m_L(self) -> np.ndarray:
-        return self.m_in ^ self.m_out
-
-    def __len__(self) -> int:
-        return self.volumes.shape[0]
+    def prep_rows(self) -> np.ndarray | None:
+        """(shots, 12) uint8 preparation-round outcomes, if recorded."""
+        return None if self.prep_codes is None \
+            else ROUND_BITS[self.prep_codes]
 
     def sample(self, i: int) -> MemorySample:
-        prep = None if self.prep_rows is None else self.prep_rows[i]
-        return MemorySample(volume=self.volumes[i], basis=self.basis,
+        prep = None if self.prep_codes is None \
+            else ROUND_BITS[self.prep_codes[i]]
+        return MemorySample(volume=ROUND_BITS[self.codes[i]],
+                            basis=self.basis,
                             m_in=int(self.m_in[i]), m_out=int(self.m_out[i]),
                             final_syndrome=int(self.final_syndrome[i]),
                             prep_row=prep)
@@ -182,17 +182,16 @@ def _run_frames(code: CodeDefinition, program: list[Gate], basis: str,
 
     After each gate ``inject(gate, x, z)`` applies the faults of that
     location to the frame arrays in place; for measurements it returns
-    the outcome flips (an array or 0) instead. Returns (volumes,
-    prep_rows, final half syndromes, logical flips).
+    the outcome flips (an array or 0) instead. Returns (round codes,
+    preparation-round codes, final half syndromes, logical flips).
     """
     _check_basis(basis)
     T = program[-1].cycle
     x = np.zeros(n, dtype=np.int64)
     z = np.zeros(n, dtype=np.int64)
-    volumes = np.zeros((n, T, N_CHANNELS), dtype=np.uint8)
-    prep_rows = np.zeros((n, N_CHANNELS), dtype=np.uint8)
-    outc = np.zeros((n, N_CHANNELS), dtype=np.uint8)
-    prev_syn = np.zeros((n, 6), dtype=np.uint8)
+    codes = np.zeros((n, T), dtype=np.uint16)
+    # this round's outcomes so far, and the last round's
+    outc = prev = prep = np.zeros(n, dtype=np.uint16)
     for gate in program:
         kind = gate.kind
         if kind == "cnot":
@@ -212,18 +211,15 @@ def _run_frames(code: CodeDefinition, program: list[Gate], basis: str,
             continue
         q = gate.qubits[0]
         out = (z >> q & 1) if kind == "meas_x" else (x >> q & 1)
-        out = out.astype(np.uint8)
+        out = out.astype(np.uint16)
         out ^= inject(gate, x, z)
-        outc[:, gate.channel] = out
+        outc = outc | out << gate.channel
         if gate.channel == N_CHANNELS - 1:
             if gate.cycle == 0:
-                prep_rows[:] = outc
-                prev_syn[:] = outc[:, :6]
-            else:
-                volumes[:, gate.cycle - 1, :6] = outc[:, :6] ^ prev_syn
-                volumes[:, gate.cycle - 1, 6:] = outc[:, 6:]
-                prev_syn[:] = outc[:, :6]
-            outc[:] = 0
+                prep = outc
+            else:  # the six syndrome channels (bits 0-5) as increments
+                codes[:, gate.cycle - 1] = outc ^ prev & 0x3F
+            prev, outc = outc, np.zeros(n, dtype=np.uint16)
 
     err = (x & 0x7F) if basis == "Z" else (z & 0x7F)
     syn = np.zeros(n, dtype=np.int64)
@@ -232,17 +228,12 @@ def _run_frames(code: CodeDefinition, program: list[Gate], basis: str,
     pec = np.array([code.pure_error_mask(s) for s in range(8)], dtype=np.int64)
     residual = err ^ pec[syn]
     flip = _PAR[residual & code.logical_mask]
-    return volumes, prep_rows, syn, flip
+    return codes, prep, syn, flip
 
 
 # --- fault table ------------------------------------------------------------
 
 _WORD = np.dtype("<u8")  # packed-row word; bit b of word w is row bit 64w + b
-# shots unpacked at a time: keeps the bit buffer (at most 1024 x 160 B at
-# T = 12) below glibc's 128 KiB mmap threshold, so the buffers come from
-# and go back to the heap instead of raising the threshold and leaving
-# freed heap resident
-_UNPACK_SHOTS = 1024
 
 # the generators X.I, Z.I, I.X, I.Z of a two-qubit location, and which of
 # them compose each Pauli of TWO_QUBIT_PAULIS
@@ -260,8 +251,8 @@ class _FaultTable:
     Frame propagation, syndrome increments and the final half syndrome
     are linear over GF(2), so the record of a shot is the XOR of the rows
     of its faults. A row of ``rows`` has ``12 (T + 1) + 4`` bits, packed
-    into little-endian 64-bit words: the 12 preparation-round
-    outcomes, the 12 T volume bits, the 3 final half-syndrome bits, and
+    into little-endian 64-bit words: the T + 1 round codes, the
+    preparation round's first, the 3 final half-syndrome bits, and
     ``parity(err & logical_mask)`` of the final data error. That parity
     is stored instead of the logical flip because the weight-1
     correction is not linear; ``flip_of_tail`` recovers the flip from
@@ -303,15 +294,15 @@ class _CycleResponse:
 
     Generator faults follow program order: X.I, Z.I, I.X, I.Z of a
     two-qubit gate (`_GENERATORS`), the flip of a preparation or
-    measurement. ``rounds[f]`` holds fault f's 12 outcomes of its own
-    cycle, its volume row of the next round, and that row with the six
-    syndrome increments zeroed, the row of every later round.
+    measurement. ``rounds[f]`` holds the round codes of fault f: its 12
+    outcomes of its own cycle, its next round, and that round with the
+    six syndrome increments zeroed, which every later round reads.
     ``syndrome`` and ``flip`` are the final half syndrome and logical
     flip of the final readout.
     """
 
     two_qubit: np.ndarray  # (locations,) bool, the cycle's two-qubit gates
-    rounds: np.ndarray     # (generators, 3, 12) uint8
+    rounds: np.ndarray     # (generators, 3) uint16
     syndrome: np.ndarray   # (generators,) uint8, 3-bit ints
     flip: np.ndarray       # (generators,) uint8
 
@@ -332,10 +323,8 @@ def _cycle_response(code: CodeDefinition, basis: str) -> _CycleResponse:
             else:
                 faults += error_set(gate)
         batch = _fault_batch(code, faults, basis, 1, fault_in_prep=True)
-        later = batch.volumes[:, 0].copy()
-        later[:, :6] = 0
-        rounds = np.stack([batch.prep_rows, batch.volumes[:, 0], later],
-                          axis=1)
+        nxt = batch.codes[:, 0]
+        rounds = np.stack([batch.prep_codes, nxt, nxt & 0xFC0], axis=1)
         two_qubit = np.array([g.kind in ("cnot", "cz") for g in cycle])
         _RESPONSES[key] = _CycleResponse(two_qubit, rounds,
                                          batch.final_syndrome, batch.m_out)
@@ -367,29 +356,26 @@ def _build_fault_table(code: CodeDefinition, T: int,
     preparation row.
     """
     resp = _cycle_response(code, basis)
-    n_cycle = len(resp.flip)
-    # rounds c.. of a fault of cycle c: P_f, D1_f, then D2_f
-    from_own = resp.rounds[:, np.minimum(np.arange(T + 1), 2)].reshape(
-        n_cycle, -1)
-    nbits = N_CHANNELS * (T + 1)
-    rounds = np.zeros((T + 1, n_cycle, nbits), dtype=np.uint8)
-    for c in range(T + 1):
-        rounds[c, :, N_CHANNELS * c:] = from_own[:, :nbits - N_CHANNELS * c]
-    n_faults = n_cycle * (T + 1)
+    n_faults = len(resp.flip) * (T + 1)
+    # round r of a fault of cycle c: nothing before c, then P_f, D1_f,
+    # and D2_f from round c + 2 on; faults in cycle-major order
+    lag = np.arange(T + 1) - np.arange(T + 1)[:, None]  # [c, r]
+    codes = np.where(lag >= 0, resp.rounds[:, np.clip(lag, 0, 2)], 0)
+    codes = codes.transpose(1, 0, 2).reshape(n_faults, T + 1)
     # parity of the weight-1 correction of each syndrome with the logical
     pec = np.array([code.pure_error_mask(s) for s in range(8)])
     corr_par = _PAR[pec & code.logical_mask]
     syn = np.tile(resp.syndrome, T + 1)
-    bits = np.concatenate([
-        rounds.reshape(n_faults, nbits),
-        (syn[:, None] >> np.arange(3, dtype=np.uint8)) & 1,
-        (np.tile(resp.flip, T + 1) ^ corr_par[syn])[:, None],
-    ], axis=1)
-    words = -(-bits.shape[1] // 64)
-    packed = np.zeros((n_faults, 8 * words), dtype=np.uint8)
-    packed[:, :-(-bits.shape[1] // 8)] = np.packbits(bits, axis=1,
-                                                     bitorder="little")
-    gens = packed.view(_WORD)  # one row per fault, in program order
+    # a row's 4-bit nibbles, two to a byte: three per round code, then
+    # the tail (syndrome | parity << 3)
+    words = -(-(3 * T + 4) // 16)
+    nibbles = np.zeros((n_faults, 16 * words), dtype=np.uint8)
+    nibbles[:, :3 * T + 3] = (codes[:, :, None] >> np.array(
+        [0, 4, 8], np.uint16) & 15).reshape(n_faults, -1)
+    nibbles[:, 3 * T + 3] = syn | (np.tile(resp.flip, T + 1)
+                                   ^ corr_par[syn]) << 3
+    # one row per fault, in program order
+    gens = (nibbles[:, ::2] | nibbles[:, 1::2] << 4).view(_WORD)
     two_qubit = np.tile(resp.two_qubit, T + 1)
     n_gen = np.where(two_qubit, 4, 1)
     first_gen = np.cumsum(n_gen) - n_gen
@@ -498,8 +484,8 @@ def _apply_fault_events(table: _FaultTable, T: int, basis: str,
                         m_in: np.ndarray, seed: int) -> MemoryBatch:
     """The apply stage of `sample_memory_blocks` and `single_fault_batch`:
     XOR the rows of the (shot, row) ``events`` into the packed records of
-    ``len(m_in)`` shots with input labels ``m_in``, and unpack the
-    records into a batch."""
+    ``len(m_in)`` shots with input labels ``m_in``, and read the batch's
+    round codes from the records."""
     n = len(m_in)
     shot, row = events
     # XOR the rows of each shot's events together into its record
@@ -510,23 +496,20 @@ def _apply_fault_events(table: _FaultTable, T: int, basis: str,
     if len(shot):
         acc[shot[starts]] = np.bitwise_xor.reduceat(
             table.rows[row[order]], starts, axis=0)
-    volumes = np.empty((n, T, N_CHANNELS), dtype=np.uint8)
-    prep_rows = np.empty((n, N_CHANNELS), dtype=np.uint8)
-    tail = np.empty(n, dtype=np.uint8)
-    nbits = N_CHANNELS * (T + 1)
-    for s in range(0, n, _UNPACK_SHOTS):
-        chunk = acc[s:s + _UNPACK_SHOTS]
-        bits = np.unpackbits(chunk.view(np.uint8), axis=1, count=nbits,
-                             bitorder="little")
-        prep_rows[s:s + _UNPACK_SHOTS] = bits[:, :N_CHANNELS]
-        volumes[s:s + _UNPACK_SHOTS] = bits[:, N_CHANNELS:].reshape(
-            -1, T, N_CHANNELS)
-        # the 4 tail bits never straddle a word: nbits is a multiple of 4
-        tail[s:s + _UNPACK_SHOTS] = chunk[:, nbits // 64] >> (nbits % 64) & 15
-    return MemoryBatch(volumes=volumes, basis=basis, m_in=m_in,
+    # round r (0, the preparation round, to T) is the 12 bits from bit
+    # 12 r of a record: the little-endian u16 at byte 12 r // 8, shifted
+    # by 0 or 4; the 4 tail bits follow the last round
+    width = acc.itemsize * acc.shape[1]
+    pair = np.ndarray((n, width - 1), "<u2", acc, strides=(width, 1))
+    codes = np.empty((n, T), dtype=np.uint16)
+    for r in range(1, T + 1):
+        np.right_shift(pair[:, 3 * r // 2], 4 * (r & 1), out=codes[:, r - 1])
+    codes &= (1 << N_CHANNELS) - 1
+    tail = acc.view(np.uint8)[:, 3 * (T + 1) // 2] >> 4 * ((T + 1) & 1) & 15
+    return MemoryBatch(codes=codes, basis=basis, m_in=m_in,
                        m_out=m_in ^ table.flip_of_tail[tail],
                        final_syndrome=tail & 7, seed=seed,
-                       prep_rows=prep_rows)
+                       prep_codes=pair[:, 0] & (1 << N_CHANNELS) - 1)
 
 
 def sample_memory_blocks(code: CodeDefinition, noise: NoiseModel, T: int,
@@ -609,12 +592,11 @@ def _fault_batch(code: CodeDefinition, faults: list[FaultInjection],
         z[shots] ^= zt
         return 0
 
-    volumes, prep_rows, syn, flip = _run_frames(code, program, basis, n,
-                                                inject)
+    codes, prep, syn, flip = _run_frames(code, program, basis, n, inject)
     m_in = np.zeros(n, dtype=np.uint8)
-    return MemoryBatch(volumes=volumes, basis=basis, m_in=m_in, m_out=flip,
+    return MemoryBatch(codes=codes, basis=basis, m_in=m_in, m_out=flip,
                        final_syndrome=syn.astype(np.uint8),
-                       prep_rows=prep_rows)
+                       prep_codes=prep)
 
 
 def single_fault_batch(code: CodeDefinition, basis: str,

@@ -18,7 +18,8 @@ from steanedec.nn import (AdamState, Checkpoint, Dense, Dropout, Lstm,
                           save_checkpoint, srnn_spec, TrainConfig, train)
 from steanedec.nn.layers import sigmoid
 from steanedec.nn.model import ROW_BLOCK, row_blocks, spec_by_id
-from steanedec.decoders import _sort_columns, _trie_outputs, round_codes
+from steanedec.circuits import pack_rounds
+from steanedec.decoders import _sort_columns, _trie_outputs
 from steanedec.sim import NoiseModel, sample_memory_batch
 from steanedec.steane import steane_code
 from steanedec.xai import deepshap
@@ -774,7 +775,7 @@ class TestGateSlab:
     def test_trie_rounds_match_reference(self, spec, monkeypatch):
         model = build_model(spec, seed=11)
         rng = np.random.default_rng(12)
-        codes = [round_codes(rng.random((n, t, 12)) < 0.1)
+        codes = [pack_rounds(rng.random((n, t, 12)) < 0.1)
                  for n, t in ((300, 3), (1, 8), (700, 8), (40, 1))]
         cols, lengths = _sort_columns(codes)
         q = _trie_outputs(model, cols, lengths, 0)
@@ -816,7 +817,7 @@ class TestCompactInputs:
         for t in rounds:
             batch = sample_memory_batch(code, noise, T=t, basis="Z",
                                         shots=200, seed=t)
-            xs.append(dec.layout(batch.volumes, t_max=max(rounds)))
+            xs.append(dec.layout(batch.codes, t_max=max(rounds)))
             ys.append(dec.targets(batch.m_L))
         x, y = np.concatenate(xs), np.concatenate(ys)
         assert x.dtype == np.int8

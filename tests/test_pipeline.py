@@ -16,6 +16,7 @@ from click.testing import CliRunner
 from steanedec import cli
 from steanedec import dataset as dsmod
 from steanedec import decoders
+from steanedec.circuits import pack_rounds
 from steanedec.cli import build_cfg, dataset_plan, load_config, main
 from steanedec.decoders import DNN2_CHANNELS, NnDecoder
 from steanedec.nn import (Checkpoint, Dense, build_model, dnn2_spec,
@@ -35,7 +36,7 @@ def batch():
 
 class TestDatasetFormat:
     def test_round_trip(self, batch, tmp_path):
-        ds = dsmod.from_batch(batch, 5e-3, "hash123")
+        ds = from_batch(batch, 5e-3, "hash123")
         path = tmp_path / "d.sds"
         dsmod.write_dataset(path, header(ds), [ds])
         back = dsmod.read_dataset(path)
@@ -49,7 +50,7 @@ class TestDatasetFormat:
         assert back.code_id == dsmod.CODE_ID
 
     def test_label_consistency_enforced(self, batch, tmp_path):
-        ds = dsmod.from_batch(batch, 5e-3)
+        ds = from_batch(batch, 5e-3)
         path = tmp_path / "d.sds"
         dsmod.write_dataset(path, header(ds), [ds])
         raw = bytearray(path.read_bytes())
@@ -58,6 +59,25 @@ class TestDatasetFormat:
         with pytest.raises(ValueError):
             dsmod.read_dataset(path)
 
+    def test_round_bits_past_the_channels_rejected(self, batch, tmp_path):
+        # bit 15 of the first round of record 7: no round code has it,
+        # so the reader raises, and require_dataset exits 1
+        ds = from_batch(batch, 5e-3, "hash123")
+        cfg = {"out": str(tmp_path), "hash": "hash123"}
+        path = tmp_path / "data" / "train_z_t2.sds"
+        assert str(path) == cli.dataset_path(cfg, "train", "Z", 2)
+        path.parent.mkdir()
+        dsmod.write_dataset(path, header(ds), [ds])
+        raw = bytearray(path.read_bytes())
+        at = len(raw) - (len(ds) - 7) * (2 * ds.T + 1)
+        raw[at + 1] |= 0x80
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="past its 12 channels"):
+            dsmod.read_dataset(path)
+        with pytest.raises(SystemExit) as exc:
+            cli.require_dataset(cfg, "train", "Z", 2)
+        assert exc.value.code == 1
+
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "x.sds"
         path.write_bytes(b"junk")
@@ -65,7 +85,7 @@ class TestDatasetFormat:
             dsmod.read_dataset(path)
 
     def test_text_export(self, batch, tmp_path):
-        ds = dsmod.from_batch(batch, 5e-3)
+        ds = from_batch(batch, 5e-3)
         path = tmp_path / "d.txt"
         dsmod.export_text(path, header(ds), [ds])
         lines = path.read_text().splitlines()
@@ -81,7 +101,7 @@ class TestDatasetFormat:
     def test_text_export_bytes_match_line_writer(self, tmp_path, T):
         batch = sample_memory_batch(steane_code(), NoiseModel(0.02), T=T,
                                     basis="X", shots=500, seed=T)
-        ds = dsmod.from_batch(batch, 0.02, "cfghash")
+        ds = from_batch(batch, 0.02, "cfghash")
         dsmod.export_text(tmp_path / "fast.txt", header(ds), [ds])
         line_writer_export(tmp_path / "ref.txt", ds)
         assert (tmp_path / "fast.txt").read_bytes() == \
@@ -91,7 +111,7 @@ class TestDatasetFormat:
     def test_records_match_arithmetic_packing(self, tmp_path, T):
         batch = sample_memory_batch(steane_code(), NoiseModel(0.02), T=T,
                                     basis="X", shots=500, seed=T)
-        ds = dsmod.from_batch(batch, 0.02, "cfghash")
+        ds = from_batch(batch, 0.02, "cfghash")
         path = tmp_path / "d.sds"
         dsmod.write_dataset(path, header(ds), [ds])
         raw = path.read_bytes()
@@ -106,9 +126,9 @@ class TestDatasetFormat:
     def test_streamed_files_match_references(self, tmp_path, T):
         # 500 shots in blocks of 64: the last block holds 52
         code, noise = steane_code(), NoiseModel(0.02)
-        ds = dsmod.from_batch(sample_memory_batch(code, noise, T=T,
-                                                  basis="X", shots=500,
-                                                  seed=T), 0.02, "cfghash")
+        ds = from_batch(sample_memory_batch(code, noise, T=T, basis="X",
+                                            shots=500, seed=T),
+                        0.02, "cfghash")
         head = dsmod.Header(dsmod.CODE_ID, 0.02, T, "X", T, 500, "cfghash")
 
         def blocks():
@@ -148,7 +168,7 @@ class TestDatasetFormat:
 
     def test_bytes_past_the_records_rejected(self, batch, tmp_path):
         path = tmp_path / "d.sds"
-        ds = dsmod.from_batch(batch, 5e-3)
+        ds = from_batch(batch, 5e-3)
         dsmod.write_dataset(path, header(ds), [ds])
         raw = path.read_bytes()
         path.write_bytes(raw + b"\0")
@@ -171,7 +191,7 @@ class TestDatasetFormat:
     def test_corrupt_size_field_raises_in_bounded_memory(
             self, batch, tmp_path, field, value):
         path = tmp_path / "d.sds"
-        ds = dsmod.from_batch(batch, 5e-3)
+        ds = from_batch(batch, 5e-3)
         dsmod.write_dataset(path, header(ds), [ds])
         raw = bytearray(path.read_bytes())
         t_at = 4 + 4 + 4 + len(dsmod.CODE_ID) + 8
@@ -189,6 +209,17 @@ class TestDatasetFormat:
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+
+
+def from_batch(batch, p_ph: float,
+               config_hash: str = "") -> dsmod.DatasetFile:
+    """The `DatasetFile` of the samples of the `MemoryBatch` ``batch``."""
+    return dsmod.DatasetFile(code_id=dsmod.CODE_ID, p_ph=p_ph,
+                             T=batch.codes.shape[1], basis=batch.basis,
+                             seed=batch.seed, codes=batch.codes,
+                             m_in=np.asarray(batch.m_in, dtype=np.uint8),
+                             m_out=np.asarray(batch.m_out, dtype=np.uint8),
+                             config_hash=config_hash)
 
 
 def header(ds) -> dsmod.Header:
@@ -319,8 +350,8 @@ class TestDecoderWrapper:
     def test_attributions_of_no_volumes(self, spec_id, t):
         dec = NnDecoder(build_model(spec_by_id(spec_id), seed=0), basis="Z")
         bg = (np.random.default_rng(4).random((6, t, 12)) < 0.2)
-        phi, phi0 = dec.attributions(np.zeros((0, t, 12), np.uint8),
-                                     bg.astype(np.uint8))
+        phi, phi0 = dec.attributions(np.zeros((0, t), np.uint16),
+                                     pack_rounds(bg))
         assert phi.shape == (0, t, 12) and phi0.shape == (0,)
 
     def test_predict_matches_forward(self, batch):
@@ -794,7 +825,7 @@ class TestCli:
             dec = NnDecoder(model, basis)
             for t in cli.dataset_rounds(cfg):
                 ds = cli.require_dataset(cfg, "train", basis, t)
-                xs.append(dec.layout(ds.volumes, t_max=rounds))
+                xs.append(dec.layout(ds.codes, t_max=rounds))
                 ys.append(dec.targets(ds.m_L))
         assert x.dtype == np.int8
         assert np.array_equal(x, np.concatenate(xs))
@@ -813,7 +844,7 @@ class TestCli:
         cfg, *_ = self.training_arrays(tmp_path, "dnn2", 2, 300)
         path = cli.dataset_path(cfg, "train", "Z", 2)
         ds = dsmod.read_dataset(path)
-        ds.volumes, ds.m_in, ds.m_out = ds.volumes[1:], ds.m_in[1:], \
+        ds.codes, ds.m_in, ds.m_out = ds.codes[1:], ds.m_in[1:], \
             ds.m_out[1:]
         dsmod.write_dataset(path, header(ds), [ds])
         r = self.run("train", "--config", str(tmp_path / "cfg.yaml"))

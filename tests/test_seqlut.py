@@ -4,7 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from steanedec.circuits import (ANC, FX, SZ, FaultInjection, build_qec_cycle,
-                                enumerate_single_faults, error_set)
+                                enumerate_single_faults, error_set,
+                                pack_rounds)
 from steanedec.seqlut import SeqLutDecoder, hook_correction_table
 from steanedec.sim import (MemoryBatch, NoiseModel, _fault_batch,
                            dep_failure_fraction, run_memory_experiment,
@@ -209,7 +210,7 @@ class TestCompiledDecoder:
     def test_batch_without_prep_rows(self, code, decoder):
         batch = sample_memory_batch(code, NoiseModel(0.03), T=4, basis="Z",
                                     shots=1500, seed=3)
-        batch.prep_rows = None
+        batch.prep_codes = None
         flips = decoder.predict_flips_batch(batch)
         assert np.array_equal(flips, scalar_flips(decoder, batch))
         assert flips.dtype == np.uint8
@@ -224,10 +225,10 @@ class TestCompiledDecoder:
             return (np.frombuffer(raw, dtype=np.uint8) & mask).reshape(shape)
 
         zeros = np.zeros(shots, dtype=np.uint8)
-        batch = MemoryBatch(volumes=draw((shots, T, 12), 1), basis=basis,
-                            m_in=zeros, m_out=zeros,
+        batch = MemoryBatch(codes=pack_rounds(draw((shots, T, 12), 1)),
+                            basis=basis, m_in=zeros, m_out=zeros,
                             final_syndrome=draw((shots,), 7),
-                            prep_rows=draw((shots, 12), 1) if with_prep
-                            else None)
+                            prep_codes=pack_rounds(draw((shots, 12), 1))
+                            if with_prep else None)
         assert np.array_equal(decoder.predict_flips_batch(batch),
                               scalar_flips(decoder, batch))

@@ -6,8 +6,9 @@ import pytest
 from scipy import stats
 
 from naive_sim import naive_run
-from steanedec.circuits import (SZ, FaultInjection, Gate, build_qec_cycle,
-                                enumerate_single_faults, error_set)
+from steanedec.circuits import (ROUND_BITS, SZ, FaultInjection, Gate,
+                                build_qec_cycle, enumerate_single_faults,
+                                error_set)
 from steanedec.seqlut import SeqLutDecoder
 from steanedec.sim import (_GAPS, _GENERATORS, _PAR, _PAULI_GENERATORS,
                            _PAULIS, _PX1, _PX2, _PZ1, _PZ2, _RESPONSES, _SPAM,
@@ -171,13 +172,13 @@ def dense_sample_memory_batch(code, noise: NoiseModel, T: int, basis: str,
             return flips
         return 0
 
-    volumes, prep_rows, syn, flip = _run_frames(code, program, basis, n,
-                                                apply_events)
+    codes, prep_codes, syn, flip = _run_frames(code, program, basis, n,
+                                               apply_events)
     m_in = (np.arange(n) & 1).astype(np.uint8)
-    return MemoryBatch(volumes=volumes, basis=basis, m_in=m_in,
+    return MemoryBatch(codes=codes, basis=basis, m_in=m_in,
                        m_out=m_in ^ flip,
                        final_syndrome=syn.astype(np.uint8), seed=seed,
-                       prep_rows=prep_rows)
+                       prep_codes=prep_codes)
 
 
 class TestFaultTableSampler:
@@ -315,8 +316,9 @@ class TestCycleResponse:
                 final["x"], final["z"] = x.copy(), z.copy()
             return 0
 
-        volumes, prep_rows, _, _ = _run_frames(code, program, basis,
-                                               len(patterns), inject)
+        codes, prep_codes, _, _ = _run_frames(code, program, basis,
+                                              len(patterns), inject)
+        volumes, prep_rows = ROUND_BITS[codes], ROUND_BITS[prep_codes]
         assert np.array_equal(final["x"] & 0x7F, xs)
         assert np.array_equal(final["z"] & 0x7F, zs)
         assert not prep_rows[:, 6:].any() and not volumes[:, :, 6:].any()
@@ -345,6 +347,12 @@ class TestBasisCheck:
     def test_single_fault_batch_rejects(self, code, basis):
         with pytest.raises(ValueError, match=repr(basis)):
             single_fault_batch(code, basis, 2)
+
+    def test_lut_decoder_rejects(self, code):
+        batch = single_fault_batch(code, "Z", 2)
+        batch.basis = "Y"
+        with pytest.raises(ValueError, match="'Y'"):
+            SeqLutDecoder(code).predict_flips_batch(batch)
 
     def test_noiseless_run_rejects(self, code):
         with pytest.raises(ValueError, match="'Y'"):

@@ -15,7 +15,8 @@ from steanedec import decoders
 from steanedec.analysis import (prepare_monitor, score_batches,
                                 sweep_error_rates)
 from steanedec.cli import main
-from steanedec.decoders import NnDecoder, round_codes
+from steanedec.circuits import pack_rounds
+from steanedec.decoders import NnDecoder
 from steanedec.nn import Dense, build_model
 from steanedec.nn.model import ROW_BLOCK, spec_by_id
 from steanedec.seqlut import SeqLutDecoder
@@ -57,8 +58,7 @@ def sweep(code, basis, seed, rounds=range(1, 9), shots=150):
 def as_batch(volumes, basis="Z") -> MemoryBatch:
     n = len(volumes)
     zeros = np.zeros(n, np.uint8)
-    return MemoryBatch(np.asarray(volumes, np.uint8), basis, zeros, zeros,
-                       zeros)
+    return MemoryBatch(pack_rounds(volumes), basis, zeros, zeros, zeros)
 
 
 def random_volumes(rng, n, t, density=0.1):
@@ -73,7 +73,7 @@ def check_outputs(dec, volume_arrays):
     for f, v in zip(flips, volume_arrays):
         assert f.dtype == np.uint8 and f.shape == (len(v),)
         assert np.array_equal(f, distinct_flips(dec, v))
-    q, sizes = dec._outputs(volume_arrays)
+    q, sizes = dec._outputs(map(pack_rounds, volume_arrays))
     assert sizes == [len(v) for v in volume_arrays]
     ref = np.concatenate([dec.model.forward(dec.inputs(v))[:, dec.head]
                           for v in volume_arrays])
@@ -99,7 +99,7 @@ def chunked_prefix_rows(volume_arrays, chunk: int) -> int:
     codes, cut into chunks of ``chunk``, and in each chunk one row per
     distinct prefix of each depth, a depth of one prefix taking two."""
     rows = [tuple(int(c) for c in code) for v in volume_arrays
-            for code in round_codes(v)]
+            for code in pack_rounds(v)]
     # past its last round a volume sorts after every round code
     t_max = max(map(len, rows))
     rows.sort(key=lambda r: r + (1 << 12,) * (t_max - len(r)))
@@ -251,7 +251,7 @@ class TestEdgeCases:
         head = spy_rows(monkeypatch, dense, "forward")
         dec.predict_flips_batches(map(as_batch, vols))
         ends = {tuple(int(c) for c in code) for v in vols
-                for code in round_codes(v)}
+                for code in pack_rounds(v)}
         assert sum(head) == len(ends)
 
 
@@ -351,3 +351,14 @@ class TestSweepMemory:
             dec, code, [NoiseModel(p) for p in SWEEP], "Z", range(1, 9),
             20_000, seed=0))
         assert peak <= 25.8e6
+
+    def test_prepare_monitor_peak(self, code):
+        # the monitor's sample at rounds 1..8, 3 rates x 20,000 shots: it
+        # peaked at 36.93 MB while it held 25.92 MB of bit volumes; as
+        # round codes it stays under 20 MB
+        for t in range(1, 9):
+            sample_memory_batch(code, NoiseModel(0.0), T=t, basis="Z",
+                                shots=1, seed=0)
+        peak = self.peak(lambda: prepare_monitor(
+            code, SWEEP, "Z", range(1, 9), 20_000, seed=0))
+        assert peak < 20e6

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from steanedec.circuits import pack_rounds
 from steanedec.decoders import NnDecoder
 from steanedec.nn import (Lstm, Model, NetworkSpec, build_model, dnn2_spec,
                           drnn_spec, srnn_spec)
@@ -647,8 +648,8 @@ class TestDeepShapTiles:
         # bound fails the 512-pair tiles of the former default
         rng = np.random.default_rng(26)
         decoder = NnDecoder(build_model(srnn_spec("Z"), seed=0))
-        xs = (rng.random((60, 8, 12)) < 0.1).astype(float)
-        bg = (rng.random((100, 8, 12)) < 0.1).astype(float)
+        xs = pack_rounds(rng.random((60, 8, 12)) < 0.1)
+        bg = pack_rounds(rng.random((100, 8, 12)) < 0.1)
         tracemalloc.start()
         try:
             decoder.attributions(xs, bg)
