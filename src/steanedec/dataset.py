@@ -129,7 +129,8 @@ def _write(head, blocks, targets):
     block at a time. Each file is written through `replacing`, so it
     appears only when complete. Raises `ValueError`, and leaves no
     file, if the blocks do not hold ``head.shots`` samples of ``head.T``
-    rounds."""
+    rounds, or if a round code sets bits past the 12 channels, which
+    `read_dataset` would reject."""
     mismatch = ValueError(f"the blocks are not the {head.shots} samples "
                           f"of {head.T} rounds that the header declares")
     with contextlib.ExitStack() as stack:
@@ -142,6 +143,8 @@ def _write(head, blocks, targets):
             n += len(block.codes)
             if block.codes.shape[1:] != (head.T,) or n > head.shots:
                 raise mismatch
+            if block.codes.max(initial=0) >= len(ROUND_BITS):
+                raise ValueError("a round sets bits past its 12 channels")
             m_in = np.asarray(block.m_in, dtype=np.uint8)
             m_out = np.asarray(block.m_out, dtype=np.uint8)
             for fh, (_, records) in sinks:

@@ -9,11 +9,16 @@ on affine models, so these values are an exact reference for DeepSHAP
 on affine models alone.
 
 `exact_shapley_batch` holds, per chunk of distinct inputs, the
-(chunk, 2^n) table of coalition values and one forward block of at most
-`ROW_BLOCK` coalition rows: it builds each block of the (chunk * 2^n, n)
-coalition inputs only when the network runs it, never the whole set.
-The blocks are the ones `Model.forward` would run that set in
-(`row_blocks`), so the values do not depend on how the table is built.
+(chunk, 2^n) table of coalition values, one forward block of at most
+`ROW_BLOCK` coalition rows while the table is filled, and then one
+(chunk, 2^(n-1)) gain buffer while it is solved. It builds each block of
+the (chunk * 2^n, n) coalition inputs only when the network runs it,
+never the whole set. The blocks are the ones `Model.forward` would run
+that set in (`row_blocks`), so the values do not depend on how the table
+is built. The solve reads each player's halves of the table through
+strided views and writes their difference into the gain buffer, which
+is column-major so that its products round as a column gather's do
+(`_shapley_from_table`).
 """
 
 from __future__ import annotations
@@ -69,19 +74,29 @@ def _coalition_sizes(n: int) -> np.ndarray:
 def _shapley_from_table(values: np.ndarray, n: int) -> np.ndarray:
     """Shapley values of games given as value tables: row g of
     ``values`` (games, 2^n) holds game g's value of each coalition,
-    indexed by its mask. Returns (games, n)."""
+    indexed by its mask. Returns (games, n).
+
+    The coalitions without player i, in increasing order, are the
+    blocks of 2^i masks that start every 2^(i+1) masks, and the block
+    after each adds player i. So strided views of the table give each
+    player's without and with halves, and their difference is written
+    into one (games, 2^(n-1)) gain buffer allocated once per call. The
+    buffer is column-major, as a column gather ``values[:, masks]`` of
+    the same gains is: ``gain @ w`` sums in an order set by its
+    operand's layout, and a row-major buffer changes phi in the last
+    bit."""
+    games = values.shape[0]
     weights = _coalition_weights(n)
     sizes = _coalition_sizes(n)
-    half = np.arange((1 << n) >> 1)
-    phi = np.empty((values.shape[0], n))
+    gain = np.empty(((1 << n) >> 1, games)).T
+    phi = np.empty((games, n))
     for i in range(n):
-        # the coalitions without player i, in increasing order: a 0 bit
-        # inserted at position i of each of 0..2^(n-1) - 1
-        low = (1 << i) - 1
-        wo = (half & ~low) << 1 | half & low
-        gain = values[:, wo | 1 << i]
-        gain -= values[:, wo]
-        phi[:, i] = gain @ weights[sizes[wo]]
+        # (games, 2^(n-1-i), 2, 2^i): axis 2 is player i's bit
+        halves = values.reshape(games, -1, 2, 1 << i)
+        out = gain.T.reshape(-1, 1 << i, games).transpose(2, 0, 1)
+        np.subtract(halves[:, :, 1], halves[:, :, 0], out=out)
+        wo_sizes = sizes.reshape(-1, 2, 1 << i)[:, 0].ravel()
+        phi[:, i] = gain @ weights[wo_sizes]
     return phi
 
 
@@ -144,8 +159,9 @@ def exact_shapley_batch(model, xs, background, head: int = 0,
     inputs at once; vectorizes the 2^n coalition evaluations. The game
     of an input depends only on the input and the background mean, so
     each distinct input row is solved once, ``chunk`` distinct rows at a
-    time. Each chunk holds its (chunk, 2^n) value table and one forward
-    block of coalition rows."""
+    time. Each chunk holds its (chunk, 2^n) value table, one forward
+    block of coalition rows and then one (chunk, 2^(n-1)) gain
+    buffer."""
     if chunk < 1:
         raise ValueError(f"chunk must be at least 1, got {chunk}")
     xs = np.asarray(xs, dtype=float)

@@ -166,6 +166,21 @@ class TestDatasetFormat:
         # no target and no temporary file
         assert os.listdir(tmp_path) == []
 
+    def test_writers_refuse_round_bits_past_the_channels(self, batch,
+                                                          tmp_path):
+        # bit 15 of the first round of record 7, which read_dataset
+        # rejects; export_text has no digits for it
+        ds = from_batch(batch, 5e-3)
+        ds.codes = ds.codes.copy()
+        ds.codes[7, 0] |= 0x8000
+        for write in (dsmod.write_dataset, dsmod.export_text):
+            with pytest.raises(ValueError, match="past its 12 channels"):
+                write(tmp_path / "d", header(ds), [ds])
+        with pytest.raises(ValueError, match="past its 12 channels"):
+            dsmod.write_with_text(str(tmp_path / "e.sds"), header(ds), [ds])
+        # no target and no temporary file
+        assert os.listdir(tmp_path) == []
+
     def test_bytes_past_the_records_rejected(self, batch, tmp_path):
         path = tmp_path / "d.sds"
         ds = from_batch(batch, 5e-3)

@@ -245,16 +245,27 @@ class TestExactShapleyBlocks:
             w += rng.normal(0.0, 0.3, w.shape)
         return model
 
-    @pytest.mark.parametrize("chunk", [1, 3, 64])
-    def test_dnn2_matches_full_table(self, chunk):
-        model = self.perturbed_model(dnn2_spec(), 61)
-        rng = np.random.default_rng(62)
+    @pytest.mark.parametrize("players,distinct,chunk", [
         # 70 distinct rows, so that chunk 64 ends on a short chunk
-        patterns = np.unique(rng.integers(0, 2, size=(200, 12)),
-                             axis=0)[:70].astype(float)
+        pytest.param(12, 70, 1, id="1"),
+        pytest.param(12, 70, 3, id="3"),
+        pytest.param(12, 70, 64, id="64"),
+        # one distinct input: a (1, 2^(n-1)) gain buffer, which is both
+        # C- and F-contiguous
+        pytest.param(12, 1, 64, id="one-input"),
+        # the smallest games: gains of one and two coalitions per input
+        pytest.param(1, 2, 64, id="1-player"),
+        pytest.param(2, 3, 64, id="2-players"),
+    ])
+    def test_dnn2_matches_full_table(self, players, distinct, chunk):
+        model = self.perturbed_model(dnn2_spec(input_dim=players), 61)
+        rng = np.random.default_rng(62)
+        patterns = np.unique(rng.integers(0, 2, size=(200, players)),
+                             axis=0)[:distinct].astype(float)
+        assert len(patterns) == distinct
         xs = rng.permutation(np.concatenate(
-            [patterns, patterns[rng.integers(0, 70, 80)]]))
-        bg = repeated_bits(rng, 90, (12,), distinct=30)
+            [patterns, patterns[rng.integers(0, distinct, 80)]]))
+        bg = repeated_bits(rng, 90, (players,), distinct=30)
         phi = exact_shapley_batch(model, xs, bg, chunk=chunk)
         assert np.array_equal(phi, full_table_shapley(model, xs, bg,
                                                       chunk=chunk))
@@ -305,24 +316,28 @@ class TestExactShapleyBlocks:
                                   np.zeros((5, 1, 12)))
         assert phi.shape == (0, 12)
 
-    @pytest.mark.parametrize("players,distinct,chunk,bound", [
-        # value table 256 x 2^12 x 8 B = 8.4 MB and the two gain gathers
-        # of one player, 8.4 MB; built whole, the (256 x 2^12, 12)
-        # coalition table alone took 100 MB, and the call peaked at 126 MB
-        (12, 260, 256, 25e6),
-        # value table 4 x 2^16 x 8 B = 2.1 MB, its gains 2.1 MB and the
-        # 2^16-long index arrays; built whole, the coalition table took
+    @pytest.mark.parametrize("players,distinct,chunk,background,bound", [
+        # value table 256 x 2^12 x 8 B = 8.4 MB and one gain buffer of
+        # 4.2 MB; built whole, the (256 x 2^12, 12) coalition table
+        # alone took 100 MB, and the call peaked at 126 MB
+        pytest.param(12, 260, 256, 50, 25e6, id="12-260-256-25000000.0"),
+        # value table 4 x 2^16 x 8 B = 2.1 MB, its gain buffer 1 MB and
+        # the 2^16-long size table; built whole, the coalition table took
         # 34 MB, and the call peaked at 60 MB
-        (16, 6, 4, 10e6),
+        pytest.param(16, 6, 4, 50, 10e6, id="16-6-4-10000000.0"),
+        # the monitor's library step, one chunk: value table 50 x 2^12 x
+        # 8 B = 1.6 MB, one gain buffer of 0.8 MB and one forward block.
+        # Two column gathers per player, 0.8 MB each, peaked at 3.5 MB
+        pytest.param(12, 50, 64, 200, 3.0e6, id="library-step"),
     ])
     def test_memory_is_bounded_by_the_value_table(self, players, distinct,
-                                                  chunk, bound):
+                                                  chunk, background, bound):
         model = build_model(dnn2_spec(input_dim=players), seed=67)
         rng = np.random.default_rng(68)
         xs = np.unique(rng.integers(0, 2, size=(2 * distinct, players)),
                        axis=0)[:distinct].astype(float)
         assert len(xs) == distinct
-        bg = rng.integers(0, 2, size=(50, players)).astype(float)
+        bg = rng.integers(0, 2, size=(background, players)).astype(float)
         tracemalloc.start()
         try:
             exact_shapley_batch(model, xs, bg, chunk=chunk)
